@@ -1,9 +1,9 @@
 """Color the worked example graphs end to end.
 
-For each named graph: recognize convexity, compute the exact clique
-number of the square, run the two-phase coloring, and compare the
-palette against the floor(3*omega/2) bound and the exact chromatic
-number.
+For each named graph: recognize convexity, read the clique number of
+the square off the convex layout, run the two-phase coloring, and
+compare the palette against the floor(3*omega/2) bound and the exact
+chromatic number.
 """
 
 from sqchroma.coloring import clique_number_square, color_square_convex, verify_coloring
@@ -22,7 +22,7 @@ def show(name, g):
         return
     flavor = "biconvex" if recognize_biconvex(g) else "convex"
     omega = clique_number_square(g, layout)
-    coloring = color_square_convex(g, layout, omega=omega)
+    coloring = color_square_convex(g, layout)
     sq = square(g)
     assert verify_coloring(sq, coloring)
     stats = exact_stats(sq)

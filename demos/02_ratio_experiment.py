@@ -27,7 +27,7 @@ for trial in range(TRIALS):
     layout = recognize_convex(g)
     t0 = time.perf_counter()
     omega = clique_number_square(g, layout)
-    coloring = color_square_convex(g, layout, omega=omega)
+    coloring = color_square_convex(g, layout)
     chi = exact_stats(square(g)).chi
     ms = (time.perf_counter() - t0) * 1000
     records.append(ExperimentRecord(

@@ -12,7 +12,10 @@
 
 File arguments accept ``-`` for standard input.  Exit codes: 0 success,
 1 domain failure (for instance NOT CONVEX under ``color``), 2 usage
-error.  The oracle node budget comes from --budget or SQCHROMA_BUDGET.
+error; failures print one ``error: ...`` (or, for a failed proof-backed
+check, ``internal error: ...``) line on stderr.  Only the exact oracles of
+``exact`` and ``experiment --with-exact`` take a node budget, from
+--budget or SQCHROMA_BUDGET.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .core import (
     write_bipartite_text,
     write_simple_text,
 )
-from .errors import BudgetExceeded
+from .errors import AlgorithmInvariantViolation, BudgetExceeded, SqchromaError
 from .oracle import exact_stats, find_induced_cycles
 from .rng import derive_seed
 from .structure import (
@@ -53,7 +56,8 @@ CSV_COLUMNS = (
 
 @dataclass
 class ExperimentRecord:
-    """One experiment trial; ``status`` is ``ok`` or ``budget_exceeded``."""
+    """One experiment trial; ``status`` is ``ok`` or ``budget_exceeded``
+    (the --with-exact oracle ran out: only the chi fields are empty)."""
 
     instance_id: str
     n_a: int
@@ -183,16 +187,9 @@ def _cmd_color(args) -> int:
     if isinstance(layout, NonConvexWitness):
         print("NOT CONVEX", file=sys.stderr)
         return 1
-    omega = args.omega
-    if omega is None:
-        omega = clique_number_square(g, layout, args.budget)
+    omega = clique_number_square(g, layout)
     trace: list | None = [] if args.trace else None
-    coloring = color_square_convex(
-        g, layout, omega=omega, budget=args.budget, trace=trace,
-    )
-    if not verify_coloring(square(g), coloring):  # fail-closed
-        print("internal error: coloring failed verification", file=sys.stderr)
-        return 1
+    coloring = color_square_convex(g, layout, trace=trace)
     if trace is not None:
         for event in trace:
             print("trace:", *event, file=sys.stderr)
@@ -352,18 +349,14 @@ def _cmd_experiment(args) -> int:
             print(f"{instance_id}: NOT CONVEX", file=sys.stderr)
             return 1
         t0 = time.perf_counter()
-        status = "ok"
-        try:
-            omega = clique_number_square(g, layout, args.budget)
-            coloring = color_square_convex(
-                g, layout, omega=omega, budget=args.budget)
-            chi = None
-            if args.with_exact:
+        omega = clique_number_square(g, layout)
+        coloring = color_square_convex(g, layout)
+        status, chi = "ok", None
+        if args.with_exact:
+            try:
                 chi = exact_stats(square(g), args.budget).chi
-        except BudgetExceeded:
-            status = "budget_exceeded"
-            omega, chi = 0, None
-            coloring = Coloring({}, 0)
+            except BudgetExceeded:
+                status = "budget_exceeded"
         ms = (time.perf_counter() - t0) * 1000.0
         rec = ExperimentRecord(
             instance_id=instance_id,
@@ -393,8 +386,11 @@ def _cmd_verify(args) -> int:
     palette = None
     if text.lstrip().startswith("{"):
         obj = json.loads(text)
-        palette = obj["palette"]
-        for name, color in obj["colors"].items():
+        raw = obj.get("colors")
+        if not isinstance(raw, dict):
+            raise ValueError('coloring JSON needs a "colors" object')
+        palette = obj.get("palette")
+        for name, color in raw.items():
             side, idx = name[0], int(name[1:])
             colors[VertexRef(side, idx).to_global(g.n_a)] = color
     else:
@@ -437,10 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--omega", type=int, default=None,
-                   help="skip the exact clique computation")
     p.add_argument("-o", "--output", default=None)
-    add_budget(p)
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("exact", help="exact chi and omega of the square")
@@ -533,7 +526,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except AlgorithmInvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (SqchromaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,8 @@
 """Two-phase coloring of the square of a convex bipartite graph.
 
+omega(G^2) is read off the convex layout in closed form; the exact
+oracles in ``oracle`` stay off this pipeline and serve as its checks.
+
 Phase I greedily colors the interval graph on the A side (left-endpoint
 order, lowest free color), which uses exactly as many colors as its
 largest clique, hence at most omega(G^2).
@@ -28,19 +31,21 @@ re-deriving keeps every step covered by the supporting claims (pivot
 uniqueness, partner existence, strict pivot descent).  Those claims are
 asserted at runtime when ``check_invariants`` is on (the default); a
 failure raises AlgorithmInvariantViolation and would indicate an
-implementation bug, never bad input.
+implementation bug, never bad input.  The finished coloring is always
+checked against the square and raises the same error if it fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .convexity import ConvexLayout
 from .core import BipartiteGraph, SimpleGraph, square
 from .errors import AlgorithmInvariantViolation
-from .oracle import exact_clique
 
 TraceEvent = tuple
 
@@ -104,29 +109,26 @@ def greedy_interval_coloring(
     return Coloring(colors, palette)
 
 
-def clique_number_square(g: BipartiteGraph, layout: ConvexLayout | None = None,
-                         budget: int | None = None) -> int:
-    """Exact omega(G^2) by branch and bound on the square.
+def clique_number_square(g: BipartiteGraph, layout: ConvexLayout) -> int:
+    """omega(G^2) in closed form from the convex layout.
 
-    A layout, when supplied, seeds the search with the best structural
-    clique (a B-vertex with all intervals through its position, or a
-    closed A-neighborhood).
+    A clique of the square is a run [l, r] of B-positions plus the
+    A-intervals containing it (at least one when r > l), so omega is the
+    maximum of (#intervals containing [l, r]) + (r - l + 1).  Only left
+    endpoints need trying as l; for the k intervals through l reaching
+    furthest right, r is the k-th largest right endpoint.  Each interval
+    is visited once per left endpoint it covers.
     """
-    sq = square(g)
-    seed: list[int] = []
-    if layout is not None and g.n_b:
-        cover: list[list[int]] = [[] for _ in range(g.n_b)]
-        for a, iv in enumerate(layout.intervals):
-            if iv is None:
-                continue
-            for p in range(iv[0], iv[1] + 1):
-                cover[p].append(a)
-        p_best = max(range(g.n_b), key=lambda p: len(cover[p]))
-        seed = cover[p_best] + [g.n_a + layout.b_seq[p_best]]
-        for a in range(g.n_a):
-            if len(g.adj[a]) + 1 > len(seed):
-                seed = [a] + [g.n_a + b for b in g.adj[a]]
-    return exact_clique(sq, budget, initial=seed if seed else None)
+    if g.n_a + g.n_b == 0:
+        return 0
+    best = 1
+    rights: list[int] = []  # right endpoints of the intervals through l
+    by_left = sorted(iv for iv in layout.intervals if iv is not None)
+    for left, starting in groupby(by_left, key=itemgetter(0)):
+        rights = [r for r in rights if r >= left] + [r for _, r in starting]
+        rights.sort(reverse=True)
+        best = max(best, max(k + r for k, r in enumerate(rights, 1)) - left + 1)
+    return best
 
 
 @dataclass
@@ -318,24 +320,21 @@ def _assert_kempe_shape(state: ExtensionState) -> None:
 
 
 def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
-                        omega: int | None = None,
-                        budget: int | None = None,
                         check_invariants: bool = True,
                         trace: list[TraceEvent] | None = None,
                         free_color_rule: str = "lowest") -> Coloring:
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
-    ``omega`` may be supplied to skip the exact clique computation.
-    ``trace``, when given, collects (event, position, ...) tuples for the
-    pivot / partner / swap steps.
+    omega comes from ``clique_number_square(g, layout)``.  ``trace``, when
+    given, collects (event, position, ...) tuples for the pivot / partner
+    / swap steps.
 
     ``free_color_rule`` picks among the free colors at steps 2 and 3.1;
     the guarantee holds for any choice, and the non-default ``highest``
     rule exists to drive the extension machinery (pivots, partner colors,
     Kempe swaps) hard in tests.  The deterministic default is ``lowest``.
     """
-    if omega is None:
-        omega = clique_number_square(g, layout, budget)
+    omega = clique_number_square(g, layout)
     sq = square(g)
     palette = (3 * omega) // 2
     phase1 = greedy_interval_coloring(layout.intervals)

@@ -332,9 +332,8 @@ def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
         partial = arranged if arranged is not None else _greedy_partial(group)
         for cell in partial:
             cells.extend(sorted(cell))
-    seen = set(cells)
-    cells.extend(c for c in range(n_cols) if c not in seen)
-    return cells
+    # a nested class repeats columns of its host: keep each first one
+    return list(dict.fromkeys(cells + list(range(n_cols))))
 
 
 def _positions_consecutive(order: Sequence[int], members: frozenset) -> bool:

@@ -32,8 +32,6 @@ class SplitMap:
 
 def split_reduction(g: SimpleGraph) -> tuple[BipartiteGraph, SplitMap]:
     """The split graph of ``g``: u' adjacent to v'' iff u = v or uv edge."""
-    edges = [(u, u) for u in range(g.n)]
-    edges += [(u, v) for u in range(g.n) for v in g.adj[u]]
     b_g = BipartiteGraph(
         n_a=g.n,
         n_b=g.n,

@@ -61,8 +61,7 @@ def _color_instance(g) -> ColoredInstance:
     layout = recognize_convex(g)
     assert isinstance(layout, ConvexLayout)
     omega = clique_number_square(g, layout)
-    coloring = color_square_convex(g, layout, omega=omega,
-                                   check_invariants=True)
+    coloring = color_square_convex(g, layout, check_invariants=True)
     assert verify_coloring(square(g), coloring)
     return ColoredInstance(g, layout, omega, coloring.palette,
                            time.perf_counter() - t0)
@@ -150,10 +149,13 @@ def test_criterion_3_degree_bound(small_colored, large_colored):
 
 
 def test_criterion_4_approximation_ratio(small_colored):
-    """On the small corpus with the exact oracle: palette/chi <= 1.5."""
+    """On the small corpus with the exact oracle: palette/chi <= 1.5, and
+    the closed-form omega equals the oracle's."""
     worst = 0.0
     for inst in small_colored:
-        chi = exact_stats(square(inst.graph)).chi
+        stats = exact_stats(square(inst.graph))
+        assert inst.omega == stats.omega
+        chi = stats.chi
         if chi:
             ratio = inst.palette / chi
             assert ratio <= 1.5, f"ratio {ratio} exceeds 1.5"
@@ -287,7 +289,7 @@ def test_criterion_9_proof_assertions(small_corpus, large_corpus,
         trace = []
         try:
             coloring = color_square_convex(
-                g, layout, omega=omega, check_invariants=True,
+                g, layout, check_invariants=True,
                 trace=trace, free_color_rule="highest",
             )
         except AlgorithmInvariantViolation as exc:  # pragma: no cover

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from sqchroma import cli, coloring
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
 from sqchroma.core import read_bipartite_text, read_simple_text, write_bipartite_text
+from sqchroma.errors import BudgetExceeded, LayoutMismatch
 from sqchroma.generators import gen_named
 
 
@@ -74,9 +76,32 @@ def test_color_text_and_json_agree(np_file, capsys):
     assert palette <= bound
 
 
-def test_color_omega_flag(np_file, capsys):
-    assert run(["color", np_file, "--omega", "5"]) == 0
-    assert "omega=5" in capsys.readouterr().out
+def test_color_rejects_omega_and_budget_flags(np_file, capsys):
+    # omega comes from the layout in closed form: nothing to pass or bound
+    assert run(["color", np_file, "--omega", "5"]) == 2
+    assert run(["color", np_file, "--budget", "100"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_color_failed_final_check_is_one_line(np_file, capsys, monkeypatch):
+    monkeypatch.setattr(coloring, "verify_coloring", lambda h, c: False)
+    assert run(["color", np_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_package_error_is_one_line(np_file, capsys, monkeypatch):
+    def fail(g):
+        raise LayoutMismatch("layout sizes disagree with the graph")
+
+    monkeypatch.setattr(cli, "recognize_convex", fail)
+    assert run(["color", np_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: layout sizes disagree with the graph\n"
 
 
 def test_color_trace(np_file, capsys):
@@ -185,6 +210,24 @@ def test_experiment_lower_bound_sweep(capsys):
         assert r["alg_palette"] / r["omega"] >= 1.0
 
 
+def test_experiment_budget_row_keeps_real_values(capsys, monkeypatch):
+    def out_of_budget(h, budget=None):
+        raise BudgetExceeded("budget exceeded", lower=7, upper=8, nodes=1)
+
+    monkeypatch.setattr(cli, "exact_stats", out_of_budget)
+    assert run(["experiment", "--family", "lower_bound_H", "--q", "2",
+                "--trials", "1", "--with-exact", "--json"]) == 0
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)
+    assert row["status"] == "budget_exceeded"
+    assert row["omega"] == 7 and row["alg_palette"] > 0
+    assert row["ratio_to_omega"] == row["alg_palette"] / 7
+    assert row["exact_chi"] is None and row["ratio_to_chi"] is None
+    summary = json.loads(captured.err)
+    assert summary["budget_exceeded"] == 1
+    assert summary["ratio_to_omega"]["min"] == row["ratio_to_omega"]
+
+
 def test_experiment_empty(capsys):
     assert run(["experiment", "--family", "random_convex",
                 "--trials", "0"]) == 0
@@ -210,6 +253,27 @@ def test_verify_json_coloring(np_file, tmp_path, capsys):
     col_path = tmp_path / "coloring.json"
     assert run(["color", np_file, "--json", "-o", str(col_path)]) == 0
     assert run(["verify", np_file, str(col_path)]) == 0
+
+
+def test_verify_json_without_palette_uses_largest_color(np_file, tmp_path,
+                                                       capsys):
+    col_path = tmp_path / "coloring.json"
+    assert run(["color", np_file, "--json", "-o", str(col_path)]) == 0
+    obj = json.loads(col_path.read_text())
+    del obj["palette"]
+    col_path.write_text(json.dumps(obj))
+    assert run(["verify", np_file, str(col_path)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
+@pytest.mark.parametrize("text", ['{"palette": 6}', '{"colors": [1, 2]}'])
+def test_verify_json_without_colors_object(np_file, tmp_path, capsys, text):
+    col_path = tmp_path / "coloring.json"
+    col_path.write_text(text)
+    assert run(["verify", np_file, str(col_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: coloring JSON needs a "colors" object\n'
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqchroma import coloring as coloring_module
 from sqchroma.coloring import (
     Coloring,
     ExtensionState,
@@ -71,20 +75,57 @@ def test_greedy_uses_exactly_interval_clique_number(seed):
 
 
 def test_clique_number_knn():
-    for n in (2, 3, 4):
+    for n in range(1, 6):
         g = gen_named("complete", n)
         assert clique_number_square(g, recognize_convex(g)) == 2 * n
 
 
 def test_clique_number_lower_bound_family():
-    for q in (2, 4):
+    for q in (2, 4, 6, 8):
         g = gen_lower_bound_H(q)
         assert clique_number_square(g, lower_bound_layout(g)) == 2 * q + 3
+        assert clique_number_square(g, recognize_convex(g)) == 2 * q + 3
 
 
 def test_clique_number_single_edge():
     g = build_bipartite(1, 1, [(0, 0)])
     assert clique_number_square(g, recognize_convex(g)) == 2
+
+
+@pytest.mark.parametrize("n_a,n_b,want", [(0, 0, 0), (3, 0, 1), (0, 3, 1),
+                                          (2, 3, 1)])
+def test_clique_number_empty_and_edgeless(n_a, n_b, want):
+    g = build_bipartite(n_a, n_b, [])
+    assert clique_number_square(g, recognize_convex(g)) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_clique_number_matches_exact_oracle(seed):
+    # sizes from 0 cover the empty graph, n_b = 0 and (with n_a = 0 or
+    # every row dropped) edgeless graphs; dropped rows leave isolated A
+    rng = SplitMix64(seed)
+    n_a, n_b = rng.randint(0, 10), rng.randint(0, 10)
+    if n_b == 0:
+        g = build_bipartite(n_a, 0, [])
+    else:
+        full = gen_random_convex(n_a, n_b, rng.randint(1, n_b), seed)
+        keep = {a for a in range(n_a) if rng.random() >= 0.2}
+        g = build_bipartite(n_a, n_b, [e for e in full.edges() if e[0] in keep])
+    assert clique_number_square(g, recognize_convex(g)) == exact_clique(square(g))
+
+
+def test_coloring_module_does_not_import_the_oracles():
+    # the exact oracles are the checks on the pipeline, so they stay off it
+    tree = ast.parse(Path(coloring_module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n == "oracle" or n.endswith(".oracle") for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +136,7 @@ def _color(g, rule="lowest", trace=None):
     layout = recognize_convex(g)
     omega = clique_number_square(g, layout)
     coloring = color_square_convex(
-        g, layout, omega=omega, trace=trace, free_color_rule=rule,
+        g, layout, trace=trace, free_color_rule=rule,
     )
     return layout, omega, coloring
 
@@ -129,7 +170,7 @@ def test_color_empty_and_edgeless():
     assert coloring.colors == {}
     g = build_bipartite(2, 3, [])
     layout = recognize_convex(g)
-    coloring = color_square_convex(g, layout, omega=1)
+    coloring = color_square_convex(g, layout)
     assert set(coloring.colors.values()) == {1}
 
 
@@ -138,9 +179,7 @@ def test_color_empty_and_edgeless():
 def test_color_random_corpus_bound_and_proper(seed):
     rng = SplitMix64(seed)
     g = gen_random_convex(rng.randint(1, 10), rng.randint(1, 10), 10, seed)
-    layout, omega, coloring = _color(g)[0], None, None
-    omega = clique_number_square(g, layout)
-    coloring = color_square_convex(g, layout, omega=omega)
+    _, omega, coloring = _color(g)
     assert verify_coloring(square(g), coloring)
     assert coloring.palette <= (3 * omega) // 2
     assert coloring.palette <= 2 * max_degree(g) or g.m == 0
@@ -149,8 +188,8 @@ def test_color_random_corpus_bound_and_proper(seed):
 def test_color_deterministic():
     g = gen_random_convex(9, 9, 9, seed=5)
     layout = recognize_convex(g)
-    c1 = color_square_convex(g, layout, omega=clique_number_square(g, layout))
-    c2 = color_square_convex(g, layout, omega=clique_number_square(g, layout))
+    c1 = color_square_convex(g, layout)
+    c2 = color_square_convex(g, layout)
     assert c1 == c2
 
 
@@ -169,7 +208,7 @@ def test_color_highest_rule_still_within_bound(seed):
     omega = clique_number_square(g, layout)
     trace = []
     coloring = color_square_convex(
-        g, layout, omega=omega, trace=trace, free_color_rule="highest",
+        g, layout, trace=trace, free_color_rule="highest",
     )
     assert verify_coloring(square(g), coloring)
     assert coloring.palette <= (3 * omega) // 2
@@ -180,9 +219,8 @@ def test_pivot_path_reached_under_default_rule():
     # into the pivot + recolor step (step 2 fails, step 3.1 succeeds)
     g = gen_random_convex(10, 10, 4, seed=1282)
     layout = recognize_convex(g)
-    omega = clique_number_square(g, layout)
     trace = []
-    coloring = color_square_convex(g, layout, omega=omega, trace=trace)
+    coloring = color_square_convex(g, layout, trace=trace)
     assert verify_coloring(square(g), coloring)
     kinds = [e[0] for e in trace]
     assert "pivot" in kinds and "pivot_recolor" in kinds
@@ -203,7 +241,7 @@ def test_pivot_events_on_instrumented_corpus():
         omega = clique_number_square(g, layout)
         trace = []
         coloring = color_square_convex(
-            g, layout, omega=omega, trace=trace, free_color_rule="highest",
+            g, layout, trace=trace, free_color_rule="highest",
         )
         assert verify_coloring(square(g), coloring)
         assert coloring.palette <= (3 * omega) // 2

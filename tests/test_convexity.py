@@ -116,6 +116,49 @@ def test_recognize_three_claw_obstruction():
     assert pos[bp] < pos[bq] < pos[br]
 
 
+def _assert_witness_sound(g, w):
+    """The attempted order is a permutation of B, the violating vertex's
+    neighbours are not consecutive in it, and the gap triple shows it."""
+    assert isinstance(w, NonConvexWitness)
+    assert sorted(w.b_order_attempted) == list(range(g.n_b))
+    pos = {b: i for i, b in enumerate(w.b_order_attempted)}
+    nbrs = set(g.adj[w.violating_a])
+    ps = sorted(pos[b] for b in nbrs)
+    assert ps[-1] - ps[0] + 1 != len(ps)
+    bp, bq, br = w.gap
+    assert bp in nbrs and br in nbrs and bq not in nbrs
+    assert pos[bp] < pos[bq] < pos[br]
+
+
+def test_witness_order_with_nested_overlap_classes():
+    # regression: the class {0,1},{1,2} nests inside the class
+    # {0,1,2,3},{3,4}; their shared columns used to appear twice, giving a
+    # 12-entry attempted order for 9 B-vertices
+    rows = [{0, 1, 2, 3}, {3, 4}, {0, 1}, {1, 2}, {5, 6}, {6, 7}, {6, 8}]
+    g = build_bipartite(7, 9, [(a, b) for a, row in enumerate(rows) for b in row])
+    _assert_witness_sound(g, recognize_convex(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_witness_sound_on_tucker_gadget_inputs(seed):
+    # a convex graph plus three rows {x,y}, {y,z}, {y,w} on distinct
+    # columns: y cannot sit next to x, z and w at once, so no order works
+    rng = SplitMix64(seed)
+    n_b = rng.randint(4, 16)
+    base = gen_random_convex(rng.randint(1, 16), n_b, rng.randint(1, n_b), seed)
+    cols = list(range(n_b))
+    x, y, z, w = (cols.pop(rng.randint(0, len(cols) - 1)) for _ in range(4))
+    n_a = base.n_a + 3
+    edges = list(base.edges()) + [
+        (base.n_a, x), (base.n_a, y),
+        (base.n_a + 1, y), (base.n_a + 1, z),
+        (base.n_a + 2, y), (base.n_a + 2, w),
+    ]
+    g = build_bipartite(n_a, n_b, edges)
+    _assert_witness_sound(g, recognize_convex(g))
+
+
 def test_recognize_recovers_interval_construction():
     for seed in range(25):
         g = gen_random_convex(8, 8, 8, seed)
