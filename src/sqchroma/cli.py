@@ -390,7 +390,12 @@ def _cmd_verify(args) -> int:
         if not isinstance(raw, dict):
             raise ValueError('coloring JSON needs a "colors" object')
         palette = obj.get("palette")
+        if palette is not None and type(palette) is not int:
+            raise ValueError(f"palette must be an integer, got {palette!r}")
         for name, color in raw.items():
+            if type(color) is not int:  # also refuses JSON true/false
+                raise ValueError(
+                    f"color of {name} must be an integer, got {color!r}")
             side, idx = name[0], int(name[1:])
             colors[VertexRef(side, idx).to_global(g.n_a)] = color
     else:

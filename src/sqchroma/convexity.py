@@ -3,28 +3,40 @@
 A bipartite graph is convex when the B side can be ordered so that every
 A-neighborhood occupies consecutive positions; equivalently the
 neighborhood matrix has the consecutive-ones property for columns.  The
-recognizer here is a desk-scale consecutive-arrangement routine rather
-than a linear-time PQ-tree:
+recognizer follows Hsu's overlap-class method ("A simple test for the
+consecutive ones property", J. Algorithms 2002) in one forward pass, with
+no backtracking and no recursion:
 
-1. Neighborhoods of size >= 2 are deduplicated and grouped into *overlap
-   classes* (connected components under strict overlap: the sets meet and
-   neither contains the other).
-2. Within a class the column arrangement is forced up to reversal.  Rows
-   are placed one at a time, each strictly overlapping an earlier row,
-   onto an ordered partition of the columns seen so far.  Every placement
-   step offers at most two candidate refinements (new columns attach to
-   the left or the right end of the touched range); candidates are
-   validated against all placed rows and the rare tie is resolved by
-   backtracking.
-3. Distinct classes never strictly overlap, so each non-maximal class
-   nests inside a single cell of its unique host and classes disjoint
-   from each other concatenate freely; the final order falls out of a
-   recursion over that nesting.
+1. Neighborhoods of size >= 2 are deduplicated, sorted by (size,
+   members) and grouped into *overlap classes* (connected components
+   under strict overlap: the sets meet and neither contains the other).
+   A bit set of rows per column gives, for each row, the rows that meet
+   it and the rows that contain it.
+2. Within a class the arrangement is forced up to reversal.  Rows are
+   placed one at a time, each the smallest row that strictly overlaps a
+   placed one, onto an ordered partition (cells) of the columns seen so
+   far.  Every placed row is a run of whole cells, so splitting the end
+   cells of the new row's run breaks none of them; the new row's unseen
+   columns must become the first or the last cell (the end-attachment
+   rule), and at most one end fits.  A row that fits neither end proves
+   that no order exists, so nothing is re-checked or undone.
+3. Distinct classes never strictly overlap, so a class whose support
+   meets another's lies inside one cell of it.  One scan of the placed
+   rows from largest to smallest finds each class's host cell and each
+   column's innermost class; the blocks of a cell are ordered by first
+   column and an explicit stack writes the order out.
 
-A failed arrangement is definitive (step 2 enumerates every refinement
-consistent with the rows placed so far), and yields a NonConvexWitness:
-the order attempted, one A-vertex whose neighborhood has a gap under it,
-and the gap triple itself.
+Cost, for m rows and N = the sum of row sizes: O(N) dictionary and set
+operations to place rows, assemble and check the result; to find the
+classes, O(N) bit-set operations on m-bit integers plus one subset test
+per unqueued row that meets a placed row without containing it; and the
+sorts.
+
+When a class fails, the complete classes and the partial arrangements of
+the failed ones are assembled the same way.  Every placed row is
+consecutive under that order, so the NonConvexWitness names an A-vertex
+whose neighborhood could not be placed, the order attempted, and the
+gap triple itself.
 
 Derived orderings: positions under <_B induce an interval (left, right)
 per non-isolated A-vertex, and <_A sorts A by right endpoint with ties
@@ -34,8 +46,11 @@ interval and precede everything in <_A.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from heapq import heappop, heappush
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .core import BipartiteGraph, SimpleGraph
@@ -98,247 +113,272 @@ class NonConvexWitness:
 
 
 class _ArrangementError(SqchromaError):
-    """Internal: the class-nesting structure violated its theory."""
+    """Internal: an assembled order contradicts the arrangement theory."""
 
 
 # ---------------------------------------------------------------------------
 # Consecutive arrangement engine
 
 
-def _strictly_overlaps(s: frozenset, t: frozenset) -> bool:
-    return bool(s & t) and not s <= t and not t <= s
-
-
-def _row_fits(cells: Sequence[frozenset], row: frozenset) -> bool:
-    """A row fits an ordered partition when the cells it touches are
-    contiguous and each touched cell lies fully inside the row."""
-    touch = [i for i, c in enumerate(cells) if c & row]
-    if not touch:
-        return True
-    if touch != list(range(touch[0], touch[-1] + 1)):
-        return False
-    return all(cells[i] <= row for i in touch)
-
-
-def _placement_candidates(cells: list[frozenset],
-                          row: frozenset) -> list[list[frozenset]]:
-    """Ordered partitions refining ``cells`` so that ``row`` can be
-    consecutive.  New columns may only attach at one end of the touched
-    range (attaching on both ends would need two uncovered cell gaps,
-    which strict overlap with a placed row rules out)."""
-    touch = [i for i, c in enumerate(cells) if c & row]
-    p, q = touch[0], touch[-1]
-    if touch != list(range(p, q + 1)):
-        return []
-    for i in range(p + 1, q):
-        if not cells[i] <= row:
-            return []
-    covered = frozenset().union(*cells)
-    new = row - covered
-    pre, suf = cells[:p], cells[q + 1:]
-    out: list[list[frozenset]] = []
-    if p == q:
-        inp = cells[p] & row
-        rest = cells[p] - row
-        if not new:
-            # Row nested inside one cell: unconstrained only when it equals
-            # the cell.  (BFS insertion order makes this unreachable.)
-            return [list(cells)] if not rest else []
-        right = pre + ([rest] if rest else []) + [inp, new] + suf
-        left = pre + [new, inp] + ([rest] if rest else []) + suf
-        out = [right, left]
-    else:
-        cp_in, cp_out = cells[p] & row, cells[p] - row
-        cq_in, cq_out = cells[q] & row, cells[q] - row
-        mid = cells[p + 1:q]
-        lead = ([cp_out] if cp_out else [])
-        trail = ([cq_out] if cq_out else [])
-        if not new:
-            out = [pre + lead + [cp_in] + mid + [cq_in] + trail + suf]
-        else:
-            out = [
-                pre + lead + [cp_in] + mid + [cq_in, new] + trail + suf,
-                pre + lead + [new, cp_in] + mid + [cq_in] + trail + suf,
-            ]
-    if len(out) == 2 and out[1] == out[0][::-1]:
-        out = out[:1]  # reversal twins describe the same arrangement
-    return out
-
-
 def _row_key(row: frozenset) -> tuple:
     return (len(row), tuple(sorted(row)))
 
 
-def _insertion_order(rows: list[frozenset]) -> list[frozenset]:
-    """Rows of one overlap class, each strictly overlapping an earlier one."""
-    remaining = sorted(rows, key=_row_key)
-    order = [remaining.pop(0)]
-    while remaining:
-        for i, cand in enumerate(remaining):
-            if any(_strictly_overlaps(cand, placed) for placed in order):
-                order.append(remaining.pop(i))
-                break
-        else:  # pragma: no cover - rows were not overlap-connected
-            raise _ArrangementError("rows do not form one overlap class")
-    return order
+class _Cells:
+    """Ordered partition of the columns of the rows placed so far in one
+    overlap class: a doubly linked list of cells (-1 ends it) and the cell
+    of every placed column.  Each placed row is a run of whole cells."""
 
+    def __init__(self, row: frozenset):
+        self.members: list[set[int]] = [set(row)]
+        self.prev = [-1]
+        self.next = [-1]
+        self.head = self.tail = 0
+        self.cell_of: dict[int, int] = dict.fromkeys(row, 0)
 
-def _arrange_class(rows: list[frozenset]) -> list[frozenset] | None:
-    """Cell sequence arranging one overlap class, or None if impossible.
+    def _new_cell(self, cols: set[int], after: int, before: int) -> None:
+        """Link a cell holding ``cols`` between ``after`` and ``before``."""
+        d = len(self.members)
+        self.members.append(cols)
+        self.cell_of.update(dict.fromkeys(cols, d))
+        self.prev.append(after)
+        self.next.append(before)
+        if after < 0:
+            self.head = d
+        else:
+            self.next[after] = d
+        if before < 0:
+            self.tail = d
+        else:
+            self.prev[before] = d
 
-    Depth-first over placement candidates; in the intended regime every
-    step is forced, so the search degenerates to a single pass.
-    """
-    order = _insertion_order(rows)
+    def _split(self, c: int, row: frozenset, right: bool) -> None:
+        """Move the columns of cell ``c`` in ``row`` to a new cell next to
+        it, on its right or its left."""
+        cols = self.members[c] & row
+        self.members[c] -= cols
+        if right:
+            self._new_cell(cols, c, self.next[c])
+        else:
+            self._new_cell(cols, self.prev[c], c)
 
-    def rec(cells: list[frozenset], k: int) -> list[frozenset] | None:
-        if k == len(order):
-            return cells
-        for cand in _placement_candidates(cells, order[k]):
-            if all(_row_fits(cand, order[i]) for i in range(k + 1)):
-                result = rec(cand, k + 1)
-                if result is not None:
-                    return result
-        return None
+    def place(self, row: frozenset) -> bool:
+        """Refine the partition so that ``row`` is a run of cells too, or
+        return False when no refinement keeps every placed row consecutive.
 
-    return rec([order[0]], 1)
+        ``row`` strictly overlaps a placed row.  Splitting the end cells of
+        the run it touches never breaks a placed row, so the only choice is
+        where its new columns go.  Inside the run they would split a placed
+        row, and so would any place but the first or last cell (the placed
+        rows are overlap-connected, so one of them spans every boundary
+        between cells).  At most one end fits, because the row cannot
+        contain every placed row: the placement is forced.  (While there
+        is a single cell both ends give the same arrangement up to
+        reversal; the new columns then go last.)
+        """
+        members, prev, nxt = self.members, self.prev, self.next
+        hit = Counter(map(self.cell_of.get, row))  # cell -> columns of row
+        has_new = hit.pop(None, 0) > 0
+        p = q = next(iter(hit))
+        while prev[p] in hit:
+            p = prev[p]
+        while nxt[q] in hit:
+            q = nxt[q]
+        run = [p]
+        while run[-1] != q:
+            run.append(nxt[run[-1]])
+        if len(run) != len(hit):
+            return False  # the touched cells are not contiguous
+        if any(hit[c] != len(members[c]) for c in run[1:-1]):
+            return False  # an inner cell of the run sticks out of the row
+        full_p = hit[p] == len(members[p])
+        full_q = hit[q] == len(members[q])
+        if not has_new:
+            if p == q:  # inside one cell: unreachable for an overlapping row
+                return full_p
+            if not full_p:
+                self._split(p, row, right=True)
+            if not full_q:
+                self._split(q, row, right=False)
+            return True
+        new = set(row.difference(self.cell_of))
+        if q == self.tail and (p == q or full_q):
+            if not full_p:
+                self._split(p, row, right=True)
+            self._new_cell(new, self.tail, -1)
+            return True
+        if p == self.head and (p == q or full_p):
+            if not full_q:
+                self._split(q, row, right=False)
+            self._new_cell(new, -1, self.head)
+            return True
+        return False
 
-
-def _greedy_partial(rows: list[frozenset]) -> list[frozenset]:
-    """First-candidate placement until stuck; used for witness orders."""
-    order = _insertion_order(rows)
-    cells = [order[0]]
-    for k in range(1, len(order)):
-        fits = [
-            cand for cand in _placement_candidates(cells, order[k])
-            if all(_row_fits(cand, order[i]) for i in range(k + 1))
-        ]
-        if not fits:
-            break
-        cells = fits[0]
-    return cells
+    def order(self) -> list[int]:
+        """Cell ids from the first cell to the last."""
+        ids = []
+        c = self.head
+        while c >= 0:
+            ids.append(c)
+            c = self.next[c]
+        return ids
 
 
 @dataclass
 class _OverlapClass:
-    rows: list[frozenset]
-    support: frozenset
-    cells: list[frozenset]
+    """One overlap class: the rows placed, as indices into the sorted row
+    list, and the cells they arrange.  ``complete`` is False when a row
+    could not be placed; the cells then arrange the rows placed before it."""
+
+    rows: list[int]
+    cells: _Cells
+    complete: bool
 
 
-def _overlap_classes(sets: list[frozenset]) -> list[list[frozenset]]:
-    unused = sorted(sets, key=_row_key)
-    classes: list[list[frozenset]] = []
-    while unused:
-        comp = [unused.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            rest = []
-            for cand in unused:
-                if any(_strictly_overlaps(cand, r) for r in comp):
-                    comp.append(cand)
-                    grew = True
-                else:
-                    rest.append(cand)
-            unused = rest
-        classes.append(comp)
+def _overlap_classes(sets: list[frozenset]) -> list[_OverlapClass]:
+    """Overlap classes of ``sets`` (sorted by ``_row_key``), each arranged.
+
+    A class starts at the smallest row not yet queued; the next row
+    placed is always the smallest queued one, and placing a row queues
+    every row that strictly overlaps it (a heap of ranks), so each placed
+    row strictly overlaps an earlier one.  After a failed placement the
+    rest of the class is still collected, but not placed.
+
+    The column index holds, per column, the bit set of the rows through
+    it.  OR-ing and AND-ing it over a row gives the rows that meet it and
+    the rows that contain it, so the rows around a row are set aside by
+    bit operations instead of a scan of their columns.
+    """
+    col_rows: dict[int, int] = {}
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for x in s:
+            col_rows[x] = col_rows.get(x, 0) | bit
+    unqueued = (1 << len(sets)) - 1
+    classes: list[_OverlapClass] = []
+    while unqueued:
+        low = unqueued & -unqueued
+        unqueued ^= low
+        start = low.bit_length() - 1
+        heap = [start]
+        cells = _Cells(sets[start])
+        placed: list[int] = []
+        complete = True
+        while heap:
+            i = heappop(heap)
+            row = sets[i]
+            if i == start or complete and cells.place(row):
+                placed.append(i)
+            else:
+                complete = False
+            masks = list(map(col_rows.__getitem__, row))
+            cand = reduce(or_, masks) & ~reduce(and_, masks) & unqueued
+            while cand:  # rows meeting this one, not around it, unqueued
+                low = cand & -cand
+                cand ^= low
+                j = low.bit_length() - 1
+                if not sets[j] <= row:  # strict overlap
+                    unqueued ^= low
+                    heappush(heap, j)
+        classes.append(_OverlapClass(placed, cells, complete))
     return classes
 
 
-def _nests_inside(inner: _OverlapClass, outer: _OverlapClass) -> bool:
-    """True when inner's support meets outer's and sits wholly inside or
-    outside every row of outer (i.e. inside one cell of outer)."""
-    if not inner.support & outer.support:
-        return False
-    return all(
-        inner.support <= r or not (inner.support & r) for r in outer.rows
-    )
+def _assemble(n_cols: int, sets: list[frozenset],
+              classes: list[_OverlapClass]) -> list[int]:
+    """Column order putting each class's arrangement inside one cell of its
+    host class, with the blocks of each cell ordered by first column.
 
-
-def _assemble(cols: frozenset, classes: list[_OverlapClass]) -> list[int]:
-    if not classes:
-        return sorted(cols)
-    maximal: list[_OverlapClass] = []
-    rest: list[_OverlapClass] = []
-    for k in classes:
-        if any(k2 is not k and _nests_inside(k, k2) for k2 in classes):
-            rest.append(k)
+    Distinct classes never strictly overlap, so when their supports meet,
+    one lies inside a single cell of the other.  The host of a class is
+    the class of the smallest row of another class containing its support;
+    scanning the placed rows from largest to smallest, that is the last
+    class recorded at any of its columns when its largest row comes up.
+    The same scan leaves each column with its innermost class, in whose
+    cell it is a block of its own.
+    """
+    class_of: dict[int, int] = {}
+    for k, cls in enumerate(classes):
+        class_of.update(dict.fromkeys(cls.rows, k))
+    owner: dict[int, int] = {}
+    host: dict[int, tuple[int, int]] = {}  # class -> (host or -1, a column)
+    for i in sorted(class_of, reverse=True):
+        k = class_of[i]
+        if k not in host:
+            x = next(iter(sets[i]))
+            host[k] = (owner.get(x, -1), x)
+        owner.update(dict.fromkeys(sets[i], k))
+    # blocks per cell: (first column, class), class -1 for a lone column
+    top: list[tuple[int, int]] = []
+    blocks = [[[] for _ in cls.cells.members] for cls in classes]
+    for x in range(n_cols):
+        k = owner.get(x, -1)
+        dest = top if k < 0 else blocks[k][classes[k].cells.cell_of[x]]
+        dest.append((x, -1))
+    flat: list[list[tuple[int, int]]] = [[] for _ in classes]
+    for k in reversed(host):  # dicts keep insertion order: hosts come first
+        for c in classes[k].cells.order():
+            blocks[k][c].sort()
+            flat[k].extend(blocks[k][c])
+        h, x = host[k]
+        dest = top if h < 0 else blocks[h][classes[h].cells.cell_of[x]]
+        dest.append((flat[k][0][0], k))
+    top.sort()
+    order: list[int] = []
+    stack = [iter(top)]
+    while stack:
+        for x, k in stack[-1]:
+            if k < 0:
+                order.append(x)
+            else:
+                stack.append(iter(flat[k]))
+                break
         else:
-            maximal.append(k)
-    seen: set[int] = set()
-    for m in maximal:
-        if m.support & seen:
-            raise _ArrangementError("maximal class supports intersect")
-        seen |= m.support
-    blocks: list[list[int]] = []
-    for m in maximal:
-        mine = [k for k in rest if k.support & m.support]
-        per_cell: dict[int, list[_OverlapClass]] = {}
-        for k in mine:
-            hit = [i for i, c in enumerate(m.cells) if c & k.support]
-            if len(hit) != 1 or not k.support <= m.cells[hit[0]]:
-                raise _ArrangementError("nested class spans host cells")
-            per_cell.setdefault(hit[0], []).append(k)
-        seq: list[int] = []
-        for i, cell in enumerate(m.cells):
-            seq.extend(_assemble(cell, per_cell.get(i, [])))
-        blocks.append(seq)
-    hosted = frozenset().union(*(m.support for m in maximal))
-    stray = [k for k in rest if not k.support & hosted]
-    if stray:  # pragma: no cover - contradicted by _nests_inside transitivity
-        raise _ArrangementError("nested class without a host")
-    items = blocks + [[c] for c in sorted(cols - hosted)]
-    items.sort(key=lambda blk: blk[0])
-    return [c for blk in items for c in blk]
+            stack.pop()
+    return order
+
+
+def _arrange(n_cols: int,
+             rows: Iterable[Iterable[int]]) -> tuple[list[int], bool]:
+    """Column order and whether it makes every row consecutive.
+
+    On failure the order assembles the complete classes and the partial
+    arrangements of the failed ones, so a row with a gap under it exists.
+    """
+    sets = sorted({s for s in map(frozenset, rows) if len(s) >= 2},
+                  key=_row_key)
+    cols = frozenset().union(*sets)
+    if cols and (min(cols) < 0 or max(cols) >= n_cols):
+        raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
+    classes = _overlap_classes(sets)
+    order = _assemble(n_cols, sets, classes)
+    if not all(cls.complete for cls in classes):
+        return order, False
+    pos = [0] * n_cols
+    for p, x in enumerate(order):
+        pos[x] = p
+    for s in sets:  # fail closed: the assembled order must fit every row
+        ps = list(map(pos.__getitem__, s))
+        if max(ps) - min(ps) + 1 != len(ps):
+            raise _ArrangementError("assembled order violates a row")
+    return order, True
 
 
 def consecutive_order(n_cols: int,
                       rows: Iterable[Iterable[int]]) -> list[int] | None:
     """Column order making every row consecutive, or None if none exists.
 
-    Deterministic for a fixed input.  Rows of size < 2 impose nothing.
+    Deterministic for a fixed input.  Rows of size < 2 impose nothing;
+    a longer row naming a column outside 0..n_cols-1 raises ValueError.
     """
-    sets = sorted(
-        {frozenset(r) for r in rows if len(frozenset(r)) >= 2},
-        key=_row_key,
-    )
-    classes: list[_OverlapClass] = []
-    for group in _overlap_classes(sets):
-        cells = _arrange_class(group)
-        if cells is None:
-            return None
-        classes.append(_OverlapClass(
-            rows=group,
-            support=frozenset().union(*group),
-            cells=cells,
-        ))
-    order = _assemble(frozenset(range(n_cols)), classes)
-    for s in sets:  # paranoia: the assembled order must satisfy every row
-        if not _positions_consecutive(order, s):
-            raise _ArrangementError("assembled order violates a row")
-    return order
+    order, ok = _arrange(n_cols, rows)
+    return order if ok else None
 
 
 def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
-    """Best-effort order from the greedy pass, for witness construction."""
-    sets = sorted(
-        {frozenset(r) for r in rows if len(frozenset(r)) >= 2},
-        key=_row_key,
-    )
-    cells: list[int] = []
-    for group in _overlap_classes(sets):
-        arranged = _arrange_class(group)
-        partial = arranged if arranged is not None else _greedy_partial(group)
-        for cell in partial:
-            cells.extend(sorted(cell))
-    # a nested class repeats columns of its host: keep each first one
-    return list(dict.fromkeys(cells + list(range(n_cols))))
-
-
-def _positions_consecutive(order: Sequence[int], members: frozenset) -> bool:
-    pos = sorted(i for i, c in enumerate(order) if c in members)
-    return not pos or pos[-1] - pos[0] + 1 == len(pos)
+    """The order ``consecutive_order`` would return, or on failure the
+    assembled partial arrangement, for witness construction."""
+    return _arrange(n_cols, rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +421,9 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
     """Convex layout of ``g``, or a witness that no B-order works."""
-    rows = [g.adj[a] for a in range(g.n_a)]
-    order = consecutive_order(g.n_b, rows)
-    if order is not None:
-        return layout_from_order(g, order)
-    attempt = attempted_order(g.n_b, rows)
+    attempt, ok = _arrange(g.n_b, g.adj)
+    if ok:
+        return layout_from_order(g, attempt)
     pos = {b: p for p, b in enumerate(attempt)}
     for a in range(g.n_a):  # first vertex with a gap under the attempt
         nbrs = g.adj[a]

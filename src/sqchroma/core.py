@@ -288,11 +288,18 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
     return header[0], header[1], edges
 
 
+def _check_edge_count(m: int, edges: list[tuple[int, int]]) -> None:
+    if m != len(edges):
+        raise ValueError(f"problem line says m = {m}, "
+                         f"but the file has {len(edges)} 'e' lines")
+
+
 def read_bipartite_text(text: str) -> BipartiteGraph:
     kind, sizes, edges = _parse_graph_lines(text)
     if kind != "bip" or len(sizes) != 3:
         raise ValueError("expected header 'p bip <n_a> <n_b> <m>'")
-    n_a, n_b, _m = sizes
+    n_a, n_b, m = sizes
+    _check_edge_count(m, edges)
     return build_bipartite(n_a, n_b, edges)
 
 
@@ -300,7 +307,8 @@ def read_simple_text(text: str) -> SimpleGraph:
     kind, sizes, edges = _parse_graph_lines(text)
     if kind != "gen" or len(sizes) != 2:
         raise ValueError("expected header 'p gen <n> <m>'")
-    n, _m = sizes
+    n, m = sizes
+    _check_edge_count(m, edges)
     return SimpleGraph.from_edges(n, edges)
 
 

@@ -276,6 +276,46 @@ def test_verify_json_without_colors_object(np_file, tmp_path, capsys, text):
     assert captured.err == 'error: coloring JSON needs a "colors" object\n'
 
 
+@pytest.mark.parametrize("color", ["x", 1.5, True, None, [1]])
+def test_verify_rejects_non_integer_color(np_file, tmp_path, capsys, color):
+    col_path = tmp_path / "coloring.json"
+    col_path.write_text(json.dumps({"colors": {"A0": color}, "palette": 3}))
+    assert run(["verify", np_file, str(col_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: color of A0 must be an integer")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("palette", ["3", 3.0, False])
+def test_verify_rejects_non_integer_palette(np_file, tmp_path, capsys,
+                                            palette):
+    col_path = tmp_path / "coloring.json"
+    assert run(["color", np_file, "--json", "-o", str(col_path)]) == 0
+    obj = json.loads(col_path.read_text())
+    obj["palette"] = palette
+    col_path.write_text(json.dumps(obj))
+    assert run(["verify", np_file, str(col_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: palette must be an integer")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["p bip 2 2 7\ne 0 0\n",
+                                  "p bip 2 2 0\ne 0 0\n",
+                                  "p gen 3 1\ne 0 1\ne 1 2\n"])
+def test_header_edge_count_must_match(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    cmd = ["exact", "--raw"] if " gen " in text else ["color"]
+    assert run(cmd + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: problem line says m = ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["color"]) == 2
     assert run(["no-such-command"]) == 2

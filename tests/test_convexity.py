@@ -1,3 +1,8 @@
+import json
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +11,7 @@ from sqchroma.convexity import (
     BiconvexLayout,
     ConvexLayout,
     NonConvexWitness,
+    attempted_order,
     check_proper_ordering,
     consecutive_order,
     layout_from_order,
@@ -49,12 +55,64 @@ def test_engine_agrees_with_brute_force(n_cols, n_rows, seed):
         row = [c for c in range(n_cols) if rng.random() < 0.45]
         rows.append(row)
     got = consecutive_order(n_cols, rows)
+    attempt = attempted_order(n_cols, rows)
     expected = brute_force_c1p(n_cols, rows)
     if expected is None:
         assert got is None
+        assert not _order_is_valid(n_cols, rows, attempt)
     else:
         assert got is not None
         assert _order_is_valid(n_cols, rows, got)
+        assert attempt == got
+
+
+def test_engine_matches_pinned_corpus():
+    # B-orders pinned from the earlier backtracking engine, which any
+    # rewrite must reproduce: 60 seeded row families, 16 of them without
+    # a consecutive order
+    corpus = json.loads(
+        (Path(__file__).parent / "data" / "c1p_corpus.json").read_text())
+    for case in corpus:
+        n_cols, rows = case["n_cols"], case["rows"]
+        assert consecutive_order(n_cols, rows) == case["order"]
+        attempt = attempted_order(n_cols, rows)
+        if case["order"] is None:
+            assert not _order_is_valid(n_cols, rows, attempt)
+        else:
+            assert attempt == case["order"]
+
+
+def _nested_class_chain(n):
+    """Rows [i, n-2-i] and [i+1, n-1-i] for each i: about n/2 two-row
+    overlap classes, each nested in the middle cell of the next one."""
+    rows = []
+    for i in range((n - 1) // 2):
+        rows += [range(i, n - 1 - i), range(i + 1, n - i)]
+    return rows
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_nesting_and_large_inputs_need_no_recursion():
+    chain = _nested_class_chain(2000)
+    g = gen_random_convex(2000, 2000, 30, seed=0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        t0 = time.perf_counter()
+        assert consecutive_order(2000, chain) == list(range(2000))
+        t1 = time.perf_counter()
+        assert isinstance(recognize_convex(g), ConvexLayout)
+        t2 = time.perf_counter()
+    finally:
+        sys.setrecursionlimit(limit)
+    # each takes a few seconds; an engine quadratic in the rows takes minutes
+    assert t1 - t0 < 30 and t2 - t1 < 30
 
 
 def test_engine_dense_nested_families():
@@ -67,6 +125,12 @@ def test_engine_dense_nested_families():
     order = consecutive_order(11, rows)
     assert order is not None
     assert _order_is_valid(11, rows, order)
+
+
+def test_engine_rejects_columns_out_of_range():
+    for rows in ([[0, 5]], [[0, 1], [1, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="0..1"):
+            consecutive_order(2, rows)
 
 
 def test_engine_deterministic():
@@ -136,7 +200,11 @@ def test_witness_order_with_nested_overlap_classes():
     # 12-entry attempted order for 9 B-vertices
     rows = [{0, 1, 2, 3}, {3, 4}, {0, 1}, {1, 2}, {5, 6}, {6, 7}, {6, 8}]
     g = build_bipartite(7, 9, [(a, b) for a, row in enumerate(rows) for b in row])
-    _assert_witness_sound(g, recognize_convex(g))
+    w = recognize_convex(g)
+    _assert_witness_sound(g, w)
+    # the first four rows are consecutive together; the obstruction is the
+    # claw {5,6}, {6,7}, {6,8}, so the witness must name one of its rows
+    assert w.violating_a in (4, 5, 6)
 
 
 @settings(max_examples=150, deadline=None)

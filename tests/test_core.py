@@ -234,3 +234,7 @@ def test_text_format_comments_and_errors():
         read_bipartite_text("p gen 3 0\n")
     with pytest.raises(ValueError):
         read_simple_text("p gen 2 1\nq 0 1\n")
+    with pytest.raises(ValueError, match="m = 7"):
+        read_bipartite_text("p bip 2 2 7\ne 0 0\n")
+    with pytest.raises(ValueError, match="m = 0"):
+        read_simple_text("p gen 2 0\ne 0 1\n")
