@@ -39,7 +39,7 @@ for trial in range(TRIALS):
         runtime_ms=ms,
     ))
 
-out = pathlib.Path.cwd() / "ratio_sweep.csv"
+out = pathlib.Path(__file__).parent / "ratio_sweep.csv"
 out.write_text("\n".join([CSV_COLUMNS] + [r.csv_row() for r in records]) + "\n")
 summary = experiment_ratio_sweep(records)
 

@@ -49,6 +49,7 @@ from .coloring import (
     kempe_swap,
     partner_color,
     verify_coloring,
+    verify_square_coloring,
 )
 from .errors import (
     AlgorithmInvariantViolation,

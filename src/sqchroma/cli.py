@@ -27,7 +27,12 @@ import time
 from dataclasses import dataclass
 
 from . import generators
-from .coloring import Coloring, clique_number_square, color_square_convex, verify_coloring
+from .coloring import (
+    Coloring,
+    clique_number_square,
+    color_square_convex,
+    verify_square_coloring,
+)
 from .convexity import NonConvexWitness, recognize_biconvex, recognize_convex
 from .core import (
     BipartiteGraph,
@@ -410,7 +415,7 @@ def _cmd_verify(args) -> int:
                 colors[VertexRef(side, idx).to_global(g.n_a)] = int(parts[2])
     if palette is None:
         palette = max(colors.values(), default=0)
-    ok = verify_coloring(square(g), Coloring(colors, palette))
+    ok = verify_square_coloring(g, Coloring(colors, palette))
     print("VALID" if ok else "INVALID")
     return 0 if ok else 1
 

@@ -1,7 +1,12 @@
 """Two-phase coloring of the square of a convex bipartite graph.
 
-omega(G^2) is read off the convex layout in closed form; the exact
-oracles in ``oracle`` stay off this pipeline and serve as its checks.
+The square is never built: every step reads what it needs off the convex
+layout.  Two A-vertices are adjacent in G^2 iff their intervals meet; the
+G^2-neighbors of the B-vertex at position p are its A-neighbors plus the
+positions in [minleft(p), maxright(p)] other than p, where minleft and
+maxright bound the intervals through p.  omega(G^2) is read off the
+layout in closed form; the exact oracles in ``oracle`` stay off this
+pipeline and serve as its checks.
 
 Phase I greedily colors the interval graph on the A side (left-endpoint
 order, lowest free color), which uses exactly as many colors as its
@@ -32,19 +37,23 @@ uniqueness, partner existence, strict pivot descent).  Those claims are
 asserted at runtime when ``check_invariants`` is on (the default); a
 failure raises AlgorithmInvariantViolation and would indicate an
 implementation bug, never bad input.  The finished coloring is always
-checked against the square and raises the same error if it fails.
+checked, independently of the layout, on the closed neighborhoods of G
+(``verify_square_coloring``) and raises the same error if it fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
 from .convexity import ConvexLayout
-from .core import BipartiteGraph, SimpleGraph, square
+# ``square`` is not called here.  bench/spans.py wraps ``coloring.square``
+# by name when it traces a run, so the name stays importable.
+from .core import BipartiteGraph, SimpleGraph, square  # noqa: F401
 from .errors import AlgorithmInvariantViolation
 
 TraceEvent = tuple
@@ -61,10 +70,6 @@ class Coloring:
     colors: dict[int, int]
     palette: int
 
-    def color_of(self, side: str, index: int, n_a: int) -> int:
-        v = index if side == "A" else n_a + index
-        return self.colors[v]
-
 
 def verify_coloring(h: SimpleGraph, c: Coloring) -> bool:
     """True iff ``c`` totally colors ``h``, stays within its palette, and
@@ -76,6 +81,33 @@ def verify_coloring(h: SimpleGraph, c: Coloring) -> bool:
     return all(c.colors[u] != c.colors[v] for u, v in h.edges())
 
 
+def verify_square_coloring(g: BipartiteGraph, c: Coloring) -> bool:
+    """True iff ``c`` is a proper coloring of square(g) within its palette.
+
+    Two vertices are at distance at most two in G iff both lie in some
+    closed neighborhood N_G[v], so it suffices that ``c`` is total, stays
+    in 1..palette, and gives every N_G[v] distinct colors: O(n + m), no
+    layout and no square needed.
+    """
+    n_a = g.n_a
+    colors = c.colors
+    for v in range(n_a + g.n_b):
+        col = colors.get(v)
+        if col is None or not 1 <= col <= c.palette:
+            return False
+    for a, row in enumerate(g.adj):
+        seen = {colors[a]}
+        seen.update(colors[n_a + b] for b in row)
+        if len(seen) != len(row) + 1:
+            return False
+    for b, row in enumerate(g.b_adj):
+        seen = {colors[n_a + b]}
+        seen.update(map(colors.__getitem__, row))
+        if len(seen) != len(row) + 1:
+            return False
+    return True
+
+
 def greedy_interval_coloring(
     intervals: Sequence[tuple[int, int] | None],
 ) -> Coloring:
@@ -83,25 +115,32 @@ def greedy_interval_coloring(
 
     ``None`` entries (isolated vertices) take color 1.  Uses exactly as
     many colors as the deepest point coverage, the interval graph's
-    clique number.
+    clique number, in O(n log n) time.
     """
     colors: dict[int, int] = {}
     order = sorted(
         (i for i, iv in enumerate(intervals) if iv is not None),
         key=lambda i: (intervals[i][0], intervals[i][1], i),
     )
+    # The intervals colored so far that meet the current one are those
+    # whose right end reaches its left end: ``active``, by right end.
+    # Every color up to ``top`` is either held by one active interval or
+    # waits in ``freed``, so the lowest free color is freed's least, or
+    # top + 1 when nothing waits.
+    active: list[tuple[int, int]] = []  # (right end, color)
+    freed: list[int] = []
+    top = 0
     for i in order:
         li, ri = intervals[i]
-        used = {
-            colors[j]
-            for j in colors
-            if intervals[j] is not None
-            and intervals[j][0] <= ri and li <= intervals[j][1]
-        }
-        c = 1
-        while c in used:
-            c += 1
+        while active and active[0][0] < li:
+            heappush(freed, heappop(active)[1])
+        if freed:
+            c = heappop(freed)
+        else:
+            top += 1
+            c = top
         colors[i] = c
+        heappush(active, (ri, c))
     for i, iv in enumerate(intervals):
         if iv is None:
             colors[i] = 1
@@ -136,12 +175,14 @@ class ExtensionState:
     """Working state of Phase II while absorbing position ``j``.
 
     ``colors`` is a proper coloring of H_{j+1} (all of A plus B-positions
-    above j) within ``palette`` = floor(3*omega/2) colors.
+    above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
+    in the square are read off arrays by B-position that are built once
+    from the layout: the A-neighbors of each position, minleft and
+    maxright, and the A-vertices sorted by left endpoint.
     """
 
     graph: BipartiteGraph
     layout: ConvexLayout
-    sq: SimpleGraph
     palette: int
     colors: dict[int, int]
     j: int
@@ -150,6 +191,29 @@ class ExtensionState:
     partner: int | None = None
     kempe_component: frozenset[int] = field(default_factory=frozenset)
 
+    def __post_init__(self) -> None:
+        g, ivs = self.graph, self.layout.intervals
+        b_seq = self.layout.b_seq
+        # square-global index of the B-vertex at each position
+        self._b_glob = [g.n_a + b for b in b_seq]
+        # A-neighbors of each position: the intervals through it
+        self._a_at = [list(g.b_adj[b]) for b in b_seq]
+        self._minleft = [min((ivs[a][0] for a in row), default=p)
+                         for p, row in enumerate(self._a_at)]
+        self._maxright = [max((ivs[a][1] for a in row), default=p)
+                          for p, row in enumerate(self._a_at)]
+        # A-vertices by left endpoint; those starting before position p
+        # are _by_left[:_starts[p]]
+        self._by_left = sorted(
+            (a for a, iv in enumerate(ivs) if iv is not None),
+            key=lambda a: ivs[a][0],
+        )
+        self._starts = [0] * (len(b_seq) + 1)
+        for a in self._by_left:
+            self._starts[ivs[a][0] + 1] += 1
+        for p in range(len(b_seq)):
+            self._starts[p + 1] += self._starts[p]
+
     def bj_vertex(self) -> int:
         return self.layout.b_seq[self.j]
 
@@ -157,12 +221,23 @@ class ExtensionState:
         return self.graph.n_a + self.bj_vertex()
 
     def _filtered_neighbors(self, v: int, min_pos: int) -> list[int]:
+        """Neighbors of ``v`` in the square, B-vertices only at positions
+        ``min_pos`` and above."""
         n_a = self.graph.n_a
-        pos = self.layout.b_pos
-        return [
-            w for w in self.sq.adj[v]
-            if w < n_a or pos[w - n_a] >= min_pos
-        ]
+        b_glob = self._b_glob
+        if v < n_a:
+            iv = self.layout.intervals[v]
+            if iv is None:
+                return []
+            # the intervals meeting [l, r] pass through l or start in (l, r]
+            l, r = iv
+            return ([w for w in self._a_at[l] if w != v]
+                    + self._by_left[self._starts[l + 1]:self._starts[r + 1]]
+                    + b_glob[max(l, min_pos):r + 1])
+        p = self.layout.b_pos[v - n_a]
+        return (self._a_at[p]
+                + b_glob[max(self._minleft[p], min_pos):p]
+                + b_glob[max(p + 1, min_pos):self._maxright[p] + 1])
 
     def neighborhood_bj(self) -> list[int]:
         """N(b_j) within H_j: its A-neighbors plus later B-neighbors."""
@@ -247,35 +322,31 @@ def _free_color(used: set[int], palette: int, rule: str) -> int | None:
 
 
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
-    n_a = state.graph.n_a
+    """N(b_j) within H_j is two cliques through b_j, within the counting
+    bounds.  By interval arithmetic: every interval of A_j contains j, and
+    one of them covers b_j and every position of B_j."""
+    n_a, j = state.graph.n_a, state.j
     nb = state.neighborhood_bj()
-    a_j = [v for v in nb if v < n_a]
-    b_j = [v for v in nb if v >= n_a]
-    if len(a_j) > omega - 1:
+    ivs = [state.layout.intervals[v] for v in nb if v < n_a]
+    b_j = [state.layout.b_pos[v - n_a] for v in nb if v >= n_a]
+    if len(ivs) > omega - 1:
         raise AlgorithmInvariantViolation(
-            f"|A_j| = {len(a_j)} exceeds omega-1 at position {state.j}"
+            f"|A_j| = {len(ivs)} exceeds omega-1 at position {j}"
         )
     # the B_j bound presumes b_j has a later B-neighbor at all
     if b_j and len(b_j) > omega - 2:
         raise AlgorithmInvariantViolation(
-            f"|B_j| = {len(b_j)} exceeds omega-2 at position {state.j}"
+            f"|B_j| = {len(b_j)} exceeds omega-2 at position {j}"
         )
-    bj = state.bj_global()
-    for group in (a_j + [bj], b_j + [bj]):
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                if not state.sq.has_edge(u, v):
-                    raise AlgorithmInvariantViolation(
-                        f"N(b_j) side group not a clique at position {state.j}"
-                    )
+    if ivs and not max(l for l, _ in ivs) <= j <= min(r for _, r in ivs):
+        raise AlgorithmInvariantViolation(
+            f"N(b_j) side group not a clique at position {j}"
+        )
     if b_j:
-        span = set(b_j) | {bj}
-        covered = any(
-            span <= {n_a + b for b in state.graph.adj[a]} for a in a_j
-        )
-        if not covered:
+        lo, hi = min(min(b_j), j), max(max(b_j), j)
+        if not any(l <= lo and hi <= r for l, r in ivs):
             raise AlgorithmInvariantViolation(
-                f"no A-neighbor covers B_j + b_j at position {state.j}"
+                f"no A-neighbor covers B_j + b_j at position {j}"
             )
 
 
@@ -301,7 +372,6 @@ def _assert_kempe_shape(state: ExtensionState) -> None:
                     nxt.append(w)
         frontier = nxt
     rank = state.layout.a_rank
-    pos = state.layout.b_pos
     for u in comp:
         for w in state.neighbors_next(u):
             if w in comp and dist.get(w) == dist.get(u, -2) + 1:
@@ -311,12 +381,11 @@ def _assert_kempe_shape(state: ExtensionState) -> None:
                         f"<_A-smaller at position {state.j}"
                     )
         if dist.get(u, 0) >= 2:
-            for w in state.sq.adj[u]:
-                if w >= n_a and pos[w - n_a] >= state.j:
-                    raise AlgorithmInvariantViolation(
-                        "Kempe vertex at distance >= 2 keeps a B-neighbor "
-                        f"in H_j at position {state.j}"
-                    )
+            if any(w >= n_a for w in state._filtered_neighbors(u, state.j)):
+                raise AlgorithmInvariantViolation(
+                    "Kempe vertex at distance >= 2 keeps a B-neighbor "
+                    f"in H_j at position {state.j}"
+                )
 
 
 def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
@@ -335,7 +404,6 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     Kempe swaps) hard in tests.  The deterministic default is ``lowest``.
     """
     omega = clique_number_square(g, layout)
-    sq = square(g)
     palette = (3 * omega) // 2
     phase1 = greedy_interval_coloring(layout.intervals)
     colors: dict[int, int] = dict(phase1.colors)
@@ -343,8 +411,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         trace.append(("phase1", None, phase1.palette))
 
     state = ExtensionState(
-        graph=g, layout=layout, sq=sq, palette=palette, colors=colors,
-        j=g.n_b,
+        graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
     )
     for j in range(g.n_b - 1, -1, -1):
         state.j = j
@@ -352,15 +419,16 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         bjg = state.bj_global()
         if check_invariants:
             _assert_bj_cliques(state, omega)
+        nb = state.neighborhood_bj()
         prev_rank: int | None = None
         rounds = 0
         while True:
             rounds += 1
-            if rounds > len(state.neighborhood_bj()) + 2:
+            if rounds > len(nb) + 2:
                 raise AlgorithmInvariantViolation(
                     f"pivot loop failed to terminate at position {j}"
                 )
-            used = {colors[v] for v in state.neighborhood_bj()}
+            used = {colors[v] for v in nb}
             free = _free_color(used, palette, free_color_rule)
             if free is not None:
                 colors[bjg] = free
@@ -419,7 +487,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
 
     palette_used = max(colors.values(), default=0)
     result = Coloring(colors, palette_used)
-    if not verify_coloring(sq, result):
+    if not verify_square_coloring(g, result):
         raise AlgorithmInvariantViolation(
             "final coloring failed properness verification"
         )

@@ -338,12 +338,15 @@ def _assemble(n_cols: int, sets: list[frozenset],
     return order
 
 
-def _arrange(n_cols: int,
-             rows: Iterable[Iterable[int]]) -> tuple[list[int], bool]:
-    """Column order and whether it makes every row consecutive.
+def _arrange(n_cols: int, rows: Iterable[Iterable[int]]
+             ) -> tuple[list[int], list[int], bool]:
+    """Column order, the position of each column under it, and whether it
+    makes every row consecutive.
 
     On failure the order assembles the complete classes and the partial
     arrangements of the failed ones, so a row with a gap under it exists.
+    On success every row has been checked against the order (fail closed),
+    so callers need not check it again.
     """
     sets = sorted({s for s in map(frozenset, rows) if len(s) >= 2},
                   key=_row_key)
@@ -352,16 +355,16 @@ def _arrange(n_cols: int,
         raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
     classes = _overlap_classes(sets)
     order = _assemble(n_cols, sets, classes)
-    if not all(cls.complete for cls in classes):
-        return order, False
     pos = [0] * n_cols
     for p, x in enumerate(order):
         pos[x] = p
+    if not all(cls.complete for cls in classes):
+        return order, pos, False
     for s in sets:  # fail closed: the assembled order must fit every row
         ps = list(map(pos.__getitem__, s))
         if max(ps) - min(ps) + 1 != len(ps):
             raise _ArrangementError("assembled order violates a row")
-    return order, True
+    return order, pos, True
 
 
 def consecutive_order(n_cols: int,
@@ -371,7 +374,7 @@ def consecutive_order(n_cols: int,
     Deterministic for a fixed input.  Rows of size < 2 impose nothing;
     a longer row naming a column outside 0..n_cols-1 raises ValueError.
     """
-    order, ok = _arrange(n_cols, rows)
+    order, _, ok = _arrange(n_cols, rows)
     return order if ok else None
 
 
@@ -395,6 +398,16 @@ def _compute_a_order(g: BipartiteGraph,
     return tuple(isolated + rest)
 
 
+def _intervals(g: BipartiteGraph,
+               b_pos: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
+    """(first, last) position of every A-neighborhood, None if empty."""
+    intervals: list[tuple[int, int] | None] = []
+    for nbrs in g.adj:
+        ps = list(map(b_pos.__getitem__, nbrs))
+        intervals.append((min(ps), max(ps)) if ps else None)
+    return tuple(intervals)
+
+
 def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
     """Layout induced by an explicit B-order; raises LayoutMismatch when
     some neighborhood is not consecutive under it."""
@@ -403,28 +416,21 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
     b_pos = [0] * g.n_b
     for p, b in enumerate(b_seq):
         b_pos[b] = p
-    intervals: list[tuple[int, int] | None] = []
-    for a in range(g.n_a):
-        nbrs = g.adj[a]
-        if not nbrs:
-            intervals.append(None)
-            continue
-        ps = sorted(b_pos[b] for b in nbrs)
-        if ps[-1] - ps[0] + 1 != len(ps):
+    ivs = _intervals(g, b_pos)
+    for a, iv in enumerate(ivs):
+        if iv is not None and iv[1] - iv[0] + 1 != len(g.adj[a]):
             raise LayoutMismatch(
                 f"neighborhood of A{a} is not consecutive under the order"
             )
-        intervals.append((ps[0], ps[-1]))
-    ivs = tuple(intervals)
     return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(g, ivs))
 
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
     """Convex layout of ``g``, or a witness that no B-order works."""
-    attempt, ok = _arrange(g.n_b, g.adj)
-    if ok:
-        return layout_from_order(g, attempt)
-    pos = {b: p for p, b in enumerate(attempt)}
+    attempt, pos, ok = _arrange(g.n_b, g.adj)
+    if ok:  # _arrange has checked every neighborhood against the order
+        ivs = _intervals(g, pos)
+        return ConvexLayout(tuple(pos), ivs, _compute_a_order(g, ivs))
     for a in range(g.n_a):  # first vertex with a gap under the attempt
         nbrs = g.adj[a]
         if len(nbrs) < 2:

@@ -20,7 +20,7 @@ pushes the chromatic number above 5/4 of the clique number.
 
 from __future__ import annotations
 
-from .convexity import ConvexLayout, layout_from_order, recognize_biconvex, recognize_convex
+from .convexity import ConvexLayout, layout_from_order
 from .core import BipartiteGraph, SimpleGraph, build_bipartite, girth
 from .errors import RetryExhausted
 from .rng import SplitMix64
@@ -196,14 +196,3 @@ def gen_girth7(kind: str, params: dict, seed: int = 0) -> SimpleGraph:
         raise RetryExhausted(f"{kind} output has girth below 7")
     return g
 
-
-def assert_generator_contracts(g: BipartiteGraph, biconvex: bool = False) -> None:
-    """Post-construction check used by tests and the CLI ``gen`` command."""
-    if biconvex:
-        if recognize_biconvex(g) is None:
-            raise AssertionError("biconvex generator output not biconvex")
-    else:
-        from .convexity import NonConvexWitness
-
-        if isinstance(recognize_convex(g), NonConvexWitness):
-            raise AssertionError("convex generator output not convex")

@@ -152,3 +152,29 @@ def random_bipartite(rng, n_a: int, n_b: int, p: float) -> BipartiteGraph:
 
 def is_proper(g: SimpleGraph, colors: dict[int, int]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def quadratic_interval_coloring(intervals) -> dict[int, int]:
+    """Greedy interval coloring by rescanning every colored interval: left
+    endpoint order, lowest color no meeting interval holds, color 1 for
+    ``None``.  The reference for the heap version in ``coloring``."""
+    colors: dict[int, int] = {}
+    order = sorted(
+        (i for i, iv in enumerate(intervals) if iv is not None),
+        key=lambda i: (intervals[i][0], intervals[i][1], i),
+    )
+    for i in order:
+        li, ri = intervals[i]
+        used = {
+            colors[j]
+            for j in colors
+            if intervals[j][0] <= ri and li <= intervals[j][1]
+        }
+        c = 1
+        while c in used:
+            c += 1
+        colors[i] = c
+    for i, iv in enumerate(intervals):
+        if iv is None:
+            colors[i] = 1
+    return colors

@@ -84,7 +84,7 @@ def test_color_rejects_omega_and_budget_flags(np_file, capsys):
 
 
 def test_color_failed_final_check_is_one_line(np_file, capsys, monkeypatch):
-    monkeypatch.setattr(coloring, "verify_coloring", lambda h, c: False)
+    monkeypatch.setattr(coloring, "verify_square_coloring", lambda g, c: False)
     assert run(["color", np_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

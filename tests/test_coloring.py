@@ -16,6 +16,7 @@ from sqchroma.coloring import (
     kempe_swap,
     partner_color,
     verify_coloring,
+    verify_square_coloring,
 )
 from sqchroma.convexity import recognize_convex
 from sqchroma.core import SimpleGraph, build_bipartite, half_square, max_degree, square
@@ -28,6 +29,8 @@ from sqchroma.generators import (
 )
 from sqchroma.oracle import exact_clique, exact_stats
 from sqchroma.rng import SplitMix64
+
+from helpers import quadratic_interval_coloring, random_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +60,19 @@ def test_greedy_figure_intervals_three_colors():
 def test_greedy_isolated_gets_color_one():
     c = greedy_interval_coloring([None, (0, 0), None])
     assert c.colors[0] == 1 and c.colors[2] == 1
+
+
+_interval = st.tuples(st.integers(0, 12), st.integers(0, 6)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | _interval, max_size=25))
+def test_greedy_heaps_match_quadratic_reference(intervals):
+    c = greedy_interval_coloring(intervals)
+    want = quadratic_interval_coloring(intervals)
+    assert c.colors == want
+    assert c.palette == max(want.values(), default=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -272,8 +288,8 @@ _GADGET = build_bipartite(5, 5, [
 def _gadget_state(colors, j, palette):
     layout = recognize_convex(_GADGET)
     return ExtensionState(
-        graph=_GADGET, layout=layout, sq=square(_GADGET),
-        palette=palette, colors=dict(colors), j=j,
+        graph=_GADGET, layout=layout, palette=palette,
+        colors=dict(colors), j=j,
     )
 
 
@@ -405,7 +421,7 @@ def test_full_step32_sequence_on_constructed_state():
         for v in sq.adj[u]:
             if u in colors and v in colors:
                 assert colors[u] != colors[v]
-    state = ExtensionState(graph=g, layout=layout, sq=sq, palette=6,
+    state = ExtensionState(graph=g, layout=layout, palette=6,
                            colors=dict(colors), j=0)
     a_c = 2  # pretend pivot mid-loop (color 2 unique in its round)
     state.pivot, state.pivot_color = a_c, colors[a_c]
@@ -428,7 +444,134 @@ def test_full_step32_sequence_on_constructed_state():
 
 
 # ---------------------------------------------------------------------------
-# verify_coloring
+# the square read off the layout
+
+
+@st.composite
+def convex_graphs(draw):
+    """Convex graphs with shuffled B labels; an A-vertex without an
+    interval is isolated, and positions no interval covers are isolated
+    B-vertices."""
+    n_a, n_b = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    perm = draw(st.permutations(range(n_b)))
+    edges = []
+    for a in range(n_a):
+        if n_b and draw(st.booleans()):
+            left = draw(st.integers(0, n_b - 1))
+            right = draw(st.integers(left, n_b - 1))
+            edges += [(a, perm[p]) for p in range(left, right + 1)]
+    return build_bipartite(n_a, n_b, edges)
+
+
+def _assert_neighborhoods_match_square(g, layout):
+    sq = square(g)
+    state = ExtensionState(graph=g, layout=layout, palette=0, colors={}, j=0)
+    for min_pos in range(g.n_b + 1):
+        for v in range(sq.n):
+            got = state._filtered_neighbors(v, min_pos)
+            want = {w for w in sq.adj[v]
+                    if w < g.n_a or layout.b_pos[w - g.n_a] >= min_pos}
+            assert len(got) == len(want) and set(got) == want, (v, min_pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs())
+def test_implicit_neighborhoods_match_square(g):
+    _assert_neighborhoods_match_square(g, recognize_convex(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_implicit_neighborhoods_match_square_random_convex(seed):
+    rng = SplitMix64(seed)
+    g = gen_random_convex(rng.randint(1, 14), rng.randint(1, 14), 8, seed)
+    _assert_neighborhoods_match_square(g, recognize_convex(g))
+
+
+def test_implicit_neighborhoods_match_square_lower_bound_family():
+    for q in (2, 4, 6):
+        g = gen_lower_bound_H(q)
+        _assert_neighborhoods_match_square(g, recognize_convex(g))
+        _assert_neighborhoods_match_square(g, lower_bound_layout(g))
+
+
+def _corpus():
+    # the antihole figure is not convex
+    graphs = [gen_named(name) for name in
+              ("not_perfect", "biconvex", "convex_c4free")]
+    graphs += [gen_named("complete", n) for n in range(1, 6)]
+    graphs += [gen_lower_bound_H(q) for q in (2, 4, 6, 8)]
+    graphs += [gen_random_convex(30, 30, 8, seed) for seed in range(20)]
+    graphs += [build_bipartite(0, 0, []), build_bipartite(3, 4, [])]
+    return graphs
+
+
+def test_color_never_builds_the_square(monkeypatch):
+    import sqchroma.core
+
+    def refuse(g):
+        raise AssertionError("square(g) built on the coloring pipeline")
+
+    graphs = _corpus()
+    with monkeypatch.context() as m:
+        m.setattr(sqchroma.core, "square", refuse)
+        m.setattr(coloring_module, "square", refuse)
+        colorings = [color_square_convex(g, recognize_convex(g))
+                     for g in graphs]
+    for g, c in zip(graphs, colorings):
+        assert verify_coloring(square(g), c)
+
+
+# ---------------------------------------------------------------------------
+# verify_coloring and verify_square_coloring
+
+
+def _square_greedy(g):
+    sq = square(g)
+    colors = {}
+    for v in range(sq.n):
+        used = {colors[w] for w in sq.adj[v] if w in colors}
+        colors[v] = min(set(range(1, len(used) + 2)) - used)
+    return Coloring(colors, max(colors.values(), default=0))
+
+
+def _corruptions(g, c):
+    """Proper ``c`` and copies with a recolored conflict, a missing vertex
+    and a color above the palette."""
+    yield c
+    n = g.n_a + g.n_b
+    for u, v in square(g).edges():
+        yield Coloring({**c.colors, v: c.colors[u]}, c.palette)
+        break
+    for v in range(n):
+        yield Coloring({w: col for w, col in c.colors.items() if w != v},
+                       c.palette)
+        yield Coloring({**c.colors, v: c.palette + 1}, c.palette)
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_graphs())
+def test_closed_neighborhood_check_agrees_with_square(g):
+    c = color_square_convex(g, recognize_convex(g))
+    for cc in _corruptions(g, c):
+        assert verify_square_coloring(g, cc) == verify_coloring(square(g), cc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_closed_neighborhood_check_agrees_on_any_graph(seed):
+    # the check needs no layout: non-convex graphs and random colorings too
+    rng = SplitMix64(seed)
+    g = random_bipartite(rng, rng.randint(0, 7), rng.randint(0, 7), 0.4)
+    c = _square_greedy(g)
+    for cc in _corruptions(g, c):
+        assert verify_square_coloring(g, cc) == verify_coloring(square(g), cc)
+    k = rng.randint(1, 6)
+    n = g.n_a + g.n_b
+    rc = Coloring({v: rng.randint(1, k) for v in range(n)}, k)
+    assert verify_square_coloring(g, rc) == verify_coloring(square(g), rc)
+
+
 
 
 def test_verify_proper_c4():

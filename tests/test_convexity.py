@@ -408,3 +408,6 @@ def test_recognize_random(seed):
         assert isinstance(result, NonConvexWitness)
     else:
         assert isinstance(result, ConvexLayout)
+        # built from the recognizer's positions, it is the layout the
+        # checked explicit-order path gives for the same order
+        assert result == layout_from_order(g, result.b_seq)
