@@ -8,7 +8,7 @@ both C4s of the classic example, then checks the corollaries.
 """
 
 from sqchroma.convexity import recognize_convex
-from sqchroma.core import VertexRef, square
+from sqchroma.core import square, vertex_names
 from sqchroma.generators import gen_named, gen_random_convex
 from sqchroma.oracle import find_induced_cycles
 from sqchroma.structure import (
@@ -21,21 +21,18 @@ from sqchroma.structure import (
 g = gen_named("not_perfect")
 layout = recognize_convex(g)
 sq = square(g)
-
-
-def name(v):
-    return str(VertexRef.from_global(v, g.n_a))
+names = vertex_names(g.n_a, g.n_b)
 
 
 for cycle in find_induced_cycles(sq, 4, sq.n):
     report = verify_cycle_structure(g, layout, cycle)
     print(f"hole of length {len(cycle)}: "
-          f"({', '.join(name(v) for v in report.cycle)})")
-    print(f"   A-path {' - '.join(name(v) for v in report.a_path)}"
-          f"   B-ends {name(report.b_end_low)}, {name(report.b_end_high)}")
+          f"({', '.join(names[v] for v in report.cycle)})")
+    print(f"   A-path {' - '.join(names[v] for v in report.a_path)}"
+          f"   B-ends {names[report.b_end_low]}, {names[report.b_end_high]}")
     print(f"   private interior neighbors: "
-          f"{', '.join(name(v) for v in report.private_bs) or '(none)'}"
-          f"   common witness: {name(report.common_a)}")
+          f"{', '.join(names[v] for v in report.private_bs) or '(none)'}"
+          f"   common witness: {names[report.common_a]}")
     print(f"   two vertices on B: {check_partite_count(g, layout, cycle)},"
           f" interior empty: {interior_emptiness(g, layout, report)}")
 

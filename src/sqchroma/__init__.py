@@ -23,9 +23,11 @@ from .core import (
     induced_subgraph,
     max_degree,
     read_bipartite_text,
+    read_graph_text,
     read_simple_text,
     square,
     square_simple,
+    vertex_names,
     write_bipartite_text,
     write_simple_text,
 )

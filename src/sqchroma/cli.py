@@ -16,6 +16,11 @@ error; failures print one ``error: ...`` (or, for a failed proof-backed
 check, ``internal error: ...``) line on stderr.  Only the exact oracles of
 ``exact`` and ``experiment --with-exact`` take a node budget, from
 --budget or SQCHROMA_BUDGET.
+
+``run(argv)`` may be called any number of times in one process, as tests
+and the benchmark do.  It builds the argument parser on its first call,
+not at import, and reuses it afterwards; no option or default carries
+over from one call to the next.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from . import generators
 from .coloring import (
@@ -36,10 +42,13 @@ from .coloring import (
 from .convexity import NonConvexWitness, recognize_biconvex, recognize_convex
 from .core import (
     BipartiteGraph,
-    VertexRef,
+    SimpleGraph,
     read_bipartite_text,
+    read_graph_text,
     read_simple_text,
     square,
+    square_simple,
+    vertex_names,
     write_bipartite_text,
     write_simple_text,
 )
@@ -135,27 +144,23 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _vertex_name(v: int, n_a: int) -> str:
-    return str(VertexRef.from_global(v, n_a))
-
-
 def _coloring_text(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
     bound = (3 * omega) // 2
     lines = [f"palette={coloring.palette} omega={omega} bound={bound}"]
-    for v in range(g.n_a + g.n_b):
-        lines.append(f"v {_vertex_name(v, g.n_a)} {coloring.colors[v]}")
+    colors = coloring.colors
+    for v, name in enumerate(vertex_names(g.n_a, g.n_b)):
+        lines.append(f"v {name} {colors[v]}")
     return "\n".join(lines) + "\n"
 
 
 def _coloring_json(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
+    colors = coloring.colors
     return json.dumps({
         "palette": coloring.palette,
         "omega": omega,
         "bound": (3 * omega) // 2,
-        "colors": {
-            _vertex_name(v, g.n_a): coloring.colors[v]
-            for v in range(g.n_a + g.n_b)
-        },
+        "colors": {name: colors[v]
+                   for v, name in enumerate(vertex_names(g.n_a, g.n_b))},
     }, indent=None, sort_keys=True) + "\n"
 
 
@@ -203,31 +208,15 @@ def _cmd_color(args) -> int:
     return 0
 
 
-def _graph_kind(text: str) -> str:
-    for line in text.splitlines():
-        parts = line.split()
-        if parts and parts[0] == "p" and len(parts) > 1:
-            return parts[1]
-    return "bip"
-
-
-def _read_square_or_raw(args):
-    text = _read_text(args.file)
-    general = _graph_kind(text) == "gen"
+def _read_square_or_raw(args) -> SimpleGraph:
+    g = read_graph_text(_read_text(args.file))
+    if isinstance(g, SimpleGraph):
+        return g if args.raw else square_simple(g)
     if args.raw:
-        if general:
-            return read_simple_text(text)
-        g = read_bipartite_text(text)
-        from .core import SimpleGraph
-
         return SimpleGraph.from_edges(
             g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()]
         )
-    if general:
-        from .core import square_simple
-
-        return square_simple(read_simple_text(text))
-    return square(read_bipartite_text(text))
+    return square(g)
 
 
 def _cmd_exact(args) -> int:
@@ -259,6 +248,7 @@ def _cmd_structure(args) -> int:
         return 1
     sq = square(g)
     cycles = find_induced_cycles(sq, 4, sq.n)
+    names = vertex_names(g.n_a, g.n_b)
     passed = 0
     for cyc in cycles:
         report = verify_cycle_structure(g, layout, cyc)
@@ -267,15 +257,12 @@ def _cmd_structure(args) -> int:
         ok = report.ok and two_on_b and interior
         passed += ok
         if not args.summary:
-            names = [_vertex_name(v, g.n_a) for v in report.cycle]
-            print(f"cycle ({', '.join(names)}):")
-            print("  a-path:", " ".join(_vertex_name(v, g.n_a)
-                                         for v in report.a_path))
-            print("  b-ends:", _vertex_name(report.b_end_low, g.n_a),
-                  _vertex_name(report.b_end_high, g.n_a))
-            print("  private:", " ".join(_vertex_name(v, g.n_a)
-                                         for v in report.private_bs))
-            print("  common-a:", _vertex_name(report.common_a, g.n_a))
+            print(f"cycle ({', '.join(names[v] for v in report.cycle)}):")
+            print("  a-path:", " ".join(names[v] for v in report.a_path))
+            print("  b-ends:", names[report.b_end_low],
+                  names[report.b_end_high])
+            print("  private:", " ".join(names[v] for v in report.private_bs))
+            print("  common-a:", names[report.common_a])
             print(f"  ok={ok} (P1={report.p1_ok} P2={report.p2_ok} "
                   f"P3={report.p3_ok} two-on-B={two_on_b} "
                   f"interior-empty={interior})")
@@ -386,6 +373,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = read_bipartite_text(_read_text(args.graph))
+    index = {name: v for v, name in enumerate(vertex_names(g.n_a, g.n_b))}
+
+    def vertex(name: str) -> int:
+        if name not in index:
+            raise ValueError(f"unknown vertex {name!r}")
+        return index[name]
+
     text = _read_text(args.coloring)
     colors: dict[int, int] = {}
     palette = None
@@ -401,18 +395,19 @@ def _cmd_verify(args) -> int:
             if type(color) is not int:  # also refuses JSON true/false
                 raise ValueError(
                     f"color of {name} must be an integer, got {color!r}")
-            side, idx = name[0], int(name[1:])
-            colors[VertexRef(side, idx).to_global(g.n_a)] = color
+            colors[vertex(name)] = color
     else:
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             parts = line.split()
             if not parts:
                 continue
             if parts[0].startswith("palette="):
                 palette = int(parts[0].split("=", 1)[1])
             elif parts[0] == "v":
-                side, idx = parts[1][0], int(parts[1][1:])
-                colors[VertexRef(side, idx).to_global(g.n_a)] = int(parts[2])
+                if len(parts) != 3:
+                    raise ValueError(
+                        f"line {lineno}: expected 'v <vertex> <color>'")
+                colors[vertex(parts[1])] = int(parts[2])
     if palette is None:
         palette = max(colors.values(), default=0)
     ok = verify_square_coloring(g, Coloring(colors, palette))
@@ -423,7 +418,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built on first use and then shared:
+    ``parse_args`` leaves it unchanged, and usage errors and ``--help``
+    look up the output streams and the terminal width when they print."""
     parser = argparse.ArgumentParser(
         prog="sqchroma",
         description="distance-2 coloring of convex bipartite graphs",
@@ -529,9 +528,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -57,6 +57,12 @@ class VertexRef:
         return f"{self.side}{self.index}"
 
 
+def vertex_names(n_a: int, n_b: int) -> list[str]:
+    """Names of the vertices on the global order: A0.., then B0.. ."""
+    return ([f"{SIDE_A}{i}" for i in range(n_a)]
+            + [f"{SIDE_B}{j}" for j in range(n_b)])
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Bipartite graph with ``n_a`` A-vertices, ``n_b`` B-vertices and
@@ -288,28 +294,38 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
     return header[0], header[1], edges
 
 
-def _check_edge_count(m: int, edges: list[tuple[int, int]]) -> None:
+# problem line kind -> (its documented form, the number of sizes it holds)
+_HEADERS = {"bip": ("p bip <n_a> <n_b> <m>", 3), "gen": ("p gen <n> <m>", 2)}
+
+
+def _build_graph(want: str, kind: str, sizes: list[int],
+                 edges: list[tuple[int, int]]) -> BipartiteGraph | SimpleGraph:
+    """The graph of a parsed file whose problem line must read ``want``."""
+    form, count = _HEADERS[want]
+    if kind != want or len(sizes) != count:
+        raise ValueError(f"expected header '{form}'")
+    *dims, m = sizes
     if m != len(edges):
         raise ValueError(f"problem line says m = {m}, "
                          f"but the file has {len(edges)} 'e' lines")
+    if want == "bip":
+        return build_bipartite(*dims, edges)
+    return SimpleGraph.from_edges(*dims, edges)
+
+
+def read_graph_text(text: str) -> BipartiteGraph | SimpleGraph:
+    """Read either format: ``p bip`` gives a BipartiteGraph, ``p gen`` a
+    SimpleGraph."""
+    kind, sizes, edges = _parse_graph_lines(text)
+    return _build_graph(kind, kind, sizes, edges)
 
 
 def read_bipartite_text(text: str) -> BipartiteGraph:
-    kind, sizes, edges = _parse_graph_lines(text)
-    if kind != "bip" or len(sizes) != 3:
-        raise ValueError("expected header 'p bip <n_a> <n_b> <m>'")
-    n_a, n_b, m = sizes
-    _check_edge_count(m, edges)
-    return build_bipartite(n_a, n_b, edges)
+    return _build_graph("bip", *_parse_graph_lines(text))
 
 
 def read_simple_text(text: str) -> SimpleGraph:
-    kind, sizes, edges = _parse_graph_lines(text)
-    if kind != "gen" or len(sizes) != 2:
-        raise ValueError("expected header 'p gen <n> <m>'")
-    n, m = sizes
-    _check_edge_count(m, edges)
-    return SimpleGraph.from_edges(n, edges)
+    return _build_graph("gen", *_parse_graph_lines(text))
 
 
 def relabel_b(g: BipartiteGraph, perm: Sequence[int]) -> BipartiteGraph:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -302,6 +303,63 @@ def test_verify_rejects_non_integer_palette(np_file, tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
+def _color_file(np_file, tmp_path, *flags):
+    path = tmp_path / ("coloring.json" if flags else "coloring.txt")
+    assert run(["color", np_file, "-o", str(path), *flags]) == 0
+    return path
+
+
+def _drop_b0_add_a4_json(obj):
+    # n_a = 4, so "A4" names no vertex; global index 4 is B0
+    obj["colors"]["A4"] = obj["colors"].pop("B0")
+
+
+def _drop_b0_add_a4_text(lines):
+    color = next(ln for ln in lines if ln.startswith("v B0 ")).split()[2]
+    return [ln for ln in lines if not ln.startswith("v B0 ")] + [f"v A4 {color}"]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_b0_add_a4_json,
+    lambda obj: obj["colors"].update(B99=1),
+    lambda obj: obj["colors"].update({"A-1": 1}),
+    lambda obj: obj["colors"].update({"": 1}),
+    lambda obj: obj["colors"].update(A01=1),
+    lambda obj: obj["colors"].update(C0=1),
+], ids=["alias_of_B0", "B99", "A-1", "empty", "A01", "C0"])
+def test_verify_json_rejects_unknown_vertex(np_file, tmp_path, capsys, edit):
+    path = _color_file(np_file, tmp_path, "--json")
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", np_file, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown vertex ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_b0_add_a4_text, "error: unknown vertex 'A4'\n"),
+    (lambda lines: lines + ["v B99 1"], "error: unknown vertex 'B99'\n"),
+    (lambda lines: lines + ["v A-1 1"], "error: unknown vertex 'A-1'\n"),
+    (lambda lines: lines + ["v A0"],
+     "error: line 10: expected 'v <vertex> <color>'\n"),
+    (lambda lines: lines + ["v A0 1 2"],
+     "error: line 10: expected 'v <vertex> <color>'\n"),
+], ids=["alias_of_B0", "B99", "A-1", "too_few_fields", "too_many_fields"])
+def test_verify_text_rejects_malformed_line(np_file, tmp_path, capsys, edit,
+                                            message):
+    path = _color_file(np_file, tmp_path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run(["verify", np_file, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("text", ["p bip 2 2 7\ne 0 0\n",
                                   "p bip 2 2 0\ne 0 0\n",
                                   "p gen 3 1\ne 0 1\ne 1 2\n"])
@@ -323,6 +381,81 @@ def test_usage_error_exit_code(capsys):
 
 def test_missing_file_domain_error(capsys):
     assert run(["color", "/nonexistent/file.bip"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# repeated run() calls in one process
+
+
+def test_parser_built_once_across_runs(np_file, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["color", np_file]) == 0
+    after_first = len(built)
+    for argv in (["color", np_file, "--json"], ["exact", np_file],
+                 ["structure", np_file, "--summary"], ["color"],
+                 ["color", "--help"], ["gen", "named", "not_perfect"]) * 5:
+        run(argv)
+    assert len(built) == after_first
+
+
+def test_color_options_do_not_carry_over(np_file, tmp_path, capsys):
+    assert run(["color", np_file]) == 0
+    text = capsys.readouterr().out
+    assert run(["color", np_file, "--json", "--trace",
+                "-o", str(tmp_path / "c.json")]) == 0
+    assert "trace:" in capsys.readouterr().err
+    assert run(["color", np_file]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+def test_exact_budget_does_not_carry_over(np_file, monkeypatch, capsys):
+    budgets = []
+    real = cli.exact_stats
+
+    def spy(h, budget=None):
+        budgets.append(budget)
+        return real(h, budget)
+
+    monkeypatch.setattr(cli, "exact_stats", spy)
+    run(["exact", np_file, "--budget", "1"])
+    capsys.readouterr()
+    assert run(["exact", np_file]) == 0
+    assert budgets == [1, None]
+    assert capsys.readouterr().out == "chi=5 omega=5\n"
+
+
+def test_good_call_after_usage_errors(np_file, capsys):
+    assert run(["color", np_file]) == 0
+    want = capsys.readouterr()
+    for argv in (["color"], ["color", np_file, "--bogus"], ["no-such-command"],
+                 ["exact", np_file, "--budget", "x"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sqchroma") and "error:" in err
+    assert run(["color", np_file]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["color", "--help"], 0),
+                                        (["gen", "random_convex", "-h"], 0),
+                                        (["experiment", "--bogus"], 2)])
+def test_help_and_usage_repeat_byte_for_byte(monkeypatch, capsys, argv, code):
+    def output(columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(argv) == code
+        return capsys.readouterr()
+
+    wide, narrow = output("200"), output("40")
+    # the width is read when the text is printed, not when the parser is built
+    assert wide != narrow
+    assert output("200") == wide and output("40") == narrow
 
 
 def test_ratio_sweep_aggregation():

@@ -14,10 +14,12 @@ from sqchroma.core import (
     induced_subgraph,
     max_degree,
     read_bipartite_text,
+    read_graph_text,
     read_simple_text,
     relabel_b,
     square,
     square_simple,
+    vertex_names,
     write_bipartite_text,
     write_simple_text,
 )
@@ -71,6 +73,13 @@ def test_vertex_ref_roundtrip():
     assert str(r) == "B2"
     with pytest.raises(ValueError):
         VertexRef("C", 0)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 2), (3, 0), (4, 4), (2, 5)])
+def test_vertex_names_follow_the_global_order(n_a, n_b):
+    names = vertex_names(n_a, n_b)
+    assert names == [str(VertexRef.from_global(v, n_a))
+                     for v in range(n_a + n_b)]
 
 
 def test_square_k11_is_k2():
@@ -238,3 +247,17 @@ def test_text_format_comments_and_errors():
         read_bipartite_text("p bip 2 2 7\ne 0 0\n")
     with pytest.raises(ValueError, match="m = 0"):
         read_simple_text("p gen 2 0\ne 0 1\n")
+
+
+def test_read_graph_text_returns_the_header_kind():
+    bip = write_bipartite_text(gen_named("not_perfect"))
+    gen = "c c5\np gen 5 5\n" + "".join(f"e {i} {(i + 1) % 5}\n"
+                                       for i in range(5))
+    assert read_graph_text(bip) == read_bipartite_text(bip)
+    assert read_graph_text(gen) == read_simple_text(gen)
+    for text, message in [("p bip 2 2\n", "'p bip <n_a> <n_b> <m>'"),
+                          ("p gen 3\n", "'p gen <n> <m>'"),
+                          ("p gen 3 1\n", "m = 1"),
+                          ("", "missing problem line")]:
+        with pytest.raises(ValueError, match=message):
+            read_graph_text(text)
