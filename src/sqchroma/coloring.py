@@ -4,9 +4,12 @@ The square is never built: every step reads what it needs off the convex
 layout.  Two A-vertices are adjacent in G^2 iff their intervals meet; the
 G^2-neighbors of the B-vertex at position p are its A-neighbors plus the
 positions in [minleft(p), maxright(p)] other than p, where minleft and
-maxright bound the intervals through p.  omega(G^2) is read off the
-layout in closed form; the exact oracles in ``oracle`` stay off this
-pipeline and serve as its checks.
+maxright bound the intervals through p.  Those arrays over the positions
+are built in linear sweeps: maxright is a prefix maximum of right ends by
+left endpoint, minleft a suffix minimum of left ends by right endpoint.
+omega(G^2) is read off the layout in closed form, once per layout; the
+exact oracles in ``oracle`` stay off this pipeline and serve as its
+checks.
 
 Phase I greedily colors the interval graph on the A side (left-endpoint
 order, lowest free color), which uses exactly as many colors as its
@@ -46,8 +49,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import Sequence
 
 from .convexity import ConvexLayout
@@ -149,25 +151,12 @@ def greedy_interval_coloring(
 
 
 def clique_number_square(g: BipartiteGraph, layout: ConvexLayout) -> int:
-    """omega(G^2) in closed form from the convex layout.
+    """omega(G^2) in closed form from the convex layout of ``g``.
 
-    A clique of the square is a run [l, r] of B-positions plus the
-    A-intervals containing it (at least one when r > l), so omega is the
-    maximum of (#intervals containing [l, r]) + (r - l + 1).  Only left
-    endpoints need trying as l; for the k intervals through l reaching
-    furthest right, r is the k-th largest right endpoint.  Each interval
-    is visited once per left endpoint it covers.
+    The interval sweep is ``ConvexLayout.omega``; it runs on the first
+    call for a layout, and later calls read the cached value.
     """
-    if g.n_a + g.n_b == 0:
-        return 0
-    best = 1
-    rights: list[int] = []  # right endpoints of the intervals through l
-    by_left = sorted(iv for iv in layout.intervals if iv is not None)
-    for left, starting in groupby(by_left, key=itemgetter(0)):
-        rights = [r for r in rights if r >= left] + [r for _, r in starting]
-        rights.sort(reverse=True)
-        best = max(best, max(k + r for k, r in enumerate(rights, 1)) - left + 1)
-    return best
+    return layout.omega
 
 
 @dataclass
@@ -198,21 +187,30 @@ class ExtensionState:
         self._b_glob = [g.n_a + b for b in b_seq]
         # A-neighbors of each position: the intervals through it
         self._a_at = [list(g.b_adj[b]) for b in b_seq]
-        self._minleft = [min((ivs[a][0] for a in row), default=p)
-                         for p, row in enumerate(self._a_at)]
-        self._maxright = [max((ivs[a][1] for a in row), default=p)
-                          for p, row in enumerate(self._a_at)]
+        # minleft(p) and maxright(p) bound the intervals through p, and are
+        # p itself where none passes.  An interval starting at or before p
+        # that reaches p passes through it, so maxright is a prefix maximum
+        # of right ends by left endpoint; minleft mirrors it.
+        n_b = len(b_seq)
+        minleft, maxright = list(range(n_b)), list(range(n_b))
+        starts = [0] * (n_b + 1)
+        for iv in ivs:
+            if iv is not None:
+                l, r = iv
+                if maxright[l] < r:
+                    maxright[l] = r
+                if minleft[r] > l:
+                    minleft[r] = l
+                starts[l + 1] += 1
+        self._minleft = list(accumulate(reversed(minleft), min))[::-1]
+        self._maxright = list(accumulate(maxright, max))
         # A-vertices by left endpoint; those starting before position p
         # are _by_left[:_starts[p]]
+        self._starts = list(accumulate(starts))
         self._by_left = sorted(
             (a for a, iv in enumerate(ivs) if iv is not None),
             key=lambda a: ivs[a][0],
         )
-        self._starts = [0] * (len(b_seq) + 1)
-        for a in self._by_left:
-            self._starts[ivs[a][0] + 1] += 1
-        for p in range(len(b_seq)):
-            self._starts[p + 1] += self._starts[p]
 
     def bj_vertex(self) -> int:
         return self.layout.b_seq[self.j]
@@ -323,31 +321,32 @@ def _free_color(used: set[int], palette: int, rule: str) -> int | None:
 
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
     """N(b_j) within H_j is two cliques through b_j, within the counting
-    bounds.  By interval arithmetic: every interval of A_j contains j, and
-    one of them covers b_j and every position of B_j."""
-    n_a, j = state.graph.n_a, state.j
-    nb = state.neighborhood_bj()
-    ivs = [state.layout.intervals[v] for v in nb if v < n_a]
-    b_j = [state.layout.b_pos[v - n_a] for v in nb if v >= n_a]
+    bounds: A_j, the A-neighbors of b_j, and B_j, the positions j+1 ..
+    maxright(j).  By interval arithmetic: every interval of A_j contains
+    j, and one of them covers b_j and every position of B_j."""
+    j = state.j
+    ivs = [state.layout.intervals[a] for a in state._a_at[j]]
+    hi = state._maxright[j]  # last position of B_j, or j when it is empty
     if len(ivs) > omega - 1:
         raise AlgorithmInvariantViolation(
             f"|A_j| = {len(ivs)} exceeds omega-1 at position {j}"
         )
     # the B_j bound presumes b_j has a later B-neighbor at all
-    if b_j and len(b_j) > omega - 2:
+    if hi > j and hi - j > omega - 2:
         raise AlgorithmInvariantViolation(
-            f"|B_j| = {len(b_j)} exceeds omega-2 at position {j}"
+            f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
         )
-    if ivs and not max(l for l, _ in ivs) <= j <= min(r for _, r in ivs):
+    lefts, rights = zip(*ivs) if ivs else ((), ())
+    if ivs and not max(lefts) <= j <= min(rights):
         raise AlgorithmInvariantViolation(
             f"N(b_j) side group not a clique at position {j}"
         )
-    if b_j:
-        lo, hi = min(min(b_j), j), max(max(b_j), j)
-        if not any(l <= lo and hi <= r for l, r in ivs):
-            raise AlgorithmInvariantViolation(
-                f"no A-neighbor covers B_j + b_j at position {j}"
-            )
+    # every interval of A_j starts at or before j by now, so one covers
+    # j..hi iff the furthest right end reaches hi
+    if hi > j and not (ivs and max(rights) >= hi):
+        raise AlgorithmInvariantViolation(
+            f"no A-neighbor covers B_j + b_j at position {j}"
+        )
 
 
 def _assert_kempe_shape(state: ExtensionState) -> None:

@@ -50,7 +50,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
-from operator import and_, or_
+from itertools import groupby
+from operator import and_, itemgetter, or_
 from typing import Iterable, Sequence
 
 from .core import BipartiteGraph, SimpleGraph
@@ -85,6 +86,30 @@ class ConvexLayout:
         for r, a in enumerate(self.a_order):
             rank[a] = r
         return tuple(rank)
+
+    @cached_property
+    def omega(self) -> int:
+        """omega(G^2) of the laid-out graph G, in closed form, computed
+        once per layout.
+
+        A clique of the square is a run [l, r] of B-positions plus the
+        A-intervals containing it (at least one when r > l), so omega is
+        the maximum of (#intervals containing [l, r]) + (r - l + 1).  Only
+        left endpoints need trying as l; for the k intervals through l
+        reaching furthest right, r is the k-th largest right endpoint.
+        Each interval is visited once per left endpoint it covers.
+        """
+        if not self.intervals and not self.b_pos:
+            return 0
+        best = 1
+        rights: list[int] = []  # right endpoints of the intervals through l
+        by_left = sorted(iv for iv in self.intervals if iv is not None)
+        for left, starting in groupby(by_left, key=itemgetter(0)):
+            rights = [r for r in rights if r >= left] + [r for _, r in starting]
+            rights.sort(reverse=True)
+            best = max(best,
+                       max(k + r for k, r in enumerate(rights, 1)) - left + 1)
+        return best
 
 
 @dataclass(frozen=True)

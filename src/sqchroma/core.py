@@ -267,12 +267,20 @@ def write_simple_text(g: SimpleGraph) -> str:
 def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]]:
     header: tuple[str, list[int]] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        if parts[0] == "p":
+        if not parts:
+            continue
+        head = parts[0]
+        if head == "e":
+            if header is None:
+                raise ValueError(f"line {lineno}: edge before problem line")
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
+            edges.append((int(parts[1]), int(parts[2])))
+        elif head[0] == "c":
+            continue
+        elif head == "p":
             if header is not None:
                 raise ValueError(f"line {lineno}: repeated problem line")
             if len(parts) < 2 or parts[1] not in ("bip", "gen"):
@@ -281,14 +289,8 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
                 header = (parts[1], [int(x) for x in parts[2:]])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad problem line") from exc
-        elif parts[0] == "e":
-            if header is None:
-                raise ValueError(f"line {lineno}: edge before problem line")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
         else:
-            raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
+            raise ValueError(f"line {lineno}: unknown record {head!r}")
     if header is None:
         raise ValueError("missing problem line")
     return header[0], header[1], edges
@@ -308,9 +310,13 @@ def _build_graph(want: str, kind: str, sizes: list[int],
     if m != len(edges):
         raise ValueError(f"problem line says m = {m}, "
                          f"but the file has {len(edges)} 'e' lines")
-    if want == "bip":
-        return build_bipartite(*dims, edges)
-    return SimpleGraph.from_edges(*dims, edges)
+    # an endpoint out of range is bad input here, not a caller's slip
+    try:
+        if want == "bip":
+            return build_bipartite(*dims, edges)
+        return SimpleGraph.from_edges(*dims, edges)
+    except IndexError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def read_graph_text(text: str) -> BipartiteGraph | SimpleGraph:

@@ -5,6 +5,7 @@ import pytest
 
 from sqchroma import cli, coloring
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
+from sqchroma.convexity import ConvexLayout
 from sqchroma.core import read_bipartite_text, read_simple_text, write_bipartite_text
 from sqchroma.errors import BudgetExceeded, LayoutMismatch
 from sqchroma.generators import gen_named
@@ -381,6 +382,40 @@ def test_usage_error_exit_code(capsys):
 
 def test_missing_file_domain_error(capsys):
     assert run(["color", "/nonexistent/file.bip"]) == 1
+
+
+_OUT_OF_RANGE = {"bip": ("p bip 1 1 1\ne 0 5\n",
+                         "error: B-endpoint 5 out of range (n_b=1)\n"),
+                 "gen": ("p gen 2 1\ne 0 5\n",
+                         "error: edge (0, 5) out of range for n=2\n")}
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("bip", "color"), ("bip", "recognize"), ("bip", "exact"), ("bip", "holes"),
+    ("bip", "structure"), ("bip", "verify"),
+    ("gen", "reduce"), ("gen", "exact"), ("gen", "holes")])
+def test_edge_endpoint_out_of_range_is_one_line(tmp_path, capsys, kind,
+                                                command):
+    text, message = _OUT_OF_RANGE[kind]
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    # verify reads the graph before its coloring file
+    files = [str(path)] * (2 if command == "verify" else 1)
+    assert run([command] + files) == 1
+    assert capsys.readouterr() == ("", message)
+
+
+def test_color_computes_omega_once(np_file, monkeypatch, capsys):
+    # _cmd_color prints omega and color_square_convex sizes its palette
+    # by it; both read the one value cached on the layout
+    sweeps = []
+    cached = ConvexLayout.__dict__["omega"]
+    sweep = cached.func
+    monkeypatch.setattr(cached, "func",
+                        lambda layout: sweeps.append(layout) or sweep(layout))
+    assert run(["color", np_file]) == 0
+    assert capsys.readouterr().out.startswith("palette=6 omega=5 bound=7\n")
+    assert len(sweeps) == 1
 
 
 # ---------------------------------------------------------------------------

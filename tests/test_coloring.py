@@ -18,7 +18,7 @@ from sqchroma.coloring import (
     verify_coloring,
     verify_square_coloring,
 )
-from sqchroma.convexity import recognize_convex
+from sqchroma.convexity import ConvexLayout, recognize_convex
 from sqchroma.core import SimpleGraph, build_bipartite, half_square, max_degree, square
 from sqchroma.errors import AlgorithmInvariantViolation
 from sqchroma.generators import (
@@ -520,6 +520,70 @@ def test_color_never_builds_the_square(monkeypatch):
                      for g in graphs]
     for g, c in zip(graphs, colorings):
         assert verify_coloring(square(g), c)
+
+
+# ---------------------------------------------------------------------------
+# the position arrays and the clique claims of Phase II
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs())
+def test_position_arrays_match_their_definition(g):
+    layout = recognize_convex(g)
+    state = ExtensionState(graph=g, layout=layout, palette=0, colors={}, j=0)
+    for p, b in enumerate(layout.b_seq):
+        through = [layout.intervals[a] for a in g.b_adj[b]]
+        assert state._minleft[p] == min((l for l, _ in through), default=p)
+        assert state._maxright[p] == max((r for _, r in through), default=p)
+
+
+# On the gadget at j = 1: A_1 = {a0, a1, a2} and B_1 = positions 2..4, all
+# under a0 = [0, 4]; omega(G^2) = 6 passes every claim.
+def _claims_state(layout=None):
+    layout = layout or recognize_convex(_GADGET)
+    return ExtensionState(graph=_GADGET, layout=layout, palette=9,
+                          colors={}, j=1)
+
+
+def test_clique_claims_hold_on_the_gadget():
+    for j in range(_GADGET.n_b):
+        state = _claims_state()
+        state.j = j
+        coloring_module._assert_bj_cliques(state, 6)
+
+
+def _violation(state, omega):
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        coloring_module._assert_bj_cliques(state, omega)
+    return str(err.value)
+
+
+def test_clique_claim_a_side_bound():
+    assert _violation(_claims_state(), 3) == (
+        "|A_j| = 3 exceeds omega-1 at position 1")
+
+
+def test_clique_claim_b_side_bound():
+    assert _violation(_claims_state(), 4) == (
+        "|B_j| = 3 exceeds omega-2 at position 1")
+
+
+def test_clique_claim_interval_misses_j():
+    # a layout that puts a1 at [0, 0], although b_1 is its neighbor
+    good = recognize_convex(_GADGET)
+    ivs = list(good.intervals)
+    ivs[1] = (0, 0)
+    bad = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    assert _violation(_claims_state(bad), 9) == (
+        "N(b_j) side group not a clique at position 1")
+
+
+def test_clique_claim_no_interval_covers_b_j():
+    # drop a0, the only A-neighbor of b_1 reaching position 4
+    state = _claims_state()
+    state._a_at[1] = [1, 2]
+    assert _violation(state, 9) == (
+        "no A-neighbor covers B_j + b_j at position 1")
 
 
 # ---------------------------------------------------------------------------
