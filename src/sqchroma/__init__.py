@@ -91,6 +91,7 @@ from .structure import (
     is_AB_path,
     partite_testable_antihole_check,
     perfectness_partite_tests,
+    spectrum_contiguous,
     verify_cycle_structure,
 )
 

@@ -12,7 +12,10 @@ A0..A_{n_a-1}, B0..B_{n_b-1}: global index ``i < n_a`` is A-vertex ``i``
 and ``n_a + j`` is B-vertex ``j``.  In a bipartite graph no two vertices
 on opposite sides are at distance exactly two, so every cross edge of the
 square is an edge of the original graph; squaring only adds same-side
-edges between vertices with a common neighbor.
+edges between vertices with a common neighbor.  ``square(g)`` builds the
+square once per graph and caches it on the frozen ``BipartiteGraph``, as
+``b_adj`` is cached, so the structure checkers and oracles can ask for it
+per cycle without rebuilding it.  The coloring pipeline never asks.
 
 The module also owns the text interchange format used by the CLI:
 ``p bip <n_a> <n_b> <m>`` followed by ``m`` lines ``e <a> <b>`` (0-based)
@@ -23,6 +26,7 @@ general graphs.  Lines starting with ``c`` are comments.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -80,6 +84,29 @@ class BipartiteGraph:
             for b in row:
                 nbrs[b].append(a)
         return tuple(tuple(row) for row in nbrs)
+
+    @cached_property
+    def square(self) -> "SimpleGraph":
+        """The square on the global order A0.., B0..; read it through
+        ``core.square(g)``.  Built once per graph: the graph is frozen."""
+        n_a = self.n_a
+        nbrs: list[set[int]] = [set() for _ in range(n_a + self.n_b)]
+        for a, row in enumerate(self.adj):
+            for b in row:
+                nbrs[a].add(n_a + b)
+                nbrs[n_a + b].add(a)
+        # A-A edges: A-neighborhood of each b is a clique; likewise B-B via each a.
+        for bs in self.adj:
+            for i, b1 in enumerate(bs):
+                for b2 in bs[i + 1:]:
+                    nbrs[n_a + b1].add(n_a + b2)
+                    nbrs[n_a + b2].add(n_a + b1)
+        for as_ in self.b_adj:
+            for i, a1 in enumerate(as_):
+                for a2 in as_[i + 1:]:
+                    nbrs[a1].add(a2)
+                    nbrs[a2].add(a1)
+        return SimpleGraph(n_a + self.n_b, tuple(frozenset(s) for s in nbrs))
 
     @property
     def m(self) -> int:
@@ -146,26 +173,11 @@ def square(g: BipartiteGraph) -> SimpleGraph:
     """Square of a bipartite graph on the global order A0.., B0..
 
     Same-side vertices become adjacent when they share a neighbor; cross
-    pairs are adjacent exactly when they are edges of ``g``.
+    pairs are adjacent exactly when they are edges of ``g``.  The square
+    is built on the first call for ``g`` and cached on it
+    (``BipartiteGraph.square``), so later calls return the same object.
     """
-    n = g.n_a + g.n_b
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, row in enumerate(g.adj):
-        for b in row:
-            nbrs[a].add(g.n_a + b)
-            nbrs[g.n_a + b].add(a)
-    # A-A edges: A-neighborhood of each b is a clique; likewise B-B via each a.
-    for bs in g.adj:
-        for i, b1 in enumerate(bs):
-            for b2 in bs[i + 1:]:
-                nbrs[g.n_a + b1].add(g.n_a + b2)
-                nbrs[g.n_a + b2].add(g.n_a + b1)
-    for as_ in g.b_adj:
-        for i, a1 in enumerate(as_):
-            for a2 in as_[i + 1:]:
-                nbrs[a1].add(a2)
-                nbrs[a2].add(a1)
-    return SimpleGraph(n, tuple(frozenset(s) for s in nbrs))
+    return g.square
 
 
 def half_square(g: BipartiteGraph, side: str) -> SimpleGraph:
@@ -264,9 +276,25 @@ def write_simple_text(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The only integer form the format has.  ``int()`` also reads "+1", "1_0"
+# and non-ASCII digits, but not from ASCII text without "+" or "_": there
+# it accepts exactly the split tokens this matches.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """``int(token)`` for a token of the documented form, else ValueError."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]]:
     header: tuple[str, list[int]] | None = None
     edges: list[tuple[int, int]] = []
+    # becomes int at the problem line if no text from there on holds what
+    # int() reads beyond the format; every edge line comes after it
+    to_int = _decimal
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
@@ -277,7 +305,12 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
+            try:
+                edges.append((to_int(parts[1]), to_int(parts[2])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: edge endpoints must be "
+                                 f"decimal integers, got 'e {parts[1]} "
+                                 f"{parts[2]}'") from None
         elif head[0] == "c":
             continue
         elif head == "p":
@@ -285,8 +318,12 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
                 raise ValueError(f"line {lineno}: repeated problem line")
             if len(parts) < 2 or parts[1] not in ("bip", "gen"):
                 raise ValueError(f"line {lineno}: expected 'p bip' or 'p gen'")
+            # the first occurrence of this line is at or before it
+            rest = text[text.find(line):]
+            if rest.isascii() and "+" not in rest and "_" not in rest:
+                to_int = int
             try:
-                header = (parts[1], [int(x) for x in parts[2:]])
+                header = (parts[1], [to_int(x) for x in parts[2:]])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad problem line") from exc
         else:

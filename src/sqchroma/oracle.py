@@ -103,8 +103,10 @@ def exact_stats(h: SimpleGraph, budget: int | None = None) -> ExactStats:
     if h.n == 0:
         return ExactStats(0, 0, 0)
     counter = _Counter(budget if budget is not None else _budget())
-    omega = _max_clique(h, counter)
-    chi = _chromatic(h, omega, counter)
+    # one greedy clique seeds both searches
+    clique = greedy_clique(h)
+    omega = _max_clique(h, counter, len(clique))
+    chi = _chromatic(h, omega, counter, clique)
     return ExactStats(chi, omega, counter.nodes)
 
 
@@ -114,8 +116,15 @@ def exact_clique(h: SimpleGraph, budget: int | None = None,
     known clique (its size is taken on faith as a lower bound)."""
     if h.n == 0:
         return 0
+    best = len(greedy_clique(h))
+    if initial is not None:
+        for i, u in enumerate(initial):
+            for v in initial[i + 1:]:
+                if v not in h.adj[u]:
+                    raise ValueError("initial vertex set is not a clique")
+        best = max(best, len(initial))
     counter = _Counter(budget if budget is not None else _budget())
-    return _max_clique(h, counter, initial)
+    return _max_clique(h, counter, best)
 
 
 def _color_bound(g: SimpleGraph, cands: list[int]) -> list[tuple[int, int]]:
@@ -136,17 +145,8 @@ def _color_bound(g: SimpleGraph, cands: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _max_clique(g: SimpleGraph, counter: _Counter,
-                initial: list[int] | None = None) -> int:
-    seed = greedy_clique(g)
-    if initial is not None:
-        for i, u in enumerate(initial):
-            for v in initial[i + 1:]:
-                if v not in g.adj[u]:
-                    raise ValueError("initial vertex set is not a clique")
-        if len(initial) > len(seed):
-            seed = list(initial)
-    best = len(seed)
+def _max_clique(g: SimpleGraph, counter: _Counter, best: int) -> int:
+    """Branch and bound from a known clique of size ``best``."""
 
     def expand(cands: list[int], size: int):
         nonlocal best
@@ -171,22 +171,23 @@ def _max_clique(g: SimpleGraph, counter: _Counter,
     return best
 
 
-def _chromatic(g: SimpleGraph, omega: int, counter: _Counter) -> int:
+def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
+               clique: list[int]) -> int:
+    """``clique`` is ``greedy_clique(g)``; its vertices are pre-colored."""
     if g.m == 0:
         return 1 if g.n else 0
-    clique = greedy_clique(g)
     lower = max(omega, len(clique))
     greedy = _dsatur_greedy(g)
     best = max(greedy.values())
     if lower >= best:
         return best
 
-    colors: dict[int, int] = {v: i + 1 for i, v in enumerate(clique)}
     sat: list[set[int]] = [set() for _ in range(g.n)]
-    for v, c in colors.items():
+    for c, v in enumerate(clique, start=1):
         for w in g.adj[v]:
             sat[w].add(c)
-    uncolored = [v for v in range(g.n) if v not in colors]
+    precolored = set(clique)
+    uncolored = [v for v in range(g.n) if v not in precolored]
 
     def rec(used: int) -> None:
         nonlocal best
@@ -205,14 +206,12 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter) -> int:
         for c in range(1, cap + 1):
             if c in sat[v]:
                 continue
-            colors[v] = c
             touched = [w for w in g.adj[v] if c not in sat[w]]
             for w in touched:
                 sat[w].add(c)
             rec(max(used, c))
             for w in touched:
                 sat[w].discard(c)
-            del colors[v]
             if best <= lower:
                 break
         uncolored.append(v)

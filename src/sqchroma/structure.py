@@ -21,12 +21,18 @@ k >= 4 must admit:
 P1 labeling and then checks P2 and P3; on a valid convex input a failure
 is impossible, so it raises AlgorithmInvariantViolation rather than
 returning a falsified report.
+
+Every check reads ``square(g)``, which is built once per graph and then
+cached on it, so checking each of a graph's cycles builds one square.  A
+caller that has already enumerated the cycles, as the ``structure``
+command does, passes them to ``spectrum_contiguous``, the rule
+``cycle_spectrum_check`` applies after its own enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .convexity import ConvexLayout, recognize_biconvex
 from .core import BipartiteGraph, SimpleGraph, half_square, square
@@ -218,14 +224,18 @@ def interior_emptiness(g: BipartiteGraph, layout: ConvexLayout,
     )
 
 
+def spectrum_contiguous(cycles: Iterable[Sequence[int]]) -> bool:
+    """The lengths of ``cycles`` (induced cycles of length >= 4) form a
+    contiguous range starting at four, or there are no cycles at all."""
+    lengths = sorted({len(c) for c in cycles})
+    return lengths == list(range(4, 4 + len(lengths)))
+
+
 def cycle_spectrum_check(g: BipartiteGraph, layout: ConvexLayout) -> bool:
     """Induced-cycle lengths >= 4 of square(g) form a contiguous range
     starting at four (or no such cycles exist at all)."""
     sq = square(g)
-    lengths = sorted({len(c) for c in find_induced_cycles(sq, 4, sq.n)})
-    if not lengths:
-        return True
-    return lengths[0] == 4 and lengths == list(range(4, lengths[-1] + 1))
+    return spectrum_contiguous(find_induced_cycles(sq, 4, sq.n))
 
 
 def partite_testable_antihole_check(g: BipartiteGraph) -> bool:

@@ -1,14 +1,20 @@
 import argparse
+import functools
 import json
 
 import pytest
 
-from sqchroma import cli, coloring
+from sqchroma import cli, coloring, oracle
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
 from sqchroma.convexity import ConvexLayout
-from sqchroma.core import read_bipartite_text, read_simple_text, write_bipartite_text
+from sqchroma.core import (
+    BipartiteGraph,
+    read_bipartite_text,
+    read_simple_text,
+    write_bipartite_text,
+)
 from sqchroma.errors import BudgetExceeded, LayoutMismatch
-from sqchroma.generators import gen_named
+from sqchroma.generators import gen_lower_bound_H, gen_named
 
 
 @pytest.fixture
@@ -403,6 +409,60 @@ def test_edge_endpoint_out_of_range_is_one_line(tmp_path, capsys, kind,
     files = [str(path)] * (2 if command == "verify" else 1)
     assert run([command] + files) == 1
     assert capsys.readouterr() == ("", message)
+
+
+# int() alone would read "1_0" as 10 and "+1" and "\u0661" as 1, and would
+# refuse "x" without a line number
+@pytest.mark.parametrize("token", ["x", "1_0", "+1", "\u0661"])
+@pytest.mark.parametrize("kind, command", [
+    ("bip", "color"), ("bip", "recognize"), ("bip", "exact"), ("bip", "holes"),
+    ("bip", "structure"), ("bip", "verify"),
+    ("gen", "reduce"), ("gen", "exact"), ("gen", "holes")])
+def test_edge_endpoint_not_an_integer_is_one_line(tmp_path, capsys, kind,
+                                                  command, token):
+    header = "p bip 2 20 2" if kind == "bip" else "p gen 20 2"
+    path = tmp_path / "g.txt"
+    path.write_text(f"c first\n{header}\ne 0 1\ne 1 {token}\n",
+                    encoding="utf-8")
+    files = [str(path)] * (2 if command == "verify" else 1)
+    assert run([command] + files) == 1
+    assert capsys.readouterr() == (
+        "", f"error: line 4: edge endpoints must be decimal integers, "
+            f"got 'e 1 {token}'\n")
+
+
+@pytest.fixture
+def h4_file(tmp_path):
+    path = tmp_path / "h4.bip"
+    path.write_text(write_bipartite_text(gen_lower_bound_H(4)))
+    return str(path)
+
+
+def _structure_h4(h4_file, capsys):
+    assert run(["structure", h4_file, "--summary"]) == 0
+    assert capsys.readouterr().out == (
+        "cycles=1152 passed=1152 spectrum_contiguous=True\n")
+
+
+def test_structure_builds_the_square_once(h4_file, monkeypatch, capsys):
+    # every per-cycle check asks for square(g); it is built on the first ask
+    builds = []
+    cached = BipartiteGraph.__dict__.get("square")
+    assert isinstance(cached, functools.cached_property)
+    build = cached.func
+    monkeypatch.setattr(cached, "func", lambda g: builds.append(g) or build(g))
+    _structure_h4(h4_file, capsys)
+    assert len(builds) == 1
+
+
+def test_structure_enumerates_cycles_once(h4_file, monkeypatch, capsys):
+    # the spectrum verdict is read off the cycles the reports were made from
+    enumerations = []
+    enumerate_cycles = oracle.iter_induced_cycles
+    monkeypatch.setattr(oracle, "iter_induced_cycles",
+                        lambda *a: enumerations.append(a) or enumerate_cycles(*a))
+    _structure_h4(h4_file, capsys)
+    assert len(enumerations) == 1
 
 
 def test_color_computes_omega_once(np_file, monkeypatch, capsys):

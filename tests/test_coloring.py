@@ -516,6 +516,9 @@ def test_color_never_builds_the_square(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(sqchroma.core, "square", refuse)
         m.setattr(coloring_module, "square", refuse)
+        # the square cached on the graph is built by this function
+        m.setattr(sqchroma.core.BipartiteGraph.__dict__["square"], "func",
+                  refuse)
         colorings = [color_square_convex(g, recognize_convex(g))
                      for g in graphs]
     for g, c in zip(graphs, colorings):

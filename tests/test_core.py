@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqchroma.core import (
+    BipartiteGraph,
     SimpleGraph,
     VertexRef,
     build_bipartite,
@@ -93,6 +95,18 @@ def test_square_complete_bipartite_is_clique(n):
     g = gen_named("complete", n)
     s = square(g)
     assert s.m == (2 * n) * (2 * n - 1) // 2
+
+
+@pytest.mark.parametrize("g", [gen_named("not_perfect"), gen_named("complete", 3),
+                               build_bipartite(0, 0, []), build_bipartite(3, 4, [])])
+def test_square_is_built_once_per_graph(g):
+    first = square(g)
+    assert square(g) is first
+    # the cached object equals a fresh build, on this graph and on an
+    # equal graph built anew
+    assert first == BipartiteGraph.__dict__["square"].func(g)
+    again = build_bipartite(g.n_a, g.n_b, g.edges())
+    assert again == g and square(again) == first and square(again) is not first
 
 
 def test_square_path_is_triangle():
@@ -261,3 +275,58 @@ def test_read_graph_text_returns_the_header_kind():
                           ("", "missing problem line")]:
         with pytest.raises(ValueError, match=message):
             read_graph_text(text)
+
+
+# int() alone takes the first five and refuses the rest without a line number
+_BAD_ENDPOINTS = ["x", "1_0", "+1", "\u0661", "\uff11", "0x1", "1.0"]
+
+
+@pytest.mark.parametrize("token", _BAD_ENDPOINTS)
+def test_edge_endpoint_must_be_a_decimal_integer(token):
+    for text in (f"p bip 2 20 2\ne 0 0\ne 1 {token}\n",
+                 f"c \u00e9t\u00e9 +_\np bip 2 20 2\ne 0 0\ne {token} 1\n",
+                 f"p bip 2 20 2\nc +_\ne {token} 1\ne 0 0\n"):
+        line = 4 if text.startswith("c") else 3
+        with pytest.raises(ValueError, match=f"^line {line}: edge endpoints "
+                                             "must be decimal integers"):
+            read_bipartite_text(text)
+    with pytest.raises(ValueError, match="^line 2: edge endpoints"):
+        read_simple_text(f"p gen 20 1\ne {token} 0\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.text(alphabet="0123456789-+_x\u0661\uff11\u00e9", min_size=1,
+                     max_size=4),
+       comment=st.sampled_from(["", "c +\n", "c \u00e9\n"]),
+       comment_first=st.booleans())
+def test_reader_takes_exactly_the_documented_endpoints(token, comment,
+                                                       comment_first):
+    head, edge = "p bip 1 100 1\n", f"e 0 {token}\n"
+    text = comment + head + edge if comment_first else head + comment + edge
+    try:
+        g = read_bipartite_text(text)
+    except ValueError as exc:
+        if str(exc).startswith("line "):
+            assert not re.fullmatch("-?[0-9]+", token)
+        else:
+            assert re.fullmatch("-?[0-9]+", token) and not 0 <= int(token) < 100
+    else:
+        assert re.fullmatch("-?[0-9]+", token) and g.adj == ((int(token),),)
+
+
+@pytest.mark.parametrize("sizes", ["1_0 1 0", "+1 1 0", "\u0661 1 0"])
+def test_problem_line_sizes_must_be_decimal_integers(sizes):
+    with pytest.raises(ValueError, match="^line 1: bad problem line"):
+        read_bipartite_text(f"p bip {sizes}\n")
+
+
+def test_plain_endpoints_read_beside_any_comment():
+    # "+", "_" and non-ASCII text outside the endpoints change nothing
+    plain = read_bipartite_text("p bip 2 11 2\ne 0 10\ne 1 -0\n")
+    assert plain.adj == ((10,), (0,))
+    for text in ("c +_\u00e9\np bip 2 11 2\ne 0 010\ne 1 -0\n",
+                 "p bip 2 11 2\ne 0 010\nc +_\u00e9\ne 1 -0\n",
+                 "c p bip 2 11 2 +\np bip 2 11 2\ne 0 10\ne 1 0\n"):
+        assert read_bipartite_text(text) == plain
+    with pytest.raises(ValueError, match="^A-endpoint -1 out of range"):
+        read_bipartite_text("c +\np bip 2 11 1\ne -1 0\n")

@@ -5,7 +5,14 @@ each of ``color``, ``color --json``, ``color --trace`` and ``recognize``,
 the sha256 digests of stdout and stderr and the exit code.  The corpus is
 ``gen random_convex 12 12 6`` at seeds 0..199, H(q) for even q <= 10,
 K(n,n) for n <= 5, the named figures, and an empty, an edgeless and a
-non-convex graph.  An intended change of output regenerates the file with
+non-convex graph.
+
+``data/oracle_golden.json`` holds the same for the exponential oracle
+commands ``structure``, ``structure --summary``, ``holes`` and ``exact``,
+on a smaller corpus: ``gen random_convex 8 8 4`` at seeds 0..39, H(2),
+H(4), K(n,n) for n <= 5, the named figures and the three special graphs.
+
+An intended change of output regenerates both files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -22,7 +29,9 @@ import pytest
 
 from sqchroma import cli
 
-FIXTURE = Path(__file__).parent / "data" / "color_golden.json"
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "color_golden.json"
+ORACLE_FIXTURE = DATA / "oracle_golden.json"
 
 COMMANDS = {
     "color": ["color", "-"],
@@ -30,13 +39,25 @@ COMMANDS = {
     "color --trace": ["color", "-", "--trace"],
     "recognize": ["recognize", "-"],
 }
+ORACLE_COMMANDS = {
+    "structure": ["structure", "-"],
+    "structure --summary": ["structure", "-", "--summary"],
+    "holes": ["holes", "-"],
+    "exact": ["exact", "-"],
+}
 
-_GENERATED = (
-    [f"random_convex 12 12 6 --seed {seed}" for seed in range(200)]
-    + [f"lower_bound_h {q}" for q in range(2, 11, 2)]
-    + [f"complete {n}" for n in range(1, 6)]
+_SHARED = (
+    [f"complete {n}" for n in range(1, 6)]
     + [f"named {name}" for name in
        ("not_perfect", "antihole", "biconvex", "convex_c4free")]
+)
+_GENERATED = (
+    [f"random_convex 12 12 6 --seed {seed}" for seed in range(200)]
+    + [f"lower_bound_h {q}" for q in range(2, 11, 2)] + _SHARED
+)
+_ORACLE_GENERATED = (
+    [f"random_convex 8 8 4 --seed {seed}" for seed in range(40)]
+    + ["lower_bound_h 2", "lower_bound_h 4"] + _SHARED
 )
 
 # a pairwise-glued triple of intervals: no B-order makes all three consecutive
@@ -59,32 +80,57 @@ def _call(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
 
 
 @cache
-def corpus() -> dict[str, str]:
+def _generate(spec: str) -> str:
+    code, out, err = _call(["gen", *spec.split()])
+    assert code == 0 and err == "", spec
+    return out
+
+
+def corpus(specs=_GENERATED) -> dict[str, str]:
     """Input name -> graph text."""
-    texts = {}
-    for spec in _GENERATED:
-        code, out, err = _call(["gen", *spec.split()])
-        assert code == 0 and err == "", spec
-        texts[spec] = out
+    texts = {spec: _generate(spec) for spec in specs}
     texts["empty"] = "p bip 0 0 0\n"
     texts["edgeless"] = "p bip 3 4 0\n"
     texts["non-convex"] = _NON_CONVEX
     return texts
 
 
+# fixture -> (its commands, the names of its inputs)
+SUITES = {
+    FIXTURE: (COMMANDS, _GENERATED),
+    ORACLE_FIXTURE: (ORACLE_COMMANDS, _ORACLE_GENERATED),
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def outcome(command: str, text: str) -> dict:
-    code, out, err = _call(COMMANDS[command], text)
+def outcome(argv: list[str], text: str) -> dict:
+    code, out, err = _call(argv, text)
     return {"exit": code, "stdout": _digest(out), "stderr": _digest(err)}
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+def table(fixture: Path) -> dict:
+    """What ``fixture`` should hold: command -> input name -> outcome."""
+    commands, specs = SUITES[fixture]
+    texts = corpus(specs)
+    return {command: {name: outcome(argv, text) for name, text in texts.items()}
+            for command, argv in commands.items()}
+
+
+# command -> the fixture that pins it
+_FIXTURE_OF = {command: fixture for fixture, (commands, _) in SUITES.items()
+               for command in commands}
+
+
+@pytest.mark.parametrize("command", _FIXTURE_OF)
 def test_output_matches_golden(command):
-    want = json.loads(FIXTURE.read_text(encoding="utf-8"))[command]
-    got = {name: outcome(command, text) for name, text in corpus().items()}
+    fixture = _FIXTURE_OF[command]
+    want = json.loads(fixture.read_text(encoding="utf-8"))[command]
+    commands, specs = SUITES[fixture]
+    got = {name: outcome(commands[command], text)
+           for name, text in corpus(specs).items()}
     assert got.keys() == want.keys()
     changed = [name for name in got if got[name] != want[name]]
     assert not changed, f"{len(changed)} outputs changed, first {changed[:5]}"
@@ -98,11 +144,20 @@ def test_golden_corpus_reaches_reject_and_pivot():
     assert code == 0 and "trace: pivot " in err
 
 
+def test_oracle_corpus_reaches_holes_and_reject():
+    want = json.loads(ORACLE_FIXTURE.read_text(encoding="utf-8"))
+    # structure refuses non-convex input and passes on convex input
+    assert want["structure"]["non-convex"]["exit"] == 1
+    assert want["structure"]["lower_bound_h 4"]["exit"] == 0
+    holes = {name: _call(ORACLE_COMMANDS["holes"], text)[1].splitlines()[-1]
+             for name, text in corpus(_ORACLE_GENERATED).items()}
+    assert holes["lower_bound_h 4"] == "total=1152"
+    assert sum(total != "total=0" for total in holes.values()) > 10
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    table = {command: {name: outcome(command, text)
-                       for name, text in corpus().items()}
-             for command in COMMANDS}
-    FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    for fixture in SUITES:
+        fixture.write_text(json.dumps(table(fixture), indent=1, sort_keys=True)
+                           + "\n", encoding="utf-8")

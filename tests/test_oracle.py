@@ -4,7 +4,12 @@ from hypothesis import strategies as st
 
 from sqchroma.core import SimpleGraph, complement, square
 from sqchroma.errors import BudgetExceeded
-from sqchroma.generators import gen_lower_bound_H, gen_named, gen_random_biconvex
+from sqchroma.generators import (
+    gen_lower_bound_H,
+    gen_named,
+    gen_random_biconvex,
+    gen_random_convex,
+)
 from sqchroma.oracle import (
     ExactStats,
     exact_chromatic,
@@ -220,3 +225,40 @@ def test_perfectness_by_chi_omega_on_random_graphs():
             if not by_definition:
                 break
         assert is_perfect_small(g) == by_definition
+
+
+# ---------------------------------------------------------------------------
+# search effort, pinned
+
+
+def gnp(seed, n, p):
+    rng = SplitMix64(seed)
+    return SimpleGraph.from_edges(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n)
+                                      if rng.random() < p])
+
+
+def test_exact_stats_node_count_on_h4_square():
+    assert exact_stats(square(gen_lower_bound_H(4))) == ExactStats(12, 11, 264_393)
+
+
+# (chi, omega, node_budget_used) of each search, recorded before the greedy
+# clique was shared between the clique and the chromatic search
+_PINNED_GNP = [
+    (4, 3, 10), (4, 4, 19), (5, 5, 16), (7, 6, 18), (4, 4, 2), (4, 4, 3),
+    (6, 6, 1), (6, 5, 8), (4, 3, 9), (5, 4, 24), (5, 5, 14), (6, 5, 11),
+    (4, 4, 2), (5, 5, 2), (6, 5, 17), (6, 6, 1), (4, 4, 1), (6, 5, 26),
+    (6, 5, 10), (8, 7, 9), (4, 4, 1), (4, 4, 22), (5, 5, 1), (7, 6, 15)]
+_PINNED_CONVEX = [
+    (8, 8, 1), (8, 8, 1), (9, 9, 1), (8, 8, 1), (9, 9, 1), (9, 9, 1),
+    (8, 8, 2), (7, 7, 20), (7, 7, 20), (11, 11, 1), (7, 7, 1), (8, 8, 2)]
+
+
+def test_exact_stats_search_effort_is_pinned():
+    got = [exact_stats(gnp(s, 16 + s % 5, 0.3 + 0.1 * (s % 4)))
+           for s in range(24)]
+    assert got == [ExactStats(*t) for t in _PINNED_GNP]
+    got = [exact_stats(square(gen_random_convex(12, 12, 6, s)))
+           for s in range(12)]
+    assert got == [ExactStats(*t) for t in _PINNED_CONVEX]
+    assert exact_stats(square(gen_lower_bound_H(2))) == ExactStats(7, 7, 11)

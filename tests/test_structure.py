@@ -16,6 +16,7 @@ from sqchroma.structure import (
     is_AB_path,
     partite_testable_antihole_check,
     perfectness_partite_tests,
+    spectrum_contiguous,
     verify_cycle_structure,
 )
 
@@ -127,6 +128,22 @@ def test_spectrum_figure_has_4_and_5():
 def test_spectrum_chordal_square_vacuous():
     g = gen_named("convex_c4free")
     assert cycle_spectrum_check(g, recognize_convex(g))
+
+
+@pytest.mark.parametrize("lengths, contiguous", [
+    ((), True), ((4,), True), ((4, 5, 4, 6), True), ((5,), False),
+    ((4, 6), False), ((5, 6, 7), False), ((4, 5, 7), False)])
+def test_spectrum_rule(lengths, contiguous):
+    cycles = [tuple(range(k)) for k in lengths]
+    assert spectrum_contiguous(cycles) is contiguous
+
+
+def test_spectrum_rule_agrees_with_the_check():
+    for seed in range(20):
+        g = gen_random_convex(7, 7, 4, seed)
+        sq = square(g)
+        assert spectrum_contiguous(find_induced_cycles(sq, 4, sq.n)) is \
+            cycle_spectrum_check(g, recognize_convex(g))
 
 
 # ---------------------------------------------------------------------------
