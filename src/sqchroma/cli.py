@@ -43,6 +43,7 @@ from .convexity import NonConvexWitness, recognize_biconvex, recognize_convex
 from .core import (
     BipartiteGraph,
     SimpleGraph,
+    _decimal,
     read_bipartite_text,
     read_graph_text,
     read_simple_text,
@@ -374,6 +375,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _integer_field(lineno: int, what: str, token: str) -> int:
+    """A coloring file's integer, read by the graph reader's rule."""
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} must be a decimal integer, "
+                         f"got {token!r}") from None
+
+
 def _cmd_verify(args) -> int:
     g = read_bipartite_text(_read_text(args.graph))
     index = {name: v for v, name in enumerate(vertex_names(g.n_a, g.n_b))}
@@ -405,12 +415,14 @@ def _cmd_verify(args) -> int:
             if not parts:
                 continue
             if parts[0].startswith("palette="):
-                palette = int(parts[0].split("=", 1)[1])
+                palette = _integer_field(lineno, "palette",
+                                         parts[0].split("=", 1)[1])
             elif parts[0] == "v":
                 if len(parts) != 3:
                     raise ValueError(
                         f"line {lineno}: expected 'v <vertex> <color>'")
-                colors[vertex(parts[1])] = int(parts[2])
+                colors[vertex(parts[1])] = _integer_field(
+                    lineno, f"color of {parts[1]}", parts[2])
     if palette is None:
         palette = max(colors.values(), default=0)
     ok = verify_square_coloring(g, Coloring(colors, palette))

@@ -3,16 +3,22 @@ cycles, antiholes, perfectness.
 
 These are the ground truth against which the approximation algorithm and
 the structural theorems are tested, so they stay independent of the rest
-of the package: plain branch and bound over SimpleGraph adjacency sets.
+of the package: branch and bound and enumeration over SimpleGraph
+adjacency sets, with no recursion depth that grows with the input.
 
 * ``exact_chromatic``: saturation-order branch and bound seeded with a
   greedily-found clique (its vertices are pre-colored, which both lower
-  bounds the answer and breaks color symmetry).
+  bounds the answer and breaks color symmetry).  The search runs from an
+  explicit stack on one vertex bitmask per color (the vertices with a
+  neighbor of that color); it visits the same nodes, in the same order,
+  as the recursive search over per-vertex saturation sets kept in the
+  tests as its reference, so node counts are unchanged.
 * ``exact_clique``: branch and bound with a greedy-coloring upper bound
   on each candidate set.
 * ``find_induced_cycles``: DFS over induced paths anchored at their
   minimum vertex, reflection-killed by comparing the two neighbors of the
-  anchor.  Cycles come out canonically rotated/reflected.
+  anchor, run from an explicit stack of neighbor iterators.  Cycles come
+  out canonically rotated/reflected.
 
 Every search counts nodes against a budget (default 10**7, overridable);
 exhausting it raises BudgetExceeded carrying the bounds proven so far.
@@ -173,7 +179,20 @@ def _max_clique(g: SimpleGraph, counter: _Counter, best: int) -> int:
 
 def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
                clique: list[int]) -> int:
-    """``clique`` is ``greedy_clique(g)``; its vertices are pre-colored."""
+    """``clique`` is ``greedy_clique(g)``; its vertices are pre-colored.
+
+    Each node colors the uncolored vertex of greatest (saturation, degree,
+    -index) with every color from 1 up to ``min(best - 1, used + 1)`` that
+    no neighbor holds, fixing that cap on entry, and stops early once
+    ``best`` meets the lower bound.  The nodes live on an explicit stack.
+
+    ``satc[c]`` is the bitmask of vertices with a neighbor colored c.  It
+    is kept exact for uncolored vertices only: a colored vertex's
+    saturation is read again only after backtracking has uncolored it, and
+    by then every change made below it has been undone.  ``score[u]`` is
+    ``|sat(u)| * n`` plus the rank of ``(degree, -u)``, so its maximum is
+    the vertex the saturation order picks.
+    """
     if g.m == 0:
         return 1 if g.n else 0
     lower = max(omega, len(clique))
@@ -182,42 +201,80 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
     if lower >= best:
         return best
 
-    sat: list[set[int]] = [set() for _ in range(g.n)]
+    n = g.n
+    bits = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    score = [0] * n
+    for r, u in enumerate(sorted(range(n), key=lambda u: (len(g.adj[u]), -u))):
+        score[u] = r
+    satc = [0] * (best + 1)
     for c, v in enumerate(clique, start=1):
+        satc[c] = bits[v]
         for w in g.adj[v]:
-            sat[w].add(c)
+            score[w] += n
     precolored = set(clique)
-    uncolored = [v for v in range(g.n) if v not in precolored]
-
-    def rec(used: int) -> None:
-        nonlocal best
-        if not counter.tick():
-            raise BudgetExceeded(
-                "chromatic search exceeded its node budget",
-                lower=lower, upper=best, nodes=counter.nodes,
-            )
-        if not uncolored:
-            if used < best:
-                best = used
-            return
-        v = max(uncolored, key=lambda u: (len(sat[u]), len(g.adj[u]), -u))
-        uncolored.remove(v)
-        cap = min(best - 1, used + 1)
-        for c in range(1, cap + 1):
-            if c in sat[v]:
-                continue
-            touched = [w for w in g.adj[v] if c not in sat[w]]
-            for w in touched:
-                sat[w].add(c)
-            rec(max(used, c))
-            for w in touched:
-                sat[w].discard(c)
-            if best <= lower:
-                break
-        uncolored.append(v)
-
-    rec(len(clique))
-    return best
+    uncolored = [v for v in range(n) if v not in precolored]
+    unc = sum(1 << v for v in uncolored)
+    key = score.__getitem__
+    # a suspended node: (v, used, cap, color being tried, satc[color] before
+    # it, vertices whose saturation that color raised)
+    stack: list[tuple[int, int, int, int, int, list[int]]] = []
+    nodes, limit = counter.nodes, counter.limit
+    used = len(clique)
+    try:
+        while True:
+            # enter a node
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExceeded(
+                    "chromatic search exceeded its node budget",
+                    lower=lower, upper=best, nodes=nodes,
+                )
+            if uncolored:
+                v = max(uncolored, key=key)
+                uncolored.remove(v)
+                unc ^= 1 << v
+                cap = min(best - 1, used + 1)
+                c = 0
+            else:
+                if used < best:
+                    best = used
+                if not stack:
+                    return best
+                v, used, cap, c, saved, touched = stack.pop()
+            # undo the node's last color, if any, and find its next one
+            while True:
+                if c:
+                    satc[c] = saved
+                    for w in touched:
+                        score[w] -= n
+                    if best <= lower:
+                        c = cap  # the bound is met: try no further color
+                c += 1
+                while c <= cap and satc[c] >> v & 1:
+                    c += 1
+                if c <= cap:
+                    break
+                uncolored.append(v)
+                unc |= 1 << v
+                if not stack:
+                    return best
+                v, used, cap, c, saved, touched = stack.pop()
+            # color v with c and descend
+            saved = satc[c]
+            mask = bits[v] & unc & ~saved
+            satc[c] = saved | mask
+            touched = []
+            while mask:
+                low = mask & -mask
+                w = low.bit_length() - 1
+                touched.append(w)
+                score[w] += n
+                mask ^= low
+            stack.append((v, used, cap, c, saved, touched))
+            if c > used:
+                used = c
+    finally:
+        counter.nodes = nodes
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +289,34 @@ def iter_induced_cycles(h: SimpleGraph, min_len: int,
     if max_len < max(min_len, 3):
         return
     adj = h.adj
-
-    def extend(path: list[int], on_path: set[int]) -> Iterator[tuple[int, ...]]:
-        s = path[0]
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if w <= s or w in on_path:
-                continue
-            # chordlessness: w may touch only the path's last vertex,
-            # except for the anchor when closing the cycle
-            if any(u in adj[w] for u in path[1:-1]):
-                continue
-            if len(path) >= 2 and s in adj[w]:
-                length = len(path) + 1
-                if length >= min_len and path[1] < w:
-                    yield tuple(path) + (w,)
-                continue  # any extension past w would leave a chord to s
-            if len(path) + 1 < max_len:
-                path.append(w)
-                on_path.add(w)
-                yield from extend(path, on_path)
-                on_path.remove(w)
-                path.pop()
-
     for s in range(h.n):
-        yield from extend([s], {s})
+        path = [s]
+        on_path = {s}
+        # one sorted-neighbor iterator per path vertex; the last one is
+        # the vertex being extended, and exhausting it backtracks
+        frames = [iter(sorted(adj[s]))]
+        while frames:
+            inner = path[1:-1]
+            for w in frames[-1]:
+                if w <= s or w in on_path:
+                    continue
+                # chordlessness: w may touch only the path's last vertex,
+                # except for the anchor when closing the cycle
+                if not adj[w].isdisjoint(inner):
+                    continue
+                if len(path) >= 2 and s in adj[w]:
+                    length = len(path) + 1
+                    if length >= min_len and path[1] < w:
+                        yield tuple(path) + (w,)
+                    continue  # any extension past w would leave a chord to s
+                if len(path) + 1 < max_len:
+                    path.append(w)
+                    on_path.add(w)
+                    frames.append(iter(sorted(adj[w])))
+                    break
+            else:
+                frames.pop()
+                on_path.remove(path.pop())
 
 
 def find_induced_cycles(h: SimpleGraph, min_len: int,

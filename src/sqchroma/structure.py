@@ -166,16 +166,17 @@ def _verify_p2_p3(g: BipartiteGraph, layout: ConvexLayout, lab: list[int],
     lo_pos, hi_pos = pos[v_k - n_a], pos[v_k1 - n_a]
     if lo_pos >= hi_pos:
         return None
+    b_adj = g.b_adj
     private: list[int] = []
     prev_pos = lo_pos
     ok = True
     for i in range(k - 3):
         vi, vi1 = a_path[i], a_path[i + 1]
+        edge = {vi, vi1}
         witnesses = [
-            b for b in g.adj[vi]
-            if b in set(g.adj[vi1])
-            and prev_pos < pos[b] < hi_pos
-            and {a for a in path_set if b in g.adj[a]} == {vi, vi1}
+            b for b in set(g.adj[vi]).intersection(g.adj[vi1])
+            if prev_pos < pos[b] < hi_pos
+            and path_set.intersection(b_adj[b]) == edge
         ]
         if not witnesses:
             ok = False
@@ -186,9 +187,8 @@ def _verify_p2_p3(g: BipartiteGraph, layout: ConvexLayout, lab: list[int],
     if not ok:
         return None
     run = [v_k - n_a] + [b - n_a for b in private] + [v_k1 - n_a]
-    common = [
-        a for a in range(n_a) if all(b in set(g.adj[a]) for b in run)
-    ]
+    # the A-vertices adjacent to every member of the run
+    common = set(b_adj[run[0]]).intersection(*(b_adj[b] for b in run[1:]))
     if not common:
         return None
     return StructureReport(

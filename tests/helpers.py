@@ -6,9 +6,18 @@ free of the code paths it checks.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, permutations
 
 from sqchroma.core import BipartiteGraph, SimpleGraph
+from sqchroma.errors import BudgetExceeded
+from sqchroma.oracle import (
+    ExactStats,
+    _Counter,
+    _dsatur_greedy,
+    _max_clique,
+    greedy_clique,
+)
 
 
 def brute_force_c1p(n_cols: int, rows) -> list[int] | None:
@@ -178,3 +187,75 @@ def quadratic_interval_coloring(intervals) -> dict[int, int]:
         if iv is None:
             colors[i] = 1
     return colors
+
+
+def stack_depth() -> int:
+    """Frames on the calling thread's stack, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def recursive_chromatic(g: SimpleGraph, omega: int, counter: _Counter,
+                        clique: list[int]) -> int:
+    """The saturation-order branch and bound as one recursive call per
+    node, on per-vertex saturation sets: the reference for the stack-based
+    ``oracle._chromatic``, which must walk the same tree.  ``clique`` is
+    ``greedy_clique(g)``; its vertices are pre-colored."""
+    if g.m == 0:
+        return 1 if g.n else 0
+    lower = max(omega, len(clique))
+    greedy = _dsatur_greedy(g)
+    best = max(greedy.values())
+    if lower >= best:
+        return best
+
+    sat: list[set[int]] = [set() for _ in range(g.n)]
+    for c, v in enumerate(clique, start=1):
+        for w in g.adj[v]:
+            sat[w].add(c)
+    precolored = set(clique)
+    uncolored = [v for v in range(g.n) if v not in precolored]
+
+    def rec(used: int) -> None:
+        nonlocal best
+        if not counter.tick():
+            raise BudgetExceeded(
+                "chromatic search exceeded its node budget",
+                lower=lower, upper=best, nodes=counter.nodes,
+            )
+        if not uncolored:
+            if used < best:
+                best = used
+            return
+        v = max(uncolored, key=lambda u: (len(sat[u]), len(g.adj[u]), -u))
+        uncolored.remove(v)
+        cap = min(best - 1, used + 1)
+        for c in range(1, cap + 1):
+            if c in sat[v]:
+                continue
+            touched = [w for w in g.adj[v] if c not in sat[w]]
+            for w in touched:
+                sat[w].add(c)
+            rec(max(used, c))
+            for w in touched:
+                sat[w].discard(c)
+            if best <= lower:
+                break
+        uncolored.append(v)
+
+    rec(len(clique))
+    return best
+
+
+def reference_exact_stats(h: SimpleGraph, budget: int) -> ExactStats:
+    """``oracle.exact_stats`` with ``recursive_chromatic`` as the chromatic
+    search; the clique search and the seeds are the oracle's own."""
+    if h.n == 0:
+        return ExactStats(0, 0, 0)
+    counter = _Counter(budget)
+    clique = greedy_clique(h)
+    omega = _max_clique(h, counter, len(clique))
+    chi = recursive_chromatic(h, omega, counter, clique)
+    return ExactStats(chi, omega, counter.nodes)

@@ -367,6 +367,28 @@ def test_verify_text_rejects_malformed_line(np_file, tmp_path, capsys, edit,
     assert captured.err == message
 
 
+# the coloring file's colors and palette follow the graph reader's rule
+@pytest.mark.parametrize("token", ["x", "1_0", "+1", "\u0661"])
+@pytest.mark.parametrize("field", ["color", "palette"])
+def test_verify_text_reads_integers_as_the_graph_reader_does(
+        np_file, tmp_path, capsys, field, token):
+    path = _color_file(np_file, tmp_path)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("palette=") and lines[1].startswith("v A0 ")
+    if field == "palette":
+        lines[0] = f"palette={token}"
+        message = (f"error: line 1: palette must be a decimal integer, "
+                   f"got {token!r}\n")
+    else:
+        lines[1] = f"v A0 {token}"
+        message = (f"error: line 2: color of A0 must be a decimal integer, "
+                   f"got {token!r}\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", np_file, str(path)]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("text", ["p bip 2 2 7\ne 0 0\n",
                                   "p bip 2 2 0\ne 0 0\n",
                                   "p gen 3 1\ne 0 1\ne 1 2\n"])

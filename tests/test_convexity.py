@@ -29,7 +29,7 @@ from sqchroma.generators import (
 )
 from sqchroma.rng import SplitMix64
 
-from helpers import brute_force_c1p, random_bipartite
+from helpers import brute_force_c1p, random_bipartite, stack_depth
 
 
 def _order_is_valid(n_cols, rows, order):
@@ -91,18 +91,11 @@ def _nested_class_chain(n):
     return rows
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_deep_nesting_and_large_inputs_need_no_recursion():
     chain = _nested_class_chain(2000)
     g = gen_random_convex(2000, 2000, 30, seed=0)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
+    sys.setrecursionlimit(stack_depth() + 100)
     try:
         t0 = time.perf_counter()
         assert consecutive_order(2000, chain) == list(range(2000))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sqchroma.generators import (
 )
 from sqchroma.oracle import (
     ExactStats,
+    _dsatur_greedy,
     exact_chromatic,
     exact_clique,
     exact_stats,
@@ -27,6 +30,8 @@ from helpers import (
     naive_induced_cycles,
     naive_max_clique,
     random_bipartite,
+    reference_exact_stats,
+    stack_depth,
 )
 
 
@@ -164,6 +169,17 @@ def test_cycles_match_subset_enumeration(seed):
     assert got == expected
 
 
+def test_cycles_of_a_long_cycle_need_no_recursion():
+    c300 = cycle_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        cycles = find_induced_cycles(c300, 4, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cycles == [tuple(range(300))]
+
+
 def test_cycles_canonical_and_unique():
     g = cycle_graph(5)
     cycles = find_induced_cycles(g, 4, 5)
@@ -262,3 +278,82 @@ def test_exact_stats_search_effort_is_pinned():
            for s in range(12)]
     assert got == [ExactStats(*t) for t in _PINNED_CONVEX]
     assert exact_stats(square(gen_lower_bound_H(2))) == ExactStats(7, 7, 11)
+
+
+# ---------------------------------------------------------------------------
+# the chromatic search walks the tree of the recursive reference
+
+
+def _outcome(stats, h, budget):
+    """(chi, omega, nodes), or what the BudgetExceeded raised carries."""
+    try:
+        got = stats(h, budget)
+    except BudgetExceeded as exc:
+        return (str(exc), exc.nodes, exc.lower, exc.upper)
+    return (got.chi, got.omega, got.node_budget_used)
+
+
+def _assert_same_outcome(h, budget):
+    assert (_outcome(exact_stats, h, budget)
+            == _outcome(reference_exact_stats, h, budget)), budget
+
+
+def _assert_same_search(h):
+    """Same ExactStats as the reference, and the same BudgetExceeded at a
+    spread of budgets below the full count."""
+    want = reference_exact_stats(h, 10 ** 7)
+    assert exact_stats(h) == want
+    full = want.node_budget_used
+    for budget in sorted({0, 1, full // 3, full // 2, full - 1}):
+        if budget < full:
+            _assert_same_outcome(h, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 28),
+       st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]))
+def test_chromatic_search_matches_reference(seed, n, p):
+    _assert_same_search(gnp(seed, n, p))
+
+
+# nine vertices on which DSATUR uses four colors although three suffice,
+# so the chromatic search runs; vertices 9 on are a path
+_GADGET = [(0, 2), (0, 5), (0, 6), (0, 8), (1, 7), (1, 8), (2, 3), (2, 4),
+           (3, 7), (3, 8), (5, 6), (5, 7), (6, 7)]
+
+
+def gadget_and_path(k):
+    return SimpleGraph.from_edges(
+        9 + k, _GADGET + [(9 + i, 10 + i) for i in range(k - 1)])
+
+
+def test_chromatic_search_matches_reference_on_corpus():
+    for s in range(40):
+        _assert_same_search(gnp(s, 14 + s % 15, 0.3 + 0.1 * (s % 5)))
+    for s in range(60):
+        _assert_same_search(square(gen_random_convex(12, 12, 6, s)))
+    _assert_same_search(gadget_and_path(0))
+    _assert_same_search(gadget_and_path(30))
+    _assert_same_search(square(gen_lower_bound_H(2)))
+
+
+def test_chromatic_search_matches_reference_on_h4_square():
+    # the full count, 264 393, is pinned above; one node short of it the
+    # search stops with the same bounds as the reference
+    h = square(gen_lower_bound_H(4))
+    for budget in (1000, 50_000, 264_392):
+        _assert_same_outcome(h, budget)
+
+
+def test_chromatic_search_needs_no_recursion():
+    gadget = gadget_and_path(0)
+    assert max(_dsatur_greedy(gadget).values()) == 4
+    assert exact_stats(gadget).chi == 3
+    g = gadget_and_path(500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        stats = exact_stats(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (stats.chi, stats.omega) == (3, 3)
