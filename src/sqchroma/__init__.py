@@ -15,7 +15,6 @@ Library layout:
 from .core import (
     BipartiteGraph,
     SimpleGraph,
-    VertexRef,
     build_bipartite,
     complement,
     girth,

@@ -37,17 +37,17 @@ Step 3's loop-back re-derives the pivot instead of jumping to the swap
 partner directly; the two agree whenever the direct jump is sound, and
 re-deriving keeps every step covered by the supporting claims (pivot
 uniqueness, partner existence, strict pivot descent).  Those claims are
-asserted at runtime when ``check_invariants`` is on (the default); a
-failure raises AlgorithmInvariantViolation and would indicate an
-implementation bug, never bad input.  The finished coloring is always
-checked, independently of the layout, on the closed neighborhoods of G
-(``verify_square_coloring``) and raises the same error if it fails.
+always asserted at runtime; a failure raises AlgorithmInvariantViolation
+and would indicate an implementation bug, never bad input.  The finished
+coloring is always checked, independently of the layout, on the closed
+neighborhoods of G (``verify_square_coloring``) and raises the same error
+if it fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Sequence
@@ -175,10 +175,6 @@ class ExtensionState:
     palette: int
     colors: dict[int, int]
     j: int
-    pivot: int | None = None
-    pivot_color: int | None = None
-    partner: int | None = None
-    kempe_component: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         g, ivs = self.graph, self.layout.intervals
@@ -267,46 +263,53 @@ def find_pivot(state: ExtensionState) -> int:
     return min(candidates, key=lambda v: rank[v])
 
 
-def partner_color(state: ExtensionState) -> int:
-    """Lowest color other than the pivot's that avoids the pivot's
-    B-neighbors and <_A-later A-neighbors while appearing on some
-    <_A-earlier A-neighbor."""
-    a_c, x = state.pivot, state.pivot_color
+def partner_color(state: ExtensionState,
+                  pivot: int) -> tuple[int, int, frozenset[int]]:
+    """Partner color y of ``pivot``: the lowest color other than the
+    pivot's that avoids its shield (its B-neighbors and <_A-later
+    A-neighbors) while appearing on some <_A-earlier A-neighbor.
+
+    Returns y, the <_A-least earlier A-neighbor holding y, and the colors
+    on the shield, all from one pass over the pivot's neighbors in
+    H_{j+1}.
+    """
+    colors = state.colors
     n_a = state.graph.n_a
     rank = state.layout.a_rank
-    shielded: set[int] = set()   # colors on S
-    backward: set[int] = set()   # colors on earlier A-neighbors
-    for w in state.neighbors_next(a_c):
-        if w >= n_a or rank[w] > rank[a_c]:
-            shielded.add(state.colors[w])
-        else:
-            backward.add(state.colors[w])
+    shielded: set[int] = set()
+    holder: dict[int, int] = {}  # color -> <_A-least earlier A-neighbor
+    for w in state.neighbors_next(pivot):
+        c = colors[w]
+        if w >= n_a or rank[w] > rank[pivot]:
+            shielded.add(c)
+        elif c not in holder or rank[w] < rank[holder[c]]:
+            holder[c] = w
+    x = colors[pivot]
     for y in range(1, state.palette + 1):
-        if y != x and y not in shielded and y in backward:
-            return y
+        if y != x and y not in shielded and y in holder:
+            return y, holder[y], frozenset(shielded)
     raise AlgorithmInvariantViolation(
-        f"partner color not found for pivot A{a_c} at position {state.j}"
+        f"partner color not found for pivot A{pivot} at position {state.j}"
     )
 
 
-def kempe_swap(state: ExtensionState) -> Coloring:
-    """Swap pivot and partner colors on the bichromatic component of
-    H_{j+1} through the pivot; everything else is untouched."""
-    x, y = state.pivot_color, state.partner
+def kempe_swap(state: ExtensionState, pivot: int, y: int) -> frozenset[int]:
+    """Swap the pivot's color and ``y`` on the bichromatic component of
+    H_{j+1} through the pivot, in ``state.colors``; everything else is
+    untouched.  Returns the component."""
     colors = state.colors
-    component = {state.pivot}
-    stack = [state.pivot]
+    x = colors[pivot]
+    component = {pivot}
+    stack = [pivot]
     while stack:
         v = stack.pop()
         for w in state.neighbors_next(v):
             if w not in component and colors.get(w) in (x, y):
                 component.add(w)
                 stack.append(w)
-    new_colors = dict(colors)
     for v in component:
-        new_colors[v] = y if colors[v] == x else x
-    state.kempe_component = frozenset(component)
-    return Coloring(new_colors, state.palette)
+        colors[v] = y if colors[v] == x else x
+    return frozenset(component)
 
 
 def _free_color(used: set[int], palette: int, rule: str) -> int | None:
@@ -349,19 +352,20 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
         )
 
 
-def _assert_kempe_shape(state: ExtensionState) -> None:
-    """Component inside A; across consecutive distance layers (distances
-    in H_j from the pivot) the farther endpoint is <_A-smaller; vertices
-    at distance two or more have no B-neighbors in H_j."""
+def _assert_kempe_shape(state: ExtensionState, pivot: int,
+                        comp: frozenset[int]) -> None:
+    """Kempe component ``comp`` through ``pivot`` lies inside A; across
+    consecutive distance layers (distances in H_j from the pivot) the
+    farther endpoint is <_A-smaller; vertices at distance two or more have
+    no B-neighbors in H_j."""
     n_a = state.graph.n_a
-    comp = state.kempe_component
     outside = [v for v in comp if v >= n_a]
     if outside:
         raise AlgorithmInvariantViolation(
             f"Kempe component leaves A at position {state.j}: {outside}"
         )
-    dist = {state.pivot: 0}
-    frontier = [state.pivot]
+    dist = {pivot: 0}
+    frontier = [pivot]
     while frontier:
         nxt = []
         for u in frontier:
@@ -388,21 +392,20 @@ def _assert_kempe_shape(state: ExtensionState) -> None:
 
 
 def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
-                        check_invariants: bool = True,
                         trace: list[TraceEvent] | None = None,
                         free_color_rule: str = "lowest") -> Coloring:
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
-    omega comes from ``clique_number_square(g, layout)``.  ``trace``, when
-    given, collects (event, position, ...) tuples for the pivot / partner
-    / swap steps.
+    omega is ``layout.omega``.  The claims of Phase II are asserted as it
+    runs.  ``trace``, when given, collects (event, position, ...) tuples
+    for the pivot / partner / swap steps.
 
     ``free_color_rule`` picks among the free colors at steps 2 and 3.1;
     the guarantee holds for any choice, and the non-default ``highest``
     rule exists to drive the extension machinery (pivots, partner colors,
     Kempe swaps) hard in tests.  The deterministic default is ``lowest``.
     """
-    omega = clique_number_square(g, layout)
+    omega = layout.omega
     palette = (3 * omega) // 2
     phase1 = greedy_interval_coloring(layout.intervals)
     colors: dict[int, int] = dict(phase1.colors)
@@ -412,21 +415,14 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     state = ExtensionState(
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
     )
+    rank = layout.a_rank
     for j in range(g.n_b - 1, -1, -1):
         state.j = j
-        state.pivot = state.pivot_color = state.partner = None
         bjg = state.bj_global()
-        if check_invariants:
-            _assert_bj_cliques(state, omega)
+        _assert_bj_cliques(state, omega)
         nb = state.neighborhood_bj()
         prev_rank: int | None = None
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > len(nb) + 2:
-                raise AlgorithmInvariantViolation(
-                    f"pivot loop failed to terminate at position {j}"
-                )
+        for _ in range(len(nb) + 2):
             used = {colors[v] for v in nb}
             free = _free_color(used, palette, free_color_rule)
             if free is not None:
@@ -435,14 +431,12 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                     trace.append(("assign", j, state.bj_vertex(), free))
                 break
             a_c = find_pivot(state)
-            if (check_invariants and prev_rank is not None
-                    and layout.a_rank[a_c] >= prev_rank):
+            if prev_rank is not None and rank[a_c] >= prev_rank:
                 raise AlgorithmInvariantViolation(
                     f"pivot rank failed to decrease at position {j}"
                 )
-            prev_rank = layout.a_rank[a_c]
-            state.pivot, state.pivot_color = a_c, colors[a_c]
-            x = state.pivot_color
+            prev_rank = rank[a_c]
+            x = colors[a_c]
             if trace is not None:
                 trace.append(("pivot", j, a_c, x))
             closed_used = {colors[w] for w in state.neighbors_next(a_c)}
@@ -455,34 +449,20 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                     trace.append(("pivot_recolor", j, a_c, z))
                     trace.append(("assign", j, state.bj_vertex(), x))
                 break
-            y = partner_color(state)
-            state.partner = y
-            rank = layout.a_rank
-            backward_holders = [
-                w for w in state.neighbors_next(a_c)
-                if w < g.n_a and rank[w] < rank[a_c] and colors[w] == y
-            ]
-            if not backward_holders:
-                raise AlgorithmInvariantViolation(
-                    f"partner color {y} has no earlier holder at position {j}"
-                )
-            a_prime = min(backward_holders, key=lambda w: rank[w])
+            y, a_prime, shielded = partner_color(state, a_c)
             if trace is not None:
-                shielded = frozenset(
-                    colors[w] for w in state.neighbors_next(a_c)
-                    if w >= g.n_a or rank[w] > rank[a_c]
-                )
                 trace.append(("partner", j, y, a_prime, shielded))
-            swapped = kempe_swap(state)
-            if check_invariants:
-                _assert_kempe_shape(state)
-            colors.clear()
-            colors.update(swapped.colors)
+            comp = kempe_swap(state, a_c, y)
+            _assert_kempe_shape(state, a_c, comp)
             if trace is not None:
-                trace.append(("swap", j, x, y, len(state.kempe_component)))
+                trace.append(("swap", j, x, y, len(comp)))
             # loop: if x is now free around b_j the next pass assigns it
             # (the swap cannot free any other color); otherwise a strictly
             # smaller pivot takes over.
+        else:
+            raise AlgorithmInvariantViolation(
+                f"pivot loop failed to terminate at position {j}"
+            )
 
     palette_used = max(colors.values(), default=0)
     result = Coloring(colors, palette_used)

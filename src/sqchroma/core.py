@@ -29,36 +29,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 SIDE_A = "A"
 SIDE_B = "B"
-
-
-@dataclass(frozen=True)
-class VertexRef:
-    """Uniform address of a vertex of a bipartite graph or its square."""
-
-    side: str
-    index: int
-
-    def __post_init__(self):
-        if self.side not in (SIDE_A, SIDE_B):
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        if self.index < 0:
-            raise IndexError(f"negative vertex index {self.index}")
-
-    def to_global(self, n_a: int) -> int:
-        return self.index if self.side == SIDE_A else n_a + self.index
-
-    @classmethod
-    def from_global(cls, v: int, n_a: int) -> "VertexRef":
-        if v < n_a:
-            return cls(SIDE_A, v)
-        return cls(SIDE_B, v - n_a)
-
-    def __str__(self) -> str:
-        return f"{self.side}{self.index}"
 
 
 def vertex_names(n_a: int, n_b: int) -> list[str]:
@@ -111,11 +85,6 @@ class BipartiteGraph:
     @property
     def m(self) -> int:
         return sum(len(row) for row in self.adj)
-
-    def degree(self, ref: VertexRef) -> int:
-        if ref.side == SIDE_A:
-            return len(self.adj[ref.index])
-        return len(self.b_adj[ref.index])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, row in enumerate(self.adj) for b in row]
@@ -370,13 +339,3 @@ def read_bipartite_text(text: str) -> BipartiteGraph:
 def read_simple_text(text: str) -> SimpleGraph:
     return _build_graph("gen", *_parse_graph_lines(text))
 
-
-def relabel_b(g: BipartiteGraph, perm: Sequence[int]) -> BipartiteGraph:
-    """Rename B-vertices: vertex ``b`` becomes ``perm[b]``.  Test utility for
-    checking that squaring commutes with relabeling."""
-    if sorted(perm) != list(range(g.n_b)):
-        raise ValueError("perm is not a permutation of the B side")
-    return build_bipartite(
-        g.n_a, g.n_b,
-        [(a, perm[b]) for a, b in g.edges()],
-    )

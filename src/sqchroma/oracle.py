@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from .core import SimpleGraph, complement
@@ -83,19 +84,32 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
 
 
 def _dsatur_greedy(g: SimpleGraph) -> dict[int, int]:
+    """Greedy coloring in saturation order: the next vertex is the
+    uncolored one with the most distinct neighbor colors, then the highest
+    degree, then the lowest index, and it takes the lowest color no
+    neighbor holds.
+
+    A lazy max-heap keyed ``(len(sat), degree, -u)``, stored negated,
+    gets a new entry whenever a saturation grows.  Saturations only grow,
+    so a vertex's current entry pops before its stale ones; stale entries
+    and those of colored vertices are skipped.  O((n + m) log n).
+    """
     colors: dict[int, int] = {}
     sat: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if u not in colors),
-            key=lambda u: (len(sat[u]), len(g.adj[u]), -u),
-        )
+    heap = [(0, -len(nbrs), u) for u, nbrs in enumerate(g.adj)]
+    heapify(heap)
+    while heap:
+        s, _, v = heappop(heap)
+        if v in colors or -s != len(sat[v]):
+            continue
         c = 1
         while c in sat[v]:
             c += 1
         colors[v] = c
         for w in g.adj[v]:
-            sat[w].add(c)
+            if w not in colors and c not in sat[w]:
+                sat[w].add(c)
+                heappush(heap, (-len(sat[w]), -len(g.adj[w]), w))
     return colors
 
 

@@ -7,17 +7,61 @@ free of the code paths it checks.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
-from sqchroma.core import BipartiteGraph, SimpleGraph
+from sqchroma.core import (
+    SIDE_A,
+    SIDE_B,
+    BipartiteGraph,
+    SimpleGraph,
+    build_bipartite,
+)
 from sqchroma.errors import BudgetExceeded
 from sqchroma.oracle import (
     ExactStats,
     _Counter,
-    _dsatur_greedy,
     _max_clique,
     greedy_clique,
 )
+
+
+@dataclass(frozen=True)
+class VertexRef:
+    """Uniform address of a vertex of a bipartite graph or its square."""
+
+    side: str
+    index: int
+
+    def __post_init__(self):
+        if self.side not in (SIDE_A, SIDE_B):
+            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
+        if self.index < 0:
+            raise IndexError(f"negative vertex index {self.index}")
+
+    def to_global(self, n_a: int) -> int:
+        return self.index if self.side == SIDE_A else n_a + self.index
+
+    @classmethod
+    def from_global(cls, v: int, n_a: int) -> "VertexRef":
+        if v < n_a:
+            return cls(SIDE_A, v)
+        return cls(SIDE_B, v - n_a)
+
+    def __str__(self) -> str:
+        return f"{self.side}{self.index}"
+
+
+def relabel_b(g: BipartiteGraph, perm: Sequence[int]) -> BipartiteGraph:
+    """Rename B-vertices: vertex ``b`` becomes ``perm[b]``, for checking
+    that squaring commutes with relabeling."""
+    if sorted(perm) != list(range(g.n_b)):
+        raise ValueError("perm is not a permutation of the B side")
+    return build_bipartite(
+        g.n_a, g.n_b,
+        [(a, perm[b]) for a, b in g.edges()],
+    )
 
 
 def brute_force_c1p(n_cols: int, rows) -> list[int] | None:
@@ -197,6 +241,26 @@ def stack_depth() -> int:
     return depth
 
 
+def quadratic_dsatur_greedy(g: SimpleGraph) -> dict[int, int]:
+    """Greedy coloring in saturation order, rescanning every uncolored
+    vertex for the maximum ``(len(sat), degree, -u)`` at each step: the
+    reference for the heap version in ``oracle``."""
+    colors: dict[int, int] = {}
+    sat: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if u not in colors),
+            key=lambda u: (len(sat[u]), len(g.adj[u]), -u),
+        )
+        c = 1
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        for w in g.adj[v]:
+            sat[w].add(c)
+    return colors
+
+
 def recursive_chromatic(g: SimpleGraph, omega: int, counter: _Counter,
                         clique: list[int]) -> int:
     """The saturation-order branch and bound as one recursive call per
@@ -206,7 +270,7 @@ def recursive_chromatic(g: SimpleGraph, omega: int, counter: _Counter,
     if g.m == 0:
         return 1 if g.n else 0
     lower = max(omega, len(clique))
-    greedy = _dsatur_greedy(g)
+    greedy = quadratic_dsatur_greedy(g)
     best = max(greedy.values())
     if lower >= best:
         return best

@@ -61,7 +61,7 @@ def _color_instance(g) -> ColoredInstance:
     layout = recognize_convex(g)
     assert isinstance(layout, ConvexLayout)
     omega = clique_number_square(g, layout)
-    coloring = color_square_convex(g, layout, check_invariants=True)
+    coloring = color_square_convex(g, layout)
     assert verify_coloring(square(g), coloring)
     return ColoredInstance(g, layout, omega, coloring.palette,
                            time.perf_counter() - t0)
@@ -289,8 +289,7 @@ def test_criterion_9_proof_assertions(small_corpus, large_corpus,
         trace = []
         try:
             coloring = color_square_convex(
-                g, layout, check_invariants=True,
-                trace=trace, free_color_rule="highest",
+                g, layout, trace=trace, free_color_rule="highest",
             )
         except AlgorithmInvariantViolation as exc:  # pragma: no cover
             pytest.fail(f"invariant violation: {exc}")

@@ -330,8 +330,8 @@ def test_partner_color_lowest_qualifying():
         {0: 5, 1: 1, 2: 2, 3: 3, 4: 4, 7: 6, 8: 7},
         j=1, palette=9,
     )
-    state.pivot, state.pivot_color = 2, 2
-    assert partner_color(state) == 1
+    # shield: a0 (5), a3 (3) and b2 (6)
+    assert partner_color(state, 2) == (1, 1, frozenset({3, 5, 6}))
 
 
 def test_partner_color_shield_excludes():
@@ -341,8 +341,7 @@ def test_partner_color_shield_excludes():
         {0: 5, 1: 3, 2: 2, 3: 1, 4: 4, 7: 6, 8: 7},
         j=1, palette=9,
     )
-    state.pivot, state.pivot_color = 2, 2
-    assert partner_color(state) == 3
+    assert partner_color(state, 2) == (3, 1, frozenset({1, 5, 6}))
 
 
 def test_partner_color_pivot_without_b_neighbors():
@@ -352,9 +351,8 @@ def test_partner_color_pivot_without_b_neighbors():
         {0: 6, 1: 1, 2: 2, 3: 3, 4: 4},
         j=4, palette=9,
     )
-    state.pivot, state.pivot_color = 2, 2
     # shield: a0 (rank above a2, color 6) and a3 (color 3); backward: a1
-    assert partner_color(state) == 1
+    assert partner_color(state, 2) == (1, 1, frozenset({3, 6}))
 
 
 def test_partner_color_empty_shield_gives_lowest():
@@ -364,8 +362,17 @@ def test_partner_color_empty_shield_gives_lowest():
         {0: 2, 1: 4, 2: 5, 3: 3, 4: 1},
         j=4, palette=6,
     )
-    state.pivot, state.pivot_color = 4, 1
-    assert partner_color(state) == 2
+    assert partner_color(state, 4) == (2, 0, frozenset())
+
+
+def test_partner_color_least_earlier_holder():
+    # a1 and a3 both hold color 1 and both come before the pivot a0
+    # (<_A is a1, a2, a3, a0, a4); a1 is the <_A-least of them
+    state = _gadget_state(
+        {0: 2, 1: 1, 2: 3, 3: 1, 4: 4},
+        j=4, palette=6,
+    )
+    assert partner_color(state, 0) == (1, 1, frozenset({4}))
 
 
 def test_partner_color_no_backward_holder_raises():
@@ -375,23 +382,16 @@ def test_partner_color_no_backward_holder_raises():
         {0: 4, 1: 3, 2: 1, 3: 2, 4: 5},
         j=4, palette=6,
     )
-    state.pivot, state.pivot_color = 1, 3
     with pytest.raises(AlgorithmInvariantViolation):
-        partner_color(state)
+        partner_color(state, 1)
 
 
 def test_kempe_swap_singleton_component():
     # pivot a4 colored 1; partner color 6 appears nowhere adjacent
-    state = _gadget_state(
-        {0: 5, 1: 2, 2: 3, 3: 4, 4: 1, 9: 2},
-        j=3, palette=6,
-    )
-    state.pivot, state.pivot_color, state.partner = 4, 1, 6
-    swapped = kempe_swap(state)
-    assert state.kempe_component == frozenset({4})
-    assert swapped.colors[4] == 6
-    assert all(swapped.colors[v] == state.colors[v]
-               for v in state.colors if v != 4)
+    before = {0: 5, 1: 2, 2: 3, 3: 4, 4: 1, 9: 2}
+    state = _gadget_state(before, j=3, palette=6)
+    assert kempe_swap(state, 4, 6) == frozenset({4})
+    assert state.colors == {**before, 4: 6}
 
 
 def test_kempe_swap_distant_component_untouched():
@@ -401,11 +401,15 @@ def test_kempe_swap_distant_component_untouched():
         {0: 5, 1: 1, 2: 2, 3: 3, 4: 1, 9: 4},
         j=4, palette=6,
     )
-    state.pivot, state.pivot_color, state.partner = 1, 1, 2
-    swapped = kempe_swap(state)
-    assert 4 not in state.kempe_component
-    assert swapped.colors[4] == 1
-    assert swapped.colors[1] == 2 and swapped.colors[2] == 1
+    comp = kempe_swap(state, 1, 2)
+    assert 4 not in comp
+    assert state.colors[4] == 1
+    assert state.colors[1] == 2 and state.colors[2] == 1
+
+
+def _proper_where_colored(sq, colors):
+    return all(colors[u] != colors[v] for u, v in sq.edges()
+               if u in colors and v in colors)
 
 
 def test_full_step32_sequence_on_constructed_state():
@@ -417,30 +421,77 @@ def test_full_step32_sequence_on_constructed_state():
     sq = square(g)
     # proper on H_{j+1} for j=0 (all of A plus b1..b4)
     colors = {0: 5, 1: 1, 2: 2, 3: 3, 4: 4, 6: 3, 7: 4, 8: 6, 9: 2}
-    for u in range(sq.n):
-        for v in sq.adj[u]:
-            if u in colors and v in colors:
-                assert colors[u] != colors[v]
+    assert _proper_where_colored(sq, colors)
     state = ExtensionState(graph=g, layout=layout, palette=6,
                            colors=dict(colors), j=0)
     a_c = 2  # pretend pivot mid-loop (color 2 unique in its round)
-    state.pivot, state.pivot_color = a_c, colors[a_c]
-    y = partner_color(state)
+    y, a_prime, _shielded = partner_color(state, a_c)
     assert y == 1  # a1's color: absent from a2's shield
-    state.partner = y
-    rank = layout.a_rank
-    holders = [w for w in state.neighbors_next(a_c)
-               if w < g.n_a and rank[w] < rank[a_c]
-               and state.colors[w] == y]
-    a_prime = min(holders, key=lambda w: rank[w])
-    assert rank[a_prime] < rank[a_c]
-    swapped = kempe_swap(state)
-    assert all(v < g.n_a for v in state.kempe_component)
-    assert swapped.colors[a_c] == y and swapped.colors[a_prime] == state.pivot_color
-    for u in range(sq.n):
-        for v in sq.adj[u]:
-            if u in swapped.colors and v in swapped.colors:
-                assert swapped.colors[u] != swapped.colors[v]
+    assert a_prime == 1 and layout.a_rank[a_prime] < layout.a_rank[a_c]
+    comp = kempe_swap(state, a_c, y)
+    assert all(v < g.n_a for v in comp)
+    coloring_module._assert_kempe_shape(state, a_c, comp)
+    assert state.colors[a_c] == y and state.colors[a_prime] == colors[a_c]
+    assert _proper_where_colored(sq, state.colors)
+
+
+def _kempe_violation(j, pivot, comp):
+    state = _gadget_state({}, j=j, palette=6)
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        coloring_module._assert_kempe_shape(state, pivot, frozenset(comp))
+    return str(err.value)
+
+
+def test_kempe_shape_component_leaves_a():
+    # b2 (global 7) in the component of pivot a2
+    assert _kempe_violation(1, 2, {2, 7}) == (
+        "Kempe component leaves A at position 1: [7]")
+
+
+def test_kempe_shape_layer_order():
+    # a2 is a neighbor of the pivot a1, so one layer farther out, but it
+    # comes after a1 in <_A
+    assert _kempe_violation(1, 1, {1, 2}) == (
+        "Kempe layer order violated: farther vertex not <_A-smaller "
+        "at position 1")
+
+
+def test_kempe_shape_far_vertex_with_b_neighbor():
+    # a1 is at distance 2 from the pivot a4 (through a0) and keeps b0 and
+    # b1 in H_0
+    assert _kempe_violation(0, 4, {4, 1}) == (
+        "Kempe vertex at distance >= 2 keeps a B-neighbor in H_j "
+        "at position 0")
+
+
+def _drive_step3(monkeypatch, pivots):
+    """Make every free-color lookup fail and step 3 succeed trivially, so
+    the pivot loop runs on the pivots given, one per round."""
+    monkeypatch.setattr(coloring_module, "_free_color", lambda *args: None)
+    monkeypatch.setattr(coloring_module, "find_pivot",
+                        lambda state, it=iter(pivots): next(it))
+    monkeypatch.setattr(coloring_module, "partner_color",
+                        lambda state, pivot: (1, pivot, frozenset()))
+    monkeypatch.setattr(coloring_module, "kempe_swap",
+                        lambda state, pivot, y: frozenset({pivot}))
+    monkeypatch.setattr(coloring_module, "_assert_kempe_shape",
+                        lambda state, pivot, comp: None)
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        color_square_convex(_GADGET, recognize_convex(_GADGET))
+    return str(err.value)
+
+
+def test_pivot_rank_must_decrease(monkeypatch):
+    # the first position is 4; a0 twice in a row does not descend
+    assert _drive_step3(monkeypatch, [0, 0]) == (
+        "pivot rank failed to decrease at position 4")
+
+
+def test_pivot_loop_bounded(monkeypatch):
+    # N(b_4) in H_4 is {a0, a4}, so the loop allows 2 + 2 rounds; four
+    # descending pivots (<_A is a1, a2, a3, a0, a4) use them all up
+    assert _drive_step3(monkeypatch, [4, 0, 3, 2, 1]) == (
+        "pivot loop failed to terminate at position 4")
 
 
 # ---------------------------------------------------------------------------

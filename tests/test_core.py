@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sqchroma.core import (
     BipartiteGraph,
     SimpleGraph,
-    VertexRef,
     build_bipartite,
     complement,
     girth,
@@ -18,7 +17,6 @@ from sqchroma.core import (
     read_bipartite_text,
     read_graph_text,
     read_simple_text,
-    relabel_b,
     square,
     square_simple,
     vertex_names,
@@ -27,7 +25,7 @@ from sqchroma.core import (
 )
 from sqchroma.generators import gen_named
 
-from helpers import naive_girth, random_bipartite
+from helpers import VertexRef, naive_girth, random_bipartite, relabel_b
 from sqchroma.rng import SplitMix64
 
 

@@ -29,6 +29,7 @@ from helpers import (
     naive_chromatic,
     naive_induced_cycles,
     naive_max_clique,
+    quadratic_dsatur_greedy,
     random_bipartite,
     reference_exact_stats,
     stack_depth,
@@ -343,6 +344,28 @@ def test_chromatic_search_matches_reference_on_h4_square():
     h = square(gen_lower_bound_H(4))
     for budget in (1000, 50_000, 264_392):
         _assert_same_outcome(h, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 40),
+       st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+def test_dsatur_greedy_matches_quadratic_reference(seed, n, p):
+    g = gnp(seed, n, p)
+    got = _dsatur_greedy(g)
+    want = quadratic_dsatur_greedy(g)
+    # the same vertices in the same order, with the same colors
+    assert list(got.items()) == list(want.items())
+
+
+def test_dsatur_greedy_matches_quadratic_reference_on_squares():
+    for g in [gadget_and_path(0), gadget_and_path(30),
+              square(gen_lower_bound_H(4))]:
+        assert list(_dsatur_greedy(g).items()) == list(
+            quadratic_dsatur_greedy(g).items())
+    for s in range(30):
+        g = square(gen_random_convex(12, 12, 6, s))
+        assert list(_dsatur_greedy(g).items()) == list(
+            quadratic_dsatur_greedy(g).items())
 
 
 def test_chromatic_search_needs_no_recursion():
