@@ -33,7 +33,7 @@ for cycle in find_induced_cycles(sq, 4, sq.n):
     print(f"   private interior neighbors: "
           f"{', '.join(names[v] for v in report.private_bs) or '(none)'}"
           f"   common witness: {names[report.common_a]}")
-    print(f"   two vertices on B: {check_partite_count(g, layout, cycle)},"
+    print(f"   two vertices on B: {check_partite_count(g, layout, report)},"
           f" interior empty: {interior_emptiness(g, layout, report)}")
 
 print(f"cycle lengths contiguous from 4: {cycle_spectrum_check(g, layout)}")

@@ -39,7 +39,7 @@ from .coloring import (
     color_square_convex,
     verify_square_coloring,
 )
-from .convexity import NonConvexWitness, recognize_biconvex, recognize_convex
+from .convexity import NonConvexWitness, consecutive_order, recognize_convex
 from .core import (
     BipartiteGraph,
     SimpleGraph,
@@ -179,8 +179,9 @@ def _cmd_recognize(args) -> int:
         print(f"violating A-vertex: A{result.violating_a}")
         print("gap triple (B-vertices):", " ".join(map(str, result.gap)))
         return 0
-    bic = recognize_biconvex(g)
-    print("BICONVEX" if bic is not None else "CONVEX")
+    # biconvex: the B-order in hand, plus an A-order for the B-neighborhoods
+    biconvex = consecutive_order(g.n_a, g.b_adj) is not None
+    print("BICONVEX" if biconvex else "CONVEX")
     print("b-order:", " ".join(str(b) for b in result.b_seq))
     print("a-order:", " ".join(str(a) for a in result.a_order))
     print("intervals (A-vertex: left right):")
@@ -254,7 +255,7 @@ def _cmd_structure(args) -> int:
     passed = 0
     for cyc in cycles:
         report = verify_cycle_structure(g, layout, cyc)
-        two_on_b = check_partite_count(g, layout, cyc)
+        two_on_b = check_partite_count(g, layout, report)
         interior = interior_emptiness(g, layout, report)
         ok = report.ok and two_on_b and interior
         passed += ok

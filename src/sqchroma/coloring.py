@@ -403,8 +403,12 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     ``free_color_rule`` picks among the free colors at steps 2 and 3.1;
     the guarantee holds for any choice, and the non-default ``highest``
     rule exists to drive the extension machinery (pivots, partner colors,
-    Kempe swaps) hard in tests.  The deterministic default is ``lowest``.
+    Kempe swaps) hard in tests.  The deterministic default is ``lowest``;
+    any other rule raises ValueError.
     """
+    if free_color_rule not in ("lowest", "highest"):
+        raise ValueError(f"free_color_rule must be 'lowest' or 'highest', "
+                         f"got {free_color_rule!r}")
     omega = layout.omega
     palette = (3 * omega) // 2
     phase1 = greedy_interval_coloring(layout.intervals)

@@ -485,19 +485,10 @@ def order_A(g: BipartiteGraph, layout: ConvexLayout) -> tuple[int, ...]:
         raise LayoutMismatch("layout sizes disagree with the graph")
     if sorted(layout.b_pos) != list(range(g.n_b)):
         raise LayoutMismatch("b_pos is not a permutation")
-    for a in range(g.n_a):
-        nbrs = g.adj[a]
-        iv = layout.intervals[a]
-        if not nbrs:
-            if iv is not None:
-                raise LayoutMismatch(f"isolated A{a} carries an interval")
-            continue
-        if iv is None:
-            raise LayoutMismatch(f"A{a} has neighbors but no interval")
-        ps = sorted(layout.b_pos[b] for b in nbrs)
-        if (ps[0], ps[-1]) != iv or ps[-1] - ps[0] + 1 != len(ps):
-            raise LayoutMismatch(f"interval of A{a} disagrees with N(A{a})")
-    return _compute_a_order(g, layout.intervals)
+    rebuilt = layout_from_order(g, layout.b_seq)
+    if rebuilt.intervals != layout.intervals:
+        raise LayoutMismatch("layout intervals disagree with the graph")
+    return rebuilt.a_order
 
 
 def recognize_biconvex(g: BipartiteGraph) -> BiconvexLayout | None:

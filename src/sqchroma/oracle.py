@@ -130,21 +130,12 @@ def exact_stats(h: SimpleGraph, budget: int | None = None) -> ExactStats:
     return ExactStats(chi, omega, counter.nodes)
 
 
-def exact_clique(h: SimpleGraph, budget: int | None = None,
-                 initial: list[int] | None = None) -> int:
-    """Exact maximum clique size; ``initial`` may seed the search with a
-    known clique (its size is taken on faith as a lower bound)."""
+def exact_clique(h: SimpleGraph, budget: int | None = None) -> int:
+    """Exact maximum clique size, searched from a greedy clique."""
     if h.n == 0:
         return 0
-    best = len(greedy_clique(h))
-    if initial is not None:
-        for i, u in enumerate(initial):
-            for v in initial[i + 1:]:
-                if v not in h.adj[u]:
-                    raise ValueError("initial vertex set is not a clique")
-        best = max(best, len(initial))
     counter = _Counter(budget if budget is not None else _budget())
-    return _max_clique(h, counter, best)
+    return _max_clique(h, counter, len(greedy_clique(h)))
 
 
 def _color_bound(g: SimpleGraph, cands: list[int]) -> list[tuple[int, int]]:

@@ -17,10 +17,13 @@ k >= 4 must admit:
   P3  one A-vertex adjacent (in g) to the whole B-run from v_k to
       v_{k-1}.
 
-``verify_cycle_structure`` searches the 2k rotations/reflections for the
-P1 labeling and then checks P2 and P3; on a valid convex input a failure
-is impossible, so it raises AlgorithmInvariantViolation rather than
-returning a falsified report.
+P1 leaves one labeling to try: the cycle's only two B-vertices must be
+neighbors on it and come last, and P2's rising path fixes the direction.
+``verify_cycle_structure`` checks the cycle is induced, builds that
+labeling and checks P1, P2 and P3 on it once; on a valid convex input a
+failure is impossible, so it raises AlgorithmInvariantViolation rather
+than returning a falsified report.  The checks that read a
+``StructureReport`` rely on that validation instead of repeating it.
 
 Every check reads ``square(g)``, which is built once per graph and then
 cached on it, so checking each of a graph's cycles builds one square.  A
@@ -120,34 +123,28 @@ def is_AB_path(g: BipartiteGraph, layout: ConvexLayout,
 
 def verify_cycle_structure(g: BipartiteGraph, layout: ConvexLayout,
                            cycle: Sequence[int]) -> StructureReport:
-    """Find the P1 labeling of an induced cycle in square(g) and verify
-    P2 and P3 against it.  Raises NotInducedCycle on a bad input cycle
-    and AlgorithmInvariantViolation if no labeling satisfies the theorem
-    (impossible for convex inputs unless the implementation is wrong)."""
-    sq = square(g)
-    _check_induced_cycle(sq, cycle)
+    """Build the one candidate P1 labeling of an induced cycle in
+    square(g) and verify P1, P2 and P3 against it.  Raises
+    NotInducedCycle on a bad input cycle and AlgorithmInvariantViolation
+    if the labeling does not exist or fails the theorem (impossible for
+    convex inputs unless the implementation is wrong)."""
+    _check_induced_cycle(square(g), cycle)
     k = len(cycle)
     n_a = g.n_a
-    pos = layout.b_pos
-    rank = layout.a_rank
-
-    rotations = []
-    cyc = list(cycle)
-    for start in range(k):
-        rot = cyc[start:] + cyc[:start]
-        rotations.append(rot)
-        rotations.append([rot[0]] + rot[1:][::-1])
-
-    for lab in rotations:
-        a_path = lab[: k - 2]
-        v_k1, v_k = lab[k - 2], lab[k - 1]
-        if v_k < n_a or v_k1 < n_a:
-            continue
-        if not is_AB_path(g, layout, a_path, v_k, v_k1):
-            continue
-        report = _verify_p2_p3(g, layout, lab, a_path, v_k, v_k1)
-        if report is not None:
-            return report
+    b_at = [i for i, v in enumerate(cycle) if v >= n_a]
+    # the path holds k - 2 A-vertices, so the two B-vertices are the last
+    # two labels and neighbors on the cycle; the path starts after them
+    if len(b_at) == 2 and b_at[1] - b_at[0] in (1, k - 1):
+        start = b_at[1] + 1 if b_at[1] - b_at[0] == 1 else 1
+        lab = list(cycle[start:]) + list(cycle[:start])
+        if layout.a_rank[lab[0]] > layout.a_rank[lab[k - 3]]:
+            # P2's path rises under <_A: take the reflection
+            lab = lab[k - 3::-1] + [lab[k - 1], lab[k - 2]]
+        a_path, v_k1, v_k = lab[:k - 2], lab[k - 2], lab[k - 1]
+        if is_AB_path(g, layout, a_path, v_k, v_k1):
+            report = _verify_p2_p3(g, layout, lab, a_path, v_k, v_k1)
+            if report is not None:
+                return report
     raise AlgorithmInvariantViolation(
         f"no labeling of cycle {tuple(cycle)} satisfies the structure "
         "theorem; the input should make this impossible"
@@ -205,10 +202,11 @@ def _verify_p2_p3(g: BipartiteGraph, layout: ConvexLayout, lab: list[int],
 
 
 def check_partite_count(g: BipartiteGraph, layout: ConvexLayout,
-                        cycle: Sequence[int]) -> bool:
-    """Exactly two cycle vertices on the consecutively-ordered side B."""
-    _check_induced_cycle(square(g), cycle)
-    return sum(1 for v in cycle if v >= g.n_a) == 2
+                        report: StructureReport) -> bool:
+    """Exactly two vertices of the report's cycle, which
+    ``verify_cycle_structure`` has checked is induced, on the
+    consecutively-ordered side B."""
+    return sum(1 for v in report.cycle if v >= g.n_a) == 2
 
 
 def interior_emptiness(g: BipartiteGraph, layout: ConvexLayout,
@@ -271,9 +269,8 @@ def perfectness_partite_tests(g: BipartiteGraph) -> PerfectnessReport:
     """Evaluate on square(g): C5-free => perfect, C4-free => chordal,
     biconvex => (C5-free and perfect)."""
     sq = square(g)
-    c4 = bool(find_induced_cycles(sq, 4, 4))
-    c5 = bool(find_induced_cycles(sq, 5, 5))
-    chordal = not find_induced_cycles(sq, 4, sq.n)
+    lengths = {len(c) for c in find_induced_cycles(sq, 4, sq.n)}
+    c4, c5, chordal = 4 in lengths, 5 in lengths, not lengths
     perfect = is_perfect_small(sq)
     biconvex = recognize_biconvex(g) is not None
     return PerfectnessReport(

@@ -11,19 +11,27 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
+from sqchroma.convexity import ConvexLayout
 from sqchroma.core import (
     SIDE_A,
     SIDE_B,
     BipartiteGraph,
     SimpleGraph,
     build_bipartite,
+    square,
 )
-from sqchroma.errors import BudgetExceeded
+from sqchroma.errors import AlgorithmInvariantViolation, BudgetExceeded
 from sqchroma.oracle import (
     ExactStats,
     _Counter,
     _max_clique,
     greedy_clique,
+)
+from sqchroma.structure import (
+    StructureReport,
+    _check_induced_cycle,
+    _verify_p2_p3,
+    is_AB_path,
 )
 
 
@@ -323,3 +331,37 @@ def reference_exact_stats(h: SimpleGraph, budget: int) -> ExactStats:
     omega = _max_clique(h, counter, len(clique))
     chi = recursive_chromatic(h, omega, counter, clique)
     return ExactStats(chi, omega, counter.nodes)
+
+
+def rotation_verify_cycle_structure(g: BipartiteGraph, layout: ConvexLayout,
+                                    cycle: Sequence[int]) -> StructureReport:
+    """Reference for ``verify_cycle_structure``: try all 2k rotations and
+    reflections of the cycle as P1 labelings and return the first that
+    passes P1, P2 and P3.  It shares the per-labeling checks and differs
+    only in how the labeling is chosen."""
+    sq = square(g)
+    _check_induced_cycle(sq, cycle)
+    k = len(cycle)
+    n_a = g.n_a
+
+    rotations = []
+    cyc = list(cycle)
+    for start in range(k):
+        rot = cyc[start:] + cyc[:start]
+        rotations.append(rot)
+        rotations.append([rot[0]] + rot[1:][::-1])
+
+    for lab in rotations:
+        a_path = lab[: k - 2]
+        v_k1, v_k = lab[k - 2], lab[k - 1]
+        if v_k < n_a or v_k1 < n_a:
+            continue
+        if not is_AB_path(g, layout, a_path, v_k, v_k1):
+            continue
+        report = _verify_p2_p3(g, layout, lab, a_path, v_k, v_k1)
+        if report is not None:
+            return report
+    raise AlgorithmInvariantViolation(
+        f"no labeling of cycle {tuple(cycle)} satisfies the structure "
+        "theorem; the input should make this impossible"
+    )

@@ -206,7 +206,7 @@ def test_criterion_6_structure_theorems(small_colored):
         for cyc in find_induced_cycles(sq, 4, sq.n):
             report = verify_cycle_structure(g, layout, cyc)
             assert report.ok
-            assert check_partite_count(g, layout, cyc)
+            assert check_partite_count(g, layout, report)
             assert interior_emptiness(g, layout, report)
             cycles_checked += 1
         assert cycle_spectrum_check(g, layout)

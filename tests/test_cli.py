@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sqchroma import cli, coloring, oracle
+from sqchroma import cli, coloring, convexity, oracle
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
 from sqchroma.convexity import ConvexLayout
 from sqchroma.core import (
@@ -48,6 +48,24 @@ def test_recognize_biconvex_output(tmp_path, capsys):
     path.write_text(write_bipartite_text(gen_named("biconvex")))
     assert run(["recognize", str(path)]) == 0
     assert capsys.readouterr().out.startswith("BICONVEX")
+
+
+def test_recognize_runs_the_b_side_recognition_once(tmp_path, capsys,
+                                                    monkeypatch):
+    calls = []
+    real = convexity.recognize_convex
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli, "recognize_convex", counted)
+    monkeypatch.setattr(convexity, "recognize_convex", counted)
+    path = tmp_path / "bc.bip"
+    path.write_text(write_bipartite_text(gen_named("biconvex")))
+    assert run(["recognize", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("BICONVEX")
+    assert len(calls) == 1
 
 
 def test_recognize_nonconvex_output(nonconvex_file, capsys):

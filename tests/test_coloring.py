@@ -215,6 +215,13 @@ def test_color_deterministic():
 # the corpus)
 
 
+@pytest.mark.parametrize("rule", ["Highest", "", "random"])
+def test_color_unknown_free_color_rule_raises(rule):
+    g = gen_named("not_perfect")
+    with pytest.raises(ValueError, match="'lowest' or 'highest'"):
+        color_square_convex(g, recognize_convex(g), free_color_rule=rule)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_color_highest_rule_still_within_bound(seed):

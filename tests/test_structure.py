@@ -2,10 +2,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqchroma.convexity import recognize_convex
-from sqchroma.core import girth, half_square, max_degree, square, square_simple
-from sqchroma.errors import NotInducedCycle
-from sqchroma.generators import gen_girth7, gen_named, gen_random_biconvex, gen_random_convex
+from sqchroma import cli, structure
+from sqchroma.convexity import ConvexLayout, recognize_convex
+from sqchroma.core import (
+    girth,
+    half_square,
+    max_degree,
+    square,
+    square_simple,
+    write_bipartite_text,
+)
+from sqchroma.errors import AlgorithmInvariantViolation, NotInducedCycle
+from sqchroma.generators import (
+    gen_girth7,
+    gen_lower_bound_H,
+    gen_named,
+    gen_random_biconvex,
+    gen_random_convex,
+)
 from sqchroma.oracle import exact_clique, find_induced_cycles
 from sqchroma.rng import SplitMix64
 from sqchroma.structure import (
@@ -20,7 +34,7 @@ from sqchroma.structure import (
     verify_cycle_structure,
 )
 
-from helpers import maximal_cliques, random_bipartite
+from helpers import maximal_cliques, random_bipartite, rotation_verify_cycle_structure
 
 
 NP = gen_named("not_perfect")
@@ -63,7 +77,7 @@ def test_structure_of_figure_c5():
     assert report.b_end_low == 4 and report.b_end_high == 7  # v5, v4
     assert report.private_bs == (5, 6)  # b1, b2
     assert report.common_a == 0  # the vertex a sees all of B
-    assert check_partite_count(NP, NP_LAYOUT, (1, 2, 3, 7, 4))
+    assert check_partite_count(NP, NP_LAYOUT, report)
     assert interior_emptiness(NP, NP_LAYOUT, report)
 
 
@@ -86,6 +100,57 @@ def test_structure_rejects_triangle_and_chords():
         verify_cycle_structure(NP, NP_LAYOUT, (0, 1, 2, 3))
 
 
+def test_structure_no_labeling_raises():
+    # with <_A reversed, the C5's A-path rises as (3, 2, 1), but then its
+    # first vertex owns the <_B-later B-end, so no labeling passes P1
+    reversed_a = ConvexLayout(NP_LAYOUT.b_pos, NP_LAYOUT.intervals,
+                              NP_LAYOUT.a_order[::-1])
+    with pytest.raises(AlgorithmInvariantViolation,
+                       match="no labeling of cycle"):
+        verify_cycle_structure(NP, reversed_a, (1, 2, 3, 7, 4))
+    with pytest.raises(AlgorithmInvariantViolation,
+                       match="no labeling of cycle"):
+        rotation_verify_cycle_structure(NP, reversed_a, (1, 2, 3, 7, 4))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_structure_matches_rotation_search_on_lower_bound_family(q):
+    g = gen_lower_bound_H(q)
+    layout = recognize_convex(g)
+    sq = square(g)
+    for cyc in find_induced_cycles(sq, 4, sq.n):
+        assert verify_cycle_structure(g, layout, cyc) == \
+            rotation_verify_cycle_structure(g, layout, cyc), cyc
+
+
+def _count_calls(monkeypatch, module, name):
+    counts = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_structure_run_checks_each_cycle_once(tmp_path, monkeypatch, capsys):
+    # one labeling per cycle: each of H(4)'s 1152 holes is checked for
+    # inducedness once and goes through P1 and P2/P3 once
+    path = tmp_path / "h4.bip"
+    path.write_text(write_bipartite_text(gen_lower_bound_H(4)))
+    counts = {name: _count_calls(monkeypatch, structure, name)
+              for name in ("_check_induced_cycle", "is_AB_path",
+                           "_verify_p2_p3")}
+    assert cli.run(["structure", str(path), "--summary"]) == 0
+    assert capsys.readouterr().out == \
+        "cycles=1152 passed=1152 spectrum_contiguous=True\n"
+    assert {name: c[0] for name, c in counts.items()} == {
+        "_check_induced_cycle": 1152, "is_AB_path": 1152,
+        "_verify_p2_p3": 1152}
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_structure_corpus(seed):
@@ -96,7 +161,8 @@ def test_structure_corpus(seed):
     for cyc in find_induced_cycles(sq, 4, sq.n):
         report = verify_cycle_structure(g, layout, cyc)
         assert report.ok
-        assert check_partite_count(g, layout, cyc)
+        assert report == rotation_verify_cycle_structure(g, layout, cyc)
+        assert check_partite_count(g, layout, report)
         assert interior_emptiness(g, layout, report)
         assert cycle_meets_both_sides(g, layout, cyc)
     assert cycle_spectrum_check(g, layout)
@@ -111,7 +177,8 @@ def test_partite_count_forces_k4_on_biconvex():
         sq = square(g)
         for cyc in find_induced_cycles(sq, 4, sq.n):
             assert len(cyc) == 4
-            assert check_partite_count(g, layout, cyc)
+            report = verify_cycle_structure(g, layout, cyc)
+            assert check_partite_count(g, layout, report)
 
 
 # ---------------------------------------------------------------------------
