@@ -30,7 +30,14 @@ Cost, for m rows and N = the sum of row sizes: O(N) dictionary and set
 operations to place rows, assemble and check the result; to find the
 classes, O(N) bit-set operations on m-bit integers plus one subset test
 per unqueued row that meets a placed row without containing it; and the
-sorts.
+sorts.  Rows arrive as the sorted tuples ``BipartiteGraph.adj`` holds and
+are deduplicated and sorted as such.  Placing a row collects the cells
+its columns lie in as one set and tests each cell at the ends and inside
+its run for fullness as a subset of the row; a subset test stops at the
+smaller size, so this costs O(|row|) without counting columns per cell.
+One pass reads the first and last position of every row under the final
+order: it checks the row against the order (fail closed) and gives the
+row's interval.
 
 When a class fails, the complete classes and the partial arrangements of
 the failed ones are assembled the same way.  Every placed row is
@@ -46,7 +53,6 @@ interval and precede everything in <_A.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
@@ -145,10 +151,6 @@ class _ArrangementError(SqchromaError):
 # Consecutive arrangement engine
 
 
-def _row_key(row: frozenset) -> tuple:
-    return (len(row), tuple(sorted(row)))
-
-
 class _Cells:
     """Ordered partition of the columns of the rows placed so far in one
     overlap class: a doubly linked list of cells (-1 ends it) and the cell
@@ -202,8 +204,9 @@ class _Cells:
         reversal; the new columns then go last.)
         """
         members, prev, nxt = self.members, self.prev, self.next
-        hit = Counter(map(self.cell_of.get, row))  # cell -> columns of row
-        has_new = hit.pop(None, 0) > 0
+        hit = set(map(self.cell_of.get, row))  # None stands for new columns
+        has_new = None in hit
+        hit.discard(None)
         p = q = next(iter(hit))
         while prev[p] in hit:
             p = prev[p]
@@ -214,10 +217,10 @@ class _Cells:
             run.append(nxt[run[-1]])
         if len(run) != len(hit):
             return False  # the touched cells are not contiguous
-        if any(hit[c] != len(members[c]) for c in run[1:-1]):
+        if not all(members[c] <= row for c in run[1:-1]):
             return False  # an inner cell of the run sticks out of the row
-        full_p = hit[p] == len(members[p])
-        full_q = hit[q] == len(members[q])
+        full_p = members[p] <= row
+        full_q = members[q] <= row
         if not has_new:
             if p == q:  # inside one cell: unreachable for an overlapping row
                 return full_p
@@ -261,7 +264,8 @@ class _OverlapClass:
 
 
 def _overlap_classes(sets: list[frozenset]) -> list[_OverlapClass]:
-    """Overlap classes of ``sets`` (sorted by ``_row_key``), each arranged.
+    """Overlap classes of ``sets`` (sorted by size, then members), each
+    arranged.
 
     A class starts at the smallest row not yet queued; the next row
     placed is always the smallest queued one, and placing a row queues
@@ -363,33 +367,41 @@ def _assemble(n_cols: int, sets: list[frozenset],
     return order
 
 
-def _arrange(n_cols: int, rows: Iterable[Iterable[int]]
-             ) -> tuple[list[int], list[int], bool]:
-    """Column order, the position of each column under it, and whether it
-    makes every row consecutive.
+def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
+             ) -> tuple[list[int], list[int], tuple | None]:
+    """Column order, the position of each column under it, and the
+    ``_intervals`` of ``rows`` under it, or None when no order makes every
+    row consecutive.  ``rows`` are sorted, duplicate-free tuples, as the
+    rows of ``BipartiteGraph.adj`` are.
 
     On failure the order assembles the complete classes and the partial
     arrangements of the failed ones, so a row with a gap under it exists.
-    On success every row has been checked against the order (fail closed),
-    so callers need not check it again.
+    On success every row has been checked against the order (fail closed)
+    in the same pass that found its interval, so callers need not check it
+    again.
     """
-    sets = sorted({s for s in map(frozenset, rows) if len(s) >= 2},
-                  key=_row_key)
-    cols = frozenset().union(*sets)
-    if cols and (min(cols) < 0 or max(cols) >= n_cols):
+    keyed = sorted({(len(row), row) for row in rows if len(row) >= 2})
+    if keyed and (min(row[0] for _, row in keyed) < 0
+                  or max(row[-1] for _, row in keyed) >= n_cols):
         raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
+    sets = [frozenset(row) for _, row in keyed]
     classes = _overlap_classes(sets)
     order = _assemble(n_cols, sets, classes)
     pos = [0] * n_cols
     for p, x in enumerate(order):
         pos[x] = p
     if not all(cls.complete for cls in classes):
-        return order, pos, False
-    for s in sets:  # fail closed: the assembled order must fit every row
-        ps = list(map(pos.__getitem__, s))
-        if max(ps) - min(ps) + 1 != len(ps):
-            raise _ArrangementError("assembled order violates a row")
-    return order, pos, True
+        return order, pos, None
+    try:
+        return order, pos, _intervals(rows, pos)
+    except LayoutMismatch as exc:
+        raise _ArrangementError("assembled order violates a row") from exc
+
+
+def _normalized(rows: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """The rows of size >= 2 as sorted, duplicate-free tuples."""
+    return [row for row in map(tuple, map(sorted, map(set, rows)))
+            if len(row) >= 2]
 
 
 def consecutive_order(n_cols: int,
@@ -399,37 +411,47 @@ def consecutive_order(n_cols: int,
     Deterministic for a fixed input.  Rows of size < 2 impose nothing;
     a longer row naming a column outside 0..n_cols-1 raises ValueError.
     """
-    order, _, ok = _arrange(n_cols, rows)
-    return order if ok else None
+    order, _, intervals = _arrange(n_cols, _normalized(rows))
+    return order if intervals is not None else None
 
 
 def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
     """The order ``consecutive_order`` would return, or on failure the
     assembled partial arrangement, for witness construction."""
-    return _arrange(n_cols, rows)[0]
+    return _arrange(n_cols, _normalized(rows))[0]
 
 
 # ---------------------------------------------------------------------------
 # Public recognition operations
 
 
-def _compute_a_order(g: BipartiteGraph,
-                     intervals: Sequence[tuple[int, int] | None]) -> tuple[int, ...]:
-    isolated = [a for a in range(g.n_a) if intervals[a] is None]
-    rest = sorted(
-        (a for a in range(g.n_a) if intervals[a] is not None),
-        key=lambda a: (intervals[a][1], intervals[a][0], a),
-    )
-    return tuple(isolated + rest)
+def _compute_a_order(
+        intervals: Sequence[tuple[int, int] | None]) -> tuple[int, ...]:
+    isolated = [a for a, iv in enumerate(intervals) if iv is None]
+    rest = sorted([(iv[1], iv[0], a) for a, iv in enumerate(intervals)
+                   if iv is not None])
+    return tuple(isolated + [a for _, _, a in rest])
 
 
-def _intervals(g: BipartiteGraph,
-               b_pos: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
-    """(first, last) position of every A-neighborhood, None if empty."""
+def _intervals(rows: Sequence[Sequence[int]],
+               pos: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
+    """(first, last) position of every duplicate-free row, None if empty.
+
+    The same pass checks every row: the first that is not a run of
+    positions raises LayoutMismatch, naming it as the A-vertex of that
+    index."""
     intervals: list[tuple[int, int] | None] = []
-    for nbrs in g.adj:
-        ps = list(map(b_pos.__getitem__, nbrs))
-        intervals.append((min(ps), max(ps)) if ps else None)
+    for a, row in enumerate(rows):
+        if not row:
+            intervals.append(None)
+            continue
+        ps = list(map(pos.__getitem__, row))
+        first, last = min(ps), max(ps)
+        if last - first + 1 != len(ps):
+            raise LayoutMismatch(
+                f"neighborhood of A{a} is not consecutive under the order"
+            )
+        intervals.append((first, last))
     return tuple(intervals)
 
 
@@ -441,21 +463,15 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
     b_pos = [0] * g.n_b
     for p, b in enumerate(b_seq):
         b_pos[b] = p
-    ivs = _intervals(g, b_pos)
-    for a, iv in enumerate(ivs):
-        if iv is not None and iv[1] - iv[0] + 1 != len(g.adj[a]):
-            raise LayoutMismatch(
-                f"neighborhood of A{a} is not consecutive under the order"
-            )
-    return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(g, ivs))
+    ivs = _intervals(g.adj, b_pos)
+    return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(ivs))
 
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
     """Convex layout of ``g``, or a witness that no B-order works."""
-    attempt, pos, ok = _arrange(g.n_b, g.adj)
-    if ok:  # _arrange has checked every neighborhood against the order
-        ivs = _intervals(g, pos)
-        return ConvexLayout(tuple(pos), ivs, _compute_a_order(g, ivs))
+    attempt, pos, ivs = _arrange(g.n_b, g.adj)
+    if ivs is not None:  # _arrange has checked every neighborhood against it
+        return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs))
     for a in range(g.n_a):  # first vertex with a gap under the attempt
         nbrs = g.adj[a]
         if len(nbrs) < 2:

@@ -21,14 +21,31 @@ The module also owns the text interchange format used by the CLI:
 ``p bip <n_a> <n_b> <m>`` followed by ``m`` lines ``e <a> <b>`` (0-based)
 for bipartite graphs, and ``p gen <n> <m>`` with ``e <u> <v>`` lines for
 general graphs.  Lines starting with ``c`` are comments.
+
+The format has two readers.  The line reader (``_parse_graph_lines`` and
+``_build_graph``) is its one definition: it reads every text the format
+allows and raises every error message.  ``read_bipartite_text`` and
+``read_graph_text`` first try a bulk pass over the canonical form of a
+``p bip`` file, the one ``write_bipartite_text`` writes: comment lines,
+the problem line, then exactly ``m`` edge lines of plain ASCII decimals,
+sorted by (a, b) without repeats, each line ended by "\\n".  The pass
+screens the comment lines and the problem line with one regex, and the
+edge lines with one split and one deletion of their digits.  It converts
+the tokens through a table and slices the rows out of the edge list.  It
+returns None for any other text, and for every text the line reader
+would reject, so such text goes to the line reader unchanged and the
+errors all come from there.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
+from operator import add, lt, mul
 from typing import Iterable
 
 SIDE_A = "A"
@@ -325,14 +342,69 @@ def _build_graph(want: str, kind: str, sizes: list[int],
         raise ValueError(str(exc)) from exc
 
 
+# The comment lines and the problem line of a ``p bip`` file in canonical
+# form.  A comment holds none of the line breaks ``str.splitlines`` knows
+# besides "\n", so both readers see the same lines.
+_CANONICAL_HEAD = re.compile(
+    "(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
+    "p bip ([0-9]+) ([0-9]+) ([0-9]+)\n")
+_NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
+
+
+def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
+    """The graph of a ``p bip`` text in canonical form, read in bulk; None
+    for any other text, and for every text the line reader would reject.
+
+    The edge tokens go through a ``str -> int`` table whose size is bounded
+    by the input, then ``int()`` if the table misses (a leading zero, or
+    more vertices than tokens).  The rows are slices of the edge list.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    n_a, n_b, m = map(int, head.groups())
+    body = text[head.end():]
+    tokens = body.split()
+    # The body is m lines "e <digits> <digits>": without its ASCII digits
+    # it is m lines "e  " and nothing else, no digits follow its last line
+    # break, and 3m tokens every third of which is "e" leave two digit runs
+    # after each "e", none empty and none touching it.
+    if (len(tokens) != 3 * m or tokens[0::3].count("e") != m
+            or body.translate(_NO_DIGITS) != "e  \n" * m
+            or not text.endswith("\n")):
+        return None
+    k = min(max(n_a, n_b), len(tokens))
+    table = dict(zip(map(str, range(k)), range(k)))
+    try:
+        a_list = list(map(table.__getitem__, tokens[1::3]))
+        b_list = list(map(table.__getitem__, tokens[2::3]))
+    except KeyError:
+        a_list = list(map(int, tokens[1::3]))
+        b_list = list(map(int, tokens[2::3]))
+    if m and (max(a_list) >= n_a or max(b_list) >= n_b):
+        return None
+    codes = list(map(add, map(mul, a_list, repeat(n_b)), b_list))
+    if not all(map(lt, codes, islice(codes, 1, None))):
+        return None  # not sorted by (a, b), or an edge repeats
+    starts = [bisect_left(a_list, a) for a in range(n_a + 1)]
+    return BipartiteGraph(n_a, n_b, tuple(
+        [tuple(b_list[s:e]) for s, e in zip(starts, islice(starts, 1, None))]))
+
+
 def read_graph_text(text: str) -> BipartiteGraph | SimpleGraph:
     """Read either format: ``p bip`` gives a BipartiteGraph, ``p gen`` a
     SimpleGraph."""
+    g = _read_canonical_bipartite(text)
+    if g is not None:
+        return g
     kind, sizes, edges = _parse_graph_lines(text)
     return _build_graph(kind, kind, sizes, edges)
 
 
 def read_bipartite_text(text: str) -> BipartiteGraph:
+    g = _read_canonical_bipartite(text)
+    if g is not None:
+        return g
     return _build_graph("bip", *_parse_graph_lines(text))
 
 

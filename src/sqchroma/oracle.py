@@ -14,7 +14,9 @@ adjacency sets, with no recursion depth that grows with the input.
   as the recursive search over per-vertex saturation sets kept in the
   tests as its reference, so node counts are unchanged.
 * ``exact_clique``: branch and bound with a greedy-coloring upper bound
-  on each candidate set.
+  on each candidate set, colored on one neighbour bitmask per color class
+  (the classes and their order are those of the quadratic coloring kept
+  in the tests as its reference).
 * ``find_induced_cycles``: DFS over induced paths anchored at their
   minimum vertex, reflection-killed by comparing the two neighbors of the
   anchor, run from an explicit stack of neighbor iterators.  Cycles come
@@ -138,18 +140,26 @@ def exact_clique(h: SimpleGraph, budget: int | None = None) -> int:
     return _max_clique(h, counter, len(greedy_clique(h)))
 
 
-def _color_bound(g: SimpleGraph, cands: list[int]) -> list[tuple[int, int]]:
+def _color_bound(bits: list[int],
+                 cands: list[int]) -> list[tuple[int, int]]:
     """Greedy coloring of the candidate set; returns (vertex, color) with
     colors non-decreasing.  The color is an upper bound on the clique a
-    branch through that vertex can still reach."""
+    branch through that vertex can still reach.
+
+    ``bits[v]`` is the neighbour bitmask of ``v``.  Each class keeps the
+    bitmask of the vertices with a neighbour in it, so a candidate joins
+    the first class whose mask lacks it."""
     classes: list[list[int]] = []
+    masks: list[int] = []
     for v in cands:
-        for cls in classes:
-            if all(v not in g.adj[u] for u in cls):
-                cls.append(v)
+        for k, mask in enumerate(masks):
+            if not mask >> v & 1:
+                classes[k].append(v)
+                masks[k] = mask | bits[v]
                 break
         else:
             classes.append([v])
+            masks.append(bits[v])
     out = []
     for i, cls in enumerate(classes, start=1):
         out.extend((v, i) for v in cls)
@@ -158,6 +168,7 @@ def _color_bound(g: SimpleGraph, cands: list[int]) -> list[tuple[int, int]]:
 
 def _max_clique(g: SimpleGraph, counter: _Counter, best: int) -> int:
     """Branch and bound from a known clique of size ``best``."""
+    bits = [sum(1 << w for w in nbrs) for nbrs in g.adj]
 
     def expand(cands: list[int], size: int):
         nonlocal best
@@ -166,7 +177,7 @@ def _max_clique(g: SimpleGraph, counter: _Counter, best: int) -> int:
                 "clique search exceeded its node budget",
                 lower=best, upper=None, nodes=counter.nodes,
             )
-        colored = _color_bound(g, cands)
+        colored = _color_bound(bits, cands)
         for i in range(len(colored) - 1, -1, -1):
             v, bound = colored[i]
             if size + bound <= best:

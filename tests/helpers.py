@@ -7,11 +7,12 @@ free of the code paths it checks.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from sqchroma.convexity import ConvexLayout
+from sqchroma.convexity import ConvexLayout, _Cells
 from sqchroma.core import (
     SIDE_A,
     SIDE_B,
@@ -365,3 +366,68 @@ def rotation_verify_cycle_structure(g: BipartiteGraph, layout: ConvexLayout,
         f"no labeling of cycle {tuple(cycle)} satisfies the structure "
         "theorem; the input should make this impossible"
     )
+
+
+def quadratic_color_bound(g: SimpleGraph,
+                          cands: list[int]) -> list[tuple[int, int]]:
+    """The clique search's greedy bound, testing each candidate against
+    every member of every earlier class: the reference for the bitmask
+    version in ``oracle``."""
+    classes: list[list[int]] = []
+    for v in cands:
+        for cls in classes:
+            if all(v not in g.adj[u] for u in cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    out = []
+    for i, cls in enumerate(classes, start=1):
+        out.extend((v, i) for v in cls)
+    return out
+
+
+class CountingCells(_Cells):
+    """``_Cells`` whose ``place`` counts the row's columns per touched cell
+    with a ``Counter`` and tests fullness by comparing counts with cell
+    sizes: the reference for the set-based ``place``, which must refine
+    the partition the same way."""
+
+    def place(self, row: frozenset) -> bool:
+        members, prev, nxt = self.members, self.prev, self.next
+        hit = Counter(map(self.cell_of.get, row))  # cell -> columns of row
+        has_new = hit.pop(None, 0) > 0
+        p = q = next(iter(hit))
+        while prev[p] in hit:
+            p = prev[p]
+        while nxt[q] in hit:
+            q = nxt[q]
+        run = [p]
+        while run[-1] != q:
+            run.append(nxt[run[-1]])
+        if len(run) != len(hit):
+            return False
+        if any(hit[c] != len(members[c]) for c in run[1:-1]):
+            return False
+        full_p = hit[p] == len(members[p])
+        full_q = hit[q] == len(members[q])
+        if not has_new:
+            if p == q:
+                return full_p
+            if not full_p:
+                self._split(p, row, right=True)
+            if not full_q:
+                self._split(q, row, right=False)
+            return True
+        new = set(row.difference(self.cell_of))
+        if q == self.tail and (p == q or full_q):
+            if not full_p:
+                self._split(p, row, right=True)
+            self._new_cell(new, self.tail, -1)
+            return True
+        if p == self.head and (p == q or full_p):
+            if not full_q:
+                self._split(q, row, right=False)
+            self._new_cell(new, -1, self.head)
+            return True
+        return False

@@ -2,15 +2,19 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqchroma import convexity
 from sqchroma.convexity import (
     BiconvexLayout,
     ConvexLayout,
     NonConvexWitness,
+    _normalized,
+    _overlap_classes,
     attempted_order,
     check_proper_ordering,
     consecutive_order,
@@ -29,7 +33,12 @@ from sqchroma.generators import (
 )
 from sqchroma.rng import SplitMix64
 
-from helpers import brute_force_c1p, random_bipartite, stack_depth
+from helpers import (
+    CountingCells,
+    brute_force_c1p,
+    random_bipartite,
+    stack_depth,
+)
 
 
 def _order_is_valid(n_cols, rows, order):
@@ -129,6 +138,56 @@ def test_engine_rejects_columns_out_of_range():
 def test_engine_deterministic():
     rows = [{0, 1}, {1, 2}, {2, 3}, {0, 1, 2, 3, 4}]
     assert consecutive_order(6, rows) == consecutive_order(6, rows)
+
+
+# ---------------------------------------------------------------------------
+# Row placement against the counting reference
+
+
+def _classes_seen(sets, cells):
+    """Every class of ``_overlap_classes(sets)`` run on ``cells``: its rows,
+    whether it is complete, and the whole state of its partition."""
+    with mock.patch.object(convexity, "_Cells", cells):
+        classes = _overlap_classes(sets)
+    assert all(type(cls.cells) is cells for cls in classes)
+    return [(cls.rows, cls.complete, cls.cells.order(), vars(cls.cells))
+            for cls in classes]
+
+
+def _assert_placement_matches_reference(rows):
+    sets = [frozenset(row)
+            for _, row in sorted({(len(r), r) for r in _normalized(rows)})]
+    assert (_classes_seen(sets, convexity._Cells)
+            == _classes_seen(sets, CountingCells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 40), st.integers(0, 2 ** 32),
+       st.sampled_from([0.1, 0.3, 0.6]))
+def test_placement_matches_counting_reference(n_cols, n_rows, seed, p):
+    rng = SplitMix64(seed)
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.5:  # an interval: most families then place
+            left = int(rng.random() * n_cols)
+            length = 1 + int(rng.random() * (n_cols - left))
+            rows.append(range(left, left + length))
+        else:
+            rows.append([c for c in range(n_cols) if rng.random() < p])
+    _assert_placement_matches_reference(rows)
+
+
+def test_placement_matches_counting_reference_on_towers_and_staircases():
+    for k in (2, 5, 40):
+        tower = [range(j + 1) for j in range(k)]              # nested rows
+        _assert_placement_matches_reference(tower)
+        staircase = [range(j, j + 3) for j in range(k)]       # one chain
+        _assert_placement_matches_reference(staircase)
+        _assert_placement_matches_reference(tower + staircase)
+        # a staircase with a claw glued on: the class fails part way
+        _assert_placement_matches_reference(
+            staircase + [[k + 1, k + 3], [k + 1, k + 4]])
+    _assert_placement_matches_reference(_nested_class_chain(60))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +349,27 @@ def test_order_A_layout_mismatch():
     bad = ConvexLayout(layout.b_pos, ((0, 1), (1, 1)), layout.a_order)
     with pytest.raises(LayoutMismatch):
         order_A(g, bad)
+
+
+def test_layout_from_order_rejects_a_gap():
+    g = build_bipartite(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    assert layout_from_order(g, [0, 1, 2]).intervals == ((0, 1), (1, 2))
+    with pytest.raises(LayoutMismatch, match="^neighborhood of A1 is not "
+                                             "consecutive under the order$"):
+        layout_from_order(g, [1, 0, 2])
+
+
+def test_accepted_order_is_checked_against_every_row():
+    # fail closed: an assembled order that breaks a row is the engine's
+    # fault, whichever caller asked for it
+    g = build_bipartite(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    with mock.patch.object(convexity, "_assemble",
+                           lambda n_cols, sets, classes: [1, 0, 2]):
+        with pytest.raises(convexity._ArrangementError,
+                           match="assembled order violates a row"):
+            recognize_convex(g)
+        with pytest.raises(convexity._ArrangementError):
+            consecutive_order(3, g.adj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from sqchroma.core import (
     BipartiteGraph,
     SimpleGraph,
+    _build_graph,
+    _parse_graph_lines,
+    _read_canonical_bipartite,
     build_bipartite,
     complement,
     girth,
@@ -23,7 +27,7 @@ from sqchroma.core import (
     write_bipartite_text,
     write_simple_text,
 )
-from sqchroma.generators import gen_named
+from sqchroma.generators import gen_named, gen_random_convex
 
 from helpers import VertexRef, naive_girth, random_bipartite, relabel_b
 from sqchroma.rng import SplitMix64
@@ -328,3 +332,164 @@ def test_plain_endpoints_read_beside_any_comment():
         assert read_bipartite_text(text) == plain
     with pytest.raises(ValueError, match="^A-endpoint -1 out of range"):
         read_bipartite_text("c +\np bip 2 11 1\ne -1 0\n")
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader of the canonical form against the line reader
+
+
+def _outcome(read, text):
+    """The graph ``read`` returns for ``text``, or the message it raises."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _line_bipartite(text):
+    return _build_graph("bip", *_parse_graph_lines(text))
+
+
+def _line_graph(text):
+    kind, sizes, edges = _parse_graph_lines(text)
+    return _build_graph(kind, kind, sizes, edges)
+
+
+def _assert_readers_agree(text):
+    """The bulk path returns the line reader's graph or defers to it, and
+    the public readers give the line reader's graph or message."""
+    want = _outcome(_line_bipartite, text)
+    bulk = _read_canonical_bipartite(text)
+    if bulk is not None:
+        assert bulk == want
+    assert _outcome(read_bipartite_text, text) == want
+    assert _outcome(read_graph_text, text) == _outcome(_line_graph, text)
+    return bulk
+
+
+# every line break str.splitlines knows besides "\n"
+_SEPARATORS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def bip_texts(draw):
+    """Canonical ``p bip`` texts, some edited a few characters at a time."""
+    n_a, n_b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    edges = draw(st.lists(st.tuples(st.integers(0, max(n_a - 1, 0)),
+                                    st.integers(0, max(n_b - 1, 0))),
+                          max_size=8))
+    if draw(st.integers(0, 4)) == 0:  # an endpoint may equal the side size
+        edges.append((draw(st.integers(0, n_a)), draw(st.integers(0, n_b))))
+    comments = draw(st.lists(st.sampled_from(
+        ["c", "c x", "c p bip 1 1 0", "c e 0 0", "c \u00e9 +_", "cat"]),
+        max_size=2))
+    if draw(st.booleans()):
+        edges = sorted(set(edges))  # as the writer lists them
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    lines = comments + [f"p bip {n_a} {n_b} {m}"]
+    lines += [f"e {a} {b}" for a, b in edges]
+    text = "".join(line + "\n" for line in lines)
+    inserts = st.sampled_from(list("0- \tcepx\n+_") + ["\u0661"] + _SEPARATORS)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(inserts) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(bip_texts())
+def test_bulk_reader_agrees_with_the_line_reader(text):
+    _assert_readers_agree(text)
+
+
+def test_bulk_reader_takes_the_canonical_form():
+    for g in [gen_named("not_perfect"), gen_random_convex(40, 30, 6, seed=3),
+              build_bipartite(3, 0, []), build_bipartite(0, 0, [])]:
+        text = write_bipartite_text(g)
+        for prefix in ("", "c\n", "c name\nc \u00e9 +_ p bip 9 9 9\n"):
+            assert _assert_readers_agree(prefix + text) == g
+
+
+@pytest.mark.parametrize("sep", _SEPARATORS)
+def test_bulk_reader_defers_at_every_line_break(sep):
+    for text in (f"c a{sep}p bip 1 1 0\np bip 1 1 0\n",
+                 f"c a{sep}e 0 0\np bip 1 1 1\ne 0 0\n",
+                 f"c a{sep}\np bip 1 1 1\ne 0 0\n",
+                 f"{sep}c a\np bip 1 1 1\ne 0 0\n",
+                 f"c a\n{sep}p bip 1 1 1\ne 0 0\n",
+                 f"c a\np bip 1 1 1{sep}e 0 0\n",
+                 f"p bip 1 1 1\ne 0 0{sep}"):
+        assert _assert_readers_agree(text) is None
+
+
+def test_comment_with_a_hidden_line_break_keeps_its_error():
+    # "\x1c" ends a line for str.splitlines, so this is a comment and two
+    # problem lines; a comment screen up to "\n" would read a graph
+    text = "c a\x1cp bip 1 1 0\np bip 1 1 0\n"
+    with pytest.raises(ValueError, match="^line 3: repeated problem line$"):
+        read_bipartite_text(text)
+    _assert_readers_agree(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p bip 2 2 1\n\ne 0 1\n",            # a blank line
+    "p bip 2 2 1\ne\t0 1\n",             # a tab
+    "\tp bip 2 2 1\ne 0 1\n",
+    "p bip 2 2 1\ne 0 1 \n",              # a trailing space
+    "p bip 2 2 1\ne 0  1\n",
+    "p bip 2 2 1\ne -0 1\n",
+    "p bip 2 2 1\ne 0 1",                 # no final newline
+    "p bip 9 9 1\ne  5\n7",               # an endpoint after the last line
+    "p bip 9 9 1\n5e 5 7\n",
+    "p bip 9 9 1\ne5 5 7\n",
+    "p bip 2 2 1\ne 0 1\nc late\n",       # a comment after the header
+    "p gen 2 1\ne 0 1\n",
+])
+def test_bulk_reader_defers_outside_the_canonical_form(text):
+    assert _assert_readers_agree(text) is None
+
+
+def test_bulk_reader_edge_cases():
+    # a leading zero misses the table and is read by int(), as in the
+    # line reader
+    assert _assert_readers_agree("p bip 8 8 1\ne 007 0\n").adj[7] == (0,)
+    # repeated or unsorted edges go to the line reader, which collapses
+    # them into sorted rows
+    for text in ("p bip 2 3 4\ne 1 2\ne 0 1\ne 1 0\ne 1 2\n",
+                 "p bip 2 3 3\ne 0 1\ne 1 0\ne 1 0\n",
+                 "p bip 2 3 2\ne 1 0\ne 0 1\n"):
+        assert _assert_readers_agree(text) is None
+    assert read_bipartite_text("p bip 2 3 4\ne 1 2\ne 0 1\ne 1 0\ne 1 2\n"
+                               ).adj == ((1,), (0, 2))
+    # a vertex beyond the token count also misses the table
+    g = _assert_readers_agree("p bip 1000 1000 1\ne 999 998\n")
+    assert g.adj[999] == (998,) and g.m == 1
+    for text, message in [
+            ("p bip 2 2 1\ne 2 0\n", "A-endpoint 2 out of range (n_a=2)"),
+            ("p bip 2 2 1\ne 0 2\n", "B-endpoint 2 out of range (n_b=2)"),
+            ("p bip 2 0 1\ne 0 0\n", "B-endpoint 0 out of range (n_b=0)"),
+            ("p bip 2 2 2\ne 0 0\n",
+             "problem line says m = 2, but the file has 1 'e' lines"),
+            ("p bip 2 2 0\ne 0 0\n",
+             "problem line says m = 0, but the file has 1 'e' lines")]:
+        assert _assert_readers_agree(text) is None
+        with pytest.raises(ValueError) as exc:
+            read_bipartite_text(text)
+        assert str(exc.value) == message
+
+
+def test_bulk_reader_table_is_bounded_by_the_input():
+    # a million B-vertices, one edge: the table holds at most three entries
+    text = "p bip 1 1000000 1\ne 0 999999\n"
+    tracemalloc.start()
+    try:
+        g = _read_canonical_bipartite(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adj == ((999999,),)
+    assert peak < 100_000

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from sqchroma.generators import (
     gen_random_biconvex,
     gen_random_convex,
 )
+from sqchroma import oracle
 from sqchroma.oracle import (
     ExactStats,
+    _color_bound,
     _dsatur_greedy,
     exact_chromatic,
     exact_clique,
@@ -29,6 +32,7 @@ from helpers import (
     naive_chromatic,
     naive_induced_cycles,
     naive_max_clique,
+    quadratic_color_bound,
     quadratic_dsatur_greedy,
     random_bipartite,
     reference_exact_stats,
@@ -366,6 +370,46 @@ def test_dsatur_greedy_matches_quadratic_reference_on_squares():
         g = square(gen_random_convex(12, 12, 6, s))
         assert list(_dsatur_greedy(g).items()) == list(
             quadratic_dsatur_greedy(g).items())
+
+
+def _neighbour_bits(g):
+    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 40),
+       st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+def test_color_bound_matches_quadratic_reference(seed, n, p):
+    g = gnp(seed, n, p)
+    rng = SplitMix64(seed ^ 0x5EED)
+    cands = [v for v in range(n) if rng.random() < 0.7]
+    for i in range(len(cands) - 1, 0, -1):  # any order the search may pass
+        j = int(rng.random() * (i + 1))
+        cands[i], cands[j] = cands[j], cands[i]
+    # the same classes, in the same order, listed the same way
+    assert _color_bound(_neighbour_bits(g), cands) == quadratic_color_bound(
+        g, cands)
+
+
+def test_color_bound_matches_quadratic_reference_inside_the_search():
+    calls = 0
+
+    def checked(bits, cands):
+        nonlocal calls
+        calls += 1
+        got = real(bits, cands)
+        assert got == quadratic_color_bound(h, cands)
+        return got
+
+    real = oracle._color_bound
+    graphs = [gadget_and_path(30), square(gen_lower_bound_H(2)),
+              square(gen_named("not_perfect"))]
+    graphs += [square(gen_random_convex(12, 12, 6, s)) for s in range(6)]
+    graphs += [gnp(s, 20, 0.5) for s in range(6)]
+    with mock.patch.object(oracle, "_color_bound", checked):
+        for h in graphs:
+            exact_stats(h)
+    assert calls > len(graphs)
 
 
 def test_chromatic_search_needs_no_recursion():
