@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 from . import generators
@@ -96,18 +96,7 @@ class ExperimentRecord:
         )
 
     def json_obj(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "omega": self.omega,
-            "alg_palette": self.alg_palette,
-            "exact_chi": self.exact_chi,
-            "ratio_to_omega": self.ratio_to_omega,
-            "ratio_to_chi": self.ratio_to_chi,
-            "runtime_ms": self.runtime_ms,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def experiment_ratio_sweep(records: list[ExperimentRecord]) -> dict:
@@ -215,11 +204,7 @@ def _read_square_or_raw(args) -> SimpleGraph:
     g = read_graph_text(_read_text(args.file))
     if isinstance(g, SimpleGraph):
         return g if args.raw else square_simple(g)
-    if args.raw:
-        return SimpleGraph.from_edges(
-            g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()]
-        )
-    return square(g)
+    return g.simple if args.raw else square(g)
 
 
 def _cmd_exact(args) -> int:

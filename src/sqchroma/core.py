@@ -12,10 +12,14 @@ A0..A_{n_a-1}, B0..B_{n_b-1}: global index ``i < n_a`` is A-vertex ``i``
 and ``n_a + j`` is B-vertex ``j``.  In a bipartite graph no two vertices
 on opposite sides are at distance exactly two, so every cross edge of the
 square is an edge of the original graph; squaring only adds same-side
-edges between vertices with a common neighbor.  ``square(g)`` builds the
-square once per graph and caches it on the frozen ``BipartiteGraph``, as
-``b_adj`` is cached, so the structure checkers and oracles can ask for it
-per cycle without rebuilding it.  The coloring pipeline never asks.
+edges between vertices with a common neighbor.  ``square_simple`` is the
+one squaring routine: ``square(g)`` is ``square_simple(g.simple)``, where
+``g.simple`` is ``g`` itself on the global order, and the half squares
+G^2[A] and G^2[B] are its two sides, cut out by ``induced_subgraph``.
+``square(g)`` builds the square once per graph and caches it on the
+frozen ``BipartiteGraph``, as ``b_adj`` is cached, so the structure
+checkers and oracles can ask for it per cycle without rebuilding it.  The
+coloring pipeline never asks.
 
 The module also owns the text interchange format used by the CLI:
 ``p bip <n_a> <n_b> <m>`` followed by ``m`` lines ``e <a> <b>`` (0-based)
@@ -76,28 +80,19 @@ class BipartiteGraph:
                 nbrs[b].append(a)
         return tuple(tuple(row) for row in nbrs)
 
+    @property
+    def simple(self) -> "SimpleGraph":
+        """``g`` itself as a SimpleGraph on the global order A0.., B0.."""
+        n_a = self.n_a
+        return SimpleGraph(n_a + self.n_b, tuple(
+            [frozenset([n_a + b for b in row]) for row in self.adj]
+            + [frozenset(row) for row in self.b_adj]))
+
     @cached_property
     def square(self) -> "SimpleGraph":
         """The square on the global order A0.., B0..; read it through
         ``core.square(g)``.  Built once per graph: the graph is frozen."""
-        n_a = self.n_a
-        nbrs: list[set[int]] = [set() for _ in range(n_a + self.n_b)]
-        for a, row in enumerate(self.adj):
-            for b in row:
-                nbrs[a].add(n_a + b)
-                nbrs[n_a + b].add(a)
-        # A-A edges: A-neighborhood of each b is a clique; likewise B-B via each a.
-        for bs in self.adj:
-            for i, b1 in enumerate(bs):
-                for b2 in bs[i + 1:]:
-                    nbrs[n_a + b1].add(n_a + b2)
-                    nbrs[n_a + b2].add(n_a + b1)
-        for as_ in self.b_adj:
-            for i, a1 in enumerate(as_):
-                for a2 in as_[i + 1:]:
-                    nbrs[a1].add(a2)
-                    nbrs[a2].add(a1)
-        return SimpleGraph(n_a + self.n_b, tuple(frozenset(s) for s in nbrs))
+        return square_simple(self.simple)
 
     @property
     def m(self) -> int:
@@ -167,31 +162,26 @@ def square(g: BipartiteGraph) -> SimpleGraph:
 
 
 def half_square(g: BipartiteGraph, side: str) -> SimpleGraph:
-    """Graph on one side; two vertices adjacent iff they share a G-neighbor."""
+    """The square induced on one side, G^2[A] or G^2[B], re-indexed from 0:
+    two vertices are adjacent iff they share a G-neighbor."""
     if side == SIDE_A:
-        n, hyper = g.n_a, g.b_adj
+        vertices = range(g.n_a)
     elif side == SIDE_B:
-        n, hyper = g.n_b, g.adj
+        vertices = range(g.n_a, g.n_a + g.n_b)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for members in hyper:
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-    return SimpleGraph(n, tuple(frozenset(s) for s in nbrs))
+    return induced_subgraph(square(g), vertices)[0]
 
 
 def square_simple(g: SimpleGraph) -> SimpleGraph:
     """Square of a general graph: join vertices at distance one or two."""
     nbrs: list[set[int]] = [set(s) for s in g.adj]
-    for w in range(g.n):
-        around = sorted(g.adj[w])
-        for i, u in enumerate(around):
-            for v in around[i + 1:]:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
+    # the neighbours of each vertex are pairwise at distance at most two
+    for around in g.adj:
+        for u in around:
+            nbrs[u] |= around
+    for u, s in enumerate(nbrs):
+        s.discard(u)
     return SimpleGraph(g.n, tuple(frozenset(s) for s in nbrs))
 
 

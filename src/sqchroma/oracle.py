@@ -4,7 +4,11 @@ cycles, antiholes, perfectness.
 These are the ground truth against which the approximation algorithm and
 the structural theorems are tested, so they stay independent of the rest
 of the package: branch and bound and enumeration over SimpleGraph
-adjacency sets, with no recursion depth that grows with the input.
+adjacency sets.  The chromatic search and the cycle enumeration run from
+explicit stacks.  The clique search recurses once per vertex of the
+clique it grows (its nested ``expand``), so it goes at most omega + 1
+calls deep, where omega is the clique number; no other depth grows with
+the input.
 
 * ``exact_chromatic``: saturation-order branch and bound seeded with a
   greedily-found clique (its vertices are pre-colored, which both lower

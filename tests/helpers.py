@@ -73,6 +73,16 @@ def relabel_b(g: BipartiteGraph, perm: Sequence[int]) -> BipartiteGraph:
     )
 
 
+def distance_two_pairs(n: int, edges) -> set[tuple[int, int]]:
+    """Pairs ``(u, v)``, ``u < v``, at distance one or two in the graph on
+    ``range(n)`` with ``edges``: each pair and each middle vertex tried."""
+    edge_set = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+    return {(u, v) for u, v in combinations(range(n), 2)
+            if (u, v) in edge_set
+            or any((u, w) in edge_set and (w, v) in edge_set
+                   for w in range(n))}
+
+
 def brute_force_c1p(n_cols: int, rows) -> list[int] | None:
     """Try every column order; return the first making all rows consecutive."""
     rowsets = [frozenset(r) for r in rows]

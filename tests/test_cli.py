@@ -9,12 +9,14 @@ from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, 
 from sqchroma.convexity import ConvexLayout
 from sqchroma.core import (
     BipartiteGraph,
+    SimpleGraph,
     read_bipartite_text,
     read_simple_text,
     write_bipartite_text,
+    write_simple_text,
 )
 from sqchroma.errors import BudgetExceeded, LayoutMismatch
-from sqchroma.generators import gen_lower_bound_H, gen_named
+from sqchroma.generators import NAMED_GRAPHS, gen_lower_bound_H, gen_named
 
 
 @pytest.fixture
@@ -145,6 +147,23 @@ def test_exact_raw_bipartite(np_file, capsys):
     # the bipartite graph itself is 2-chromatic
     assert run(["exact", np_file, "--raw"]) == 0
     assert capsys.readouterr().out.strip() == "chi=2 omega=2"
+
+
+@pytest.mark.parametrize("g", [gen_named(name, 3) if name == "complete"
+                               else gen_named(name) for name in NAMED_GRAPHS]
+                         + [gen_lower_bound_H(2)])
+@pytest.mark.parametrize("command", ["exact", "holes"])
+def test_raw_bipartite_reads_as_its_general_graph(tmp_path, capsys, g,
+                                                  command):
+    # --raw on a p bip file works on G itself, on the global order
+    bip, gen = tmp_path / "g.bip", tmp_path / "g.gen"
+    bip.write_text(write_bipartite_text(g))
+    gen.write_text(write_simple_text(SimpleGraph.from_edges(
+        g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()])))
+    assert run([command, "--raw", str(gen)]) == 0
+    expected = capsys.readouterr()
+    assert run([command, "--raw", str(bip)]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_holes_listing(np_file, capsys):

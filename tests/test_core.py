@@ -29,7 +29,8 @@ from sqchroma.core import (
 )
 from sqchroma.generators import gen_named, gen_random_convex
 
-from helpers import VertexRef, naive_girth, random_bipartite, relabel_b
+from helpers import (VertexRef, distance_two_pairs, naive_girth,
+                     random_bipartite, relabel_b)
 from sqchroma.rng import SplitMix64
 
 
@@ -174,6 +175,45 @@ def test_square_invariant_under_relabeling(g, pyrandom):
         assert s2.has_edge(to2(u), to2(v))
 
 
+def _cross_edges(g):
+    return [(a, g.n_a + b) for a, b in g.edges()]
+
+
+@settings(max_examples=60)
+@given(bipartite_graphs())
+def test_simple_is_the_graph_on_the_global_order(g):
+    assert g.simple == SimpleGraph.from_edges(g.n_a + g.n_b, _cross_edges(g))
+
+
+@settings(max_examples=60)
+@given(bipartite_graphs())
+def test_square_and_half_squares_match_the_reference(g):
+    # equal graphs, so neither side holds a self-loop or a one-way edge
+    n_a, n = g.n_a, g.n_a + g.n_b
+    pairs = distance_two_pairs(n, _cross_edges(g))
+    assert square(g) == SimpleGraph.from_edges(n, pairs)
+    assert half_square(g, "A") == SimpleGraph.from_edges(
+        n_a, [(u, v) for u, v in pairs if v < n_a])
+    assert half_square(g, "B") == SimpleGraph.from_edges(
+        g.n_b, [(u - n_a, v - n_a) for u, v in pairs if u >= n_a])
+
+
+@st.composite
+def simple_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=n * n)) if n else []
+    return SimpleGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60)
+@given(simple_graphs())
+def test_square_simple_matches_the_reference(h):
+    assert square_simple(h) == SimpleGraph.from_edges(
+        h.n, distance_two_pairs(h.n, h.edges()))
+
+
 def test_girth_c7():
     c7 = SimpleGraph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
     assert girth(c7) == 7
@@ -185,10 +225,7 @@ def test_girth_tree_infinite():
 
 
 def test_girth_figure_not_perfect():
-    g = gen_named("not_perfect")
-    sg = SimpleGraph.from_edges(
-        g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()]
-    )
+    sg = gen_named("not_perfect").simple
     expected = naive_girth(sg)  # exhaustive cycle enumeration oracle
     assert expected == 4
     assert girth(sg) == 4
@@ -199,9 +236,7 @@ def test_girth_figure_not_perfect():
 def test_girth_matches_naive_enumeration(seed):
     rng = SplitMix64(seed)
     g = random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 4), 0.5)
-    sg = SimpleGraph.from_edges(
-        g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()]
-    )
+    sg = g.simple
     assert girth(sg) == naive_girth(sg)
 
 

@@ -203,10 +203,7 @@ def test_bipartite_graphs_perfect():
     for seed in range(15):
         rng = SplitMix64(seed)
         g = random_bipartite(rng, rng.randint(1, 5), rng.randint(1, 5), 0.5)
-        sg = SimpleGraph.from_edges(
-            g.n_a + g.n_b, [(a, g.n_a + b) for a, b in g.edges()]
-        )
-        assert is_perfect_small(sg)
+        assert is_perfect_small(g.simple)
 
 
 def test_biconvex_squares_perfect_sample():
