@@ -7,6 +7,10 @@ positions in [minleft(p), maxright(p)] other than p, where minleft and
 maxright bound the intervals through p.  Those arrays over the positions
 are built in linear sweeps: maxright is a prefix maximum of right ends by
 left endpoint, minleft a suffix minimum of left ends by right endpoint.
+Step 1 below, which is all that runs at most positions, reads two slices
+only: the A-neighbors of b_j and the positions j+1 .. maxright(j).
+minleft and the A-vertices sorted by left endpoint serve the pivot steps
+alone, so they are built the first time a pivot needs them.
 omega(G^2) is read off the layout in closed form, once per layout; the
 exact oracles in ``oracle`` stay off this pipeline and serve as its
 checks.
@@ -40,14 +44,15 @@ uniqueness, partner existence, strict pivot descent).  Those claims are
 always asserted at runtime; a failure raises AlgorithmInvariantViolation
 and would indicate an implementation bug, never bad input.  The finished
 coloring is always checked, independently of the layout, on the closed
-neighborhoods of G (``verify_square_coloring``) and raises the same error
-if it fails.
+neighborhoods of G (``verify_square_coloring``, on a list of the colors
+by vertex) and raises the same error if it fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Sequence
@@ -89,23 +94,21 @@ def verify_square_coloring(g: BipartiteGraph, c: Coloring) -> bool:
     Two vertices are at distance at most two in G iff both lie in some
     closed neighborhood N_G[v], so it suffices that ``c`` is total, stays
     in 1..palette, and gives every N_G[v] distinct colors: O(n + m), no
-    layout and no square needed.
+    layout and no square needed.  The colors are read once into a list
+    by vertex, and each N_G[v] is checked on that list.
     """
     n_a = g.n_a
-    colors = c.colors
-    for v in range(n_a + g.n_b):
-        col = colors.get(v)
-        if col is None or not 1 <= col <= c.palette:
+    col = list(map(c.colors.get, range(n_a + g.n_b)))
+    if None in col or col and not 1 <= min(col) <= max(col) <= c.palette:
+        return False
+    col_b = col[n_a:]
+    for own, row in zip(col, g.adj):
+        seen = set(map(col_b.__getitem__, row))
+        if own in seen or len(seen) != len(row):
             return False
-    for a, row in enumerate(g.adj):
-        seen = {colors[a]}
-        seen.update(colors[n_a + b] for b in row)
-        if len(seen) != len(row) + 1:
-            return False
-    for b, row in enumerate(g.b_adj):
-        seen = {colors[n_a + b]}
-        seen.update(map(colors.__getitem__, row))
-        if len(seen) != len(row) + 1:
+    for own, row in zip(col_b, g.b_adj):
+        seen = set(map(col.__getitem__, row))
+        if own in seen or len(seen) != len(row):
             return False
     return True
 
@@ -120,10 +123,8 @@ def greedy_interval_coloring(
     clique number, in O(n log n) time.
     """
     colors: dict[int, int] = {}
-    order = sorted(
-        (i for i, iv in enumerate(intervals) if iv is not None),
-        key=lambda i: (intervals[i][0], intervals[i][1], i),
-    )
+    order = sorted((*iv, i) for i, iv in enumerate(intervals)
+                   if iv is not None)
     # The intervals colored so far that meet the current one are those
     # whose right end reaches its left end: ``active``, by right end.
     # Every color up to ``top`` is either held by one active interval or
@@ -132,8 +133,7 @@ def greedy_interval_coloring(
     active: list[tuple[int, int]] = []  # (right end, color)
     freed: list[int] = []
     top = 0
-    for i in order:
-        li, ri = intervals[i]
+    for li, ri, i in order:
         while active and active[0][0] < li:
             heappush(freed, heappop(active)[1])
         if freed:
@@ -165,9 +165,11 @@ class ExtensionState:
 
     ``colors`` is a proper coloring of H_{j+1} (all of A plus B-positions
     above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
-    in the square are read off arrays by B-position that are built once
-    from the layout: the A-neighbors of each position, minleft and
-    maxright, and the A-vertices sorted by left endpoint.
+    in the square are read off arrays by B-position.  The A-neighbors of
+    each position (the rows of ``b_adj`` themselves) and maxright are
+    built with the state, and are all that step 1 and the clique claims
+    read.  minleft and the A-vertices sorted by left endpoint serve only
+    the pivot steps, so they are built on first use.
     """
 
     graph: BipartiteGraph
@@ -177,36 +179,52 @@ class ExtensionState:
     j: int
 
     def __post_init__(self) -> None:
-        g, ivs = self.graph, self.layout.intervals
+        g = self.graph
         b_seq = self.layout.b_seq
         # square-global index of the B-vertex at each position
         self._b_glob = [g.n_a + b for b in b_seq]
         # A-neighbors of each position: the intervals through it
-        self._a_at = [list(g.b_adj[b]) for b in b_seq]
-        # minleft(p) and maxright(p) bound the intervals through p, and are
-        # p itself where none passes.  An interval starting at or before p
-        # that reaches p passes through it, so maxright is a prefix maximum
-        # of right ends by left endpoint; minleft mirrors it.
-        n_b = len(b_seq)
-        minleft, maxright = list(range(n_b)), list(range(n_b))
-        starts = [0] * (n_b + 1)
-        for iv in ivs:
+        self._a_at = list(map(g.b_adj.__getitem__, b_seq))
+        # maxright(p) bounds the intervals through p, and is p itself where
+        # none passes.  An interval starting at or before p that reaches p
+        # passes through it, so maxright is a prefix maximum of right ends
+        # by left endpoint.
+        maxright = list(range(len(b_seq)))
+        for iv in self.layout.intervals:
             if iv is not None:
                 l, r = iv
                 if maxright[l] < r:
                     maxright[l] = r
+        self._maxright = list(accumulate(maxright, max))
+
+    @cached_property
+    def _minleft(self) -> list[int]:
+        """minleft(p), mirroring maxright: a suffix minimum of left ends
+        by right endpoint."""
+        minleft = list(range(len(self._b_glob)))
+        for iv in self.layout.intervals:
+            if iv is not None:
+                l, r = iv
                 if minleft[r] > l:
                     minleft[r] = l
-                starts[l + 1] += 1
-        self._minleft = list(accumulate(reversed(minleft), min))[::-1]
-        self._maxright = list(accumulate(maxright, max))
-        # A-vertices by left endpoint; those starting before position p
-        # are _by_left[:_starts[p]]
-        self._starts = list(accumulate(starts))
-        self._by_left = sorted(
-            (a for a, iv in enumerate(ivs) if iv is not None),
-            key=lambda a: ivs[a][0],
-        )
+        return list(accumulate(reversed(minleft), min))[::-1]
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """The number of intervals starting before each position, so the
+        A-vertices starting before p are _by_left[:_starts[p]]."""
+        starts = [0] * (len(self._b_glob) + 1)
+        for iv in self.layout.intervals:
+            if iv is not None:
+                starts[iv[0] + 1] += 1
+        return list(accumulate(starts))
+
+    @cached_property
+    def _by_left(self) -> list[int]:
+        """The A-vertices with an interval, by left endpoint."""
+        ivs = self.layout.intervals
+        return sorted((a for a, iv in enumerate(ivs) if iv is not None),
+                      key=lambda a: ivs[a][0])
 
     def bj_vertex(self) -> int:
         return self.layout.b_seq[self.j]
@@ -229,7 +247,7 @@ class ExtensionState:
                     + self._by_left[self._starts[l + 1]:self._starts[r + 1]]
                     + b_glob[max(l, min_pos):r + 1])
         p = self.layout.b_pos[v - n_a]
-        return (self._a_at[p]
+        return ([*self._a_at[p]]
                 + b_glob[max(self._minleft[p], min_pos):p]
                 + b_glob[max(p + 1, min_pos):self._maxright[p] + 1])
 
@@ -328,25 +346,30 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
     maxright(j).  By interval arithmetic: every interval of A_j contains
     j, and one of them covers b_j and every position of B_j."""
     j = state.j
-    ivs = [state.layout.intervals[a] for a in state._a_at[j]]
+    a_j = state._a_at[j]
     hi = state._maxright[j]  # last position of B_j, or j when it is empty
-    if len(ivs) > omega - 1:
+    if len(a_j) > omega - 1:
         raise AlgorithmInvariantViolation(
-            f"|A_j| = {len(ivs)} exceeds omega-1 at position {j}"
+            f"|A_j| = {len(a_j)} exceeds omega-1 at position {j}"
         )
     # the B_j bound presumes b_j has a later B-neighbor at all
     if hi > j and hi - j > omega - 2:
         raise AlgorithmInvariantViolation(
             f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
         )
-    lefts, rights = zip(*ivs) if ivs else ((), ())
-    if ivs and not max(lefts) <= j <= min(rights):
-        raise AlgorithmInvariantViolation(
-            f"N(b_j) side group not a clique at position {j}"
-        )
+    ivs = state.layout.intervals
+    reach = j  # the furthest right end in A_j, or j when A_j is empty
+    for a in a_j:
+        left, right = ivs[a]
+        if left > j or right < j:
+            raise AlgorithmInvariantViolation(
+                f"N(b_j) side group not a clique at position {j}"
+            )
+        if right > reach:
+            reach = right
     # every interval of A_j starts at or before j by now, so one covers
     # j..hi iff the furthest right end reaches hi
-    if hi > j and not (ivs and max(rights) >= hi):
+    if hi > reach:
         raise AlgorithmInvariantViolation(
             f"no A-neighbor covers B_j + b_j at position {j}"
         )
@@ -420,14 +443,18 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
     )
     rank = layout.a_rank
+    a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
+    color_of = colors.__getitem__
     for j in range(g.n_b - 1, -1, -1):
         state.j = j
-        bjg = state.bj_global()
+        bjg = b_glob[j]
         _assert_bj_cliques(state, omega)
-        nb = state.neighborhood_bj()
+        # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
+        a_j, hi = a_at[j], maxright[j]
+        used = set(map(color_of, a_j))
+        used.update(map(color_of, b_glob[j + 1:hi + 1]))
         prev_rank: int | None = None
-        for _ in range(len(nb) + 2):
-            used = {colors[v] for v in nb}
+        for _ in range(len(a_j) + hi - j + 2):
             free = _free_color(used, palette, free_color_rule)
             if free is not None:
                 colors[bjg] = free
@@ -462,7 +489,11 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 trace.append(("swap", j, x, y, len(comp)))
             # loop: if x is now free around b_j the next pass assigns it
             # (the swap cannot free any other color); otherwise a strictly
-            # smaller pivot takes over.
+            # smaller pivot takes over.  The swap is the one change to the
+            # colors that does not end the position, so only it makes the
+            # colors around b_j worth reading again.
+            used = set(map(color_of, a_j))
+            used.update(map(color_of, b_glob[j + 1:hi + 1]))
         else:
             raise AlgorithmInvariantViolation(
                 f"pivot loop failed to terminate at position {j}"

@@ -237,16 +237,34 @@ def test_color_highest_rule_still_within_bound(seed):
     assert coloring.palette <= (3 * omega) // 2
 
 
-def test_pivot_path_reached_under_default_rule():
+# the arrays that only the pivot steps read, built on first use
+_PIVOT_ARRAYS = ("_minleft", "_starts", "_by_left")
+
+
+def test_pivot_path_reached_under_default_rule(monkeypatch):
     # regression: this seeded instance drives the default lowest-free run
-    # into the pivot + recolor step (step 2 fails, step 3.1 succeeds)
+    # into the pivot + recolor step (step 2 fails, step 3.1 succeeds),
+    # which builds each pivot array once
+    built = dict.fromkeys(_PIVOT_ARRAYS, 0)
+
+    def counting(name, real):
+        def build(state):
+            built[name] += 1
+            return real(state)
+        return build
+
     g = gen_random_convex(10, 10, 4, seed=1282)
     layout = recognize_convex(g)
     trace = []
-    coloring = color_square_convex(g, layout, trace=trace)
+    with monkeypatch.context() as m:
+        for name in _PIVOT_ARRAYS:
+            prop = ExtensionState.__dict__[name]
+            m.setattr(prop, "func", counting(name, prop.func))
+        coloring = color_square_convex(g, layout, trace=trace)
     assert verify_coloring(square(g), coloring)
     kinds = [e[0] for e in trace]
     assert "pivot" in kinds and "pivot_recolor" in kinds
+    assert built == dict.fromkeys(_PIVOT_ARRAYS, 1)
 
 
 def test_pivot_events_on_instrumented_corpus():
@@ -494,6 +512,26 @@ def test_pivot_rank_must_decrease(monkeypatch):
         "pivot rank failed to decrease at position 4")
 
 
+def test_step1_rereads_the_colors_after_a_swap(monkeypatch):
+    # Phase I gives a0..a4 the colors 2, 1, 3, 1, 3.  Failing the first
+    # two free-color lookups at position 4 sends the pivot a0 through a
+    # real partner step and Kempe swap, which recolors a0 to 1 and a1, a3
+    # to 2.  N(b_4) = {a0, a4} then holds 1 and 3, so b_4 must take 2; the
+    # colors read before the swap would give it a0's new color 1.
+    real = coloring_module._free_color
+    calls = iter(range(2))
+    monkeypatch.setattr(
+        coloring_module, "_free_color",
+        lambda *args: None if next(calls, None) is not None else real(*args))
+    trace = []
+    c = color_square_convex(_GADGET, recognize_convex(_GADGET), trace=trace)
+    assert [e[0] for e in trace[:5]] == [
+        "phase1", "pivot", "partner", "swap", "assign"]
+    assert trace[3] == ("swap", 4, 2, 1, 3)
+    assert trace[4] == ("assign", 4, 4, 2)
+    assert verify_coloring(square(_GADGET), c)
+
+
 def test_pivot_loop_bounded(monkeypatch):
     # N(b_4) in H_4 is {a0, a4}, so the loop allows 2 + 2 rounds; four
     # descending pivots (<_A is a1, a2, a3, a0, a4) use them all up
@@ -583,6 +621,22 @@ def test_color_never_builds_the_square(monkeypatch):
         assert verify_coloring(square(g), c)
 
 
+def test_color_never_builds_the_pivot_arrays(monkeypatch):
+    # with the default rule the corpus never pivots, so the arrays that
+    # only steps 2 and 3 read are never built
+    def refuse(state):
+        raise AssertionError("pivot array built without a pivot")
+
+    graphs = _corpus()
+    with monkeypatch.context() as m:
+        for name in _PIVOT_ARRAYS:
+            m.setattr(ExtensionState.__dict__[name], "func", refuse)
+        colorings = [color_square_convex(g, recognize_convex(g))
+                     for g in graphs]
+    for g, c in zip(graphs, colorings):
+        assert verify_coloring(square(g), c)
+
+
 # ---------------------------------------------------------------------------
 # the position arrays and the clique claims of Phase II
 
@@ -596,6 +650,13 @@ def test_position_arrays_match_their_definition(g):
         through = [layout.intervals[a] for a in g.b_adj[b]]
         assert state._minleft[p] == min((l for l, _ in through), default=p)
         assert state._maxright[p] == max((r for _, r in through), default=p)
+        assert state._a_at[p] == g.b_adj[b]
+    lefts = [iv[0] for iv in layout.intervals if iv is not None]
+    assert sorted(state._by_left) == [
+        a for a, iv in enumerate(layout.intervals) if iv is not None]
+    assert [layout.intervals[a][0] for a in state._by_left] == sorted(lefts)
+    assert state._starts == [sum(l < p for l in lefts)
+                             for p in range(g.n_b + 1)]
 
 
 # On the gadget at j = 1: A_1 = {a0, a1, a2} and B_1 = positions 2..4, all
@@ -629,13 +690,16 @@ def test_clique_claim_b_side_bound():
         "|B_j| = 3 exceeds omega-2 at position 1")
 
 
-def test_clique_claim_interval_misses_j():
+def _a1_at_zero_layout():
     # a layout that puts a1 at [0, 0], although b_1 is its neighbor
     good = recognize_convex(_GADGET)
     ivs = list(good.intervals)
     ivs[1] = (0, 0)
-    bad = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
-    assert _violation(_claims_state(bad), 9) == (
+    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+
+
+def test_clique_claim_interval_misses_j():
+    assert _violation(_claims_state(_a1_at_zero_layout()), 9) == (
         "N(b_j) side group not a clique at position 1")
 
 
@@ -645,6 +709,39 @@ def test_clique_claim_no_interval_covers_b_j():
     state._a_at[1] = [1, 2]
     assert _violation(state, 9) == (
         "no A-neighbor covers B_j + b_j at position 1")
+
+
+
+def test_clique_claim_cover_short_by_one():
+    # at j = 2, without a0 the furthest right end is a3's 3, one short of
+    # maxright(2) = 4
+    state = _claims_state()
+    state.j = 2
+    state._a_at[2] = [2, 3]
+    assert _violation(state, 9) == (
+        "no A-neighbor covers B_j + b_j at position 2")
+
+def _color_violation(layout):
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        color_square_convex(_GADGET, layout)
+    return str(err.value)
+
+
+def test_clique_claims_fail_closed_on_a_corrupted_layout():
+    assert _color_violation(_a1_at_zero_layout()) == (
+        "N(b_j) side group not a clique at position 1")
+
+
+@pytest.mark.parametrize("omega, message", [
+    (3, "|A_j| = 3 exceeds omega-1 at position 3"),
+    (4, "|B_j| = 3 exceeds omega-2 at position 1"),
+])
+def test_clique_claims_fail_closed_on_a_small_cached_omega(omega, message):
+    # omega(G^2) is 6; a layout whose cached omega is smaller is caught
+    # at the first position where a side outgrows it
+    layout = recognize_convex(_GADGET)
+    layout.__dict__["omega"] = omega
+    assert _color_violation(layout) == message
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +758,8 @@ def _square_greedy(g):
 
 
 def _corruptions(g, c):
-    """Proper ``c`` and copies with a recolored conflict, a missing vertex
-    and a color above the palette."""
+    """Proper ``c`` and copies with a recolored conflict, a missing vertex,
+    a color above the palette and the color 0 below it."""
     yield c
     n = g.n_a + g.n_b
     for u, v in square(g).edges():
@@ -672,6 +769,7 @@ def _corruptions(g, c):
         yield Coloring({w: col for w, col in c.colors.items() if w != v},
                        c.palette)
         yield Coloring({**c.colors, v: c.palette + 1}, c.palette)
+        yield Coloring({**c.colors, v: 0}, c.palette)
 
 
 @settings(max_examples=150, deadline=None)
