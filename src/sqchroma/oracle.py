@@ -13,10 +13,14 @@ the input.
 * ``exact_chromatic``: saturation-order branch and bound seeded with a
   greedily-found clique (its vertices are pre-colored, which both lower
   bounds the answer and breaks color symmetry).  The search runs from an
-  explicit stack on one vertex bitmask per color (the vertices with a
-  neighbor of that color); it visits the same nodes, in the same order,
-  as the recursive search over per-vertex saturation sets kept in the
-  tests as its reference, so node counts are unchanged.
+  explicit stack, and each node does a fixed number of big-int
+  operations: the vertices are numbered by rank of (degree, -index), the
+  saturation counts are kept as bit-sliced planes that pick the next
+  vertex, the vertices with a neighbor of each color sit in one int at a
+  stride of n bits per color, and backtracking restores the saved ints.
+  It visits the same nodes, in the same order, as the recursive search
+  over per-vertex saturation sets kept in the tests as its reference, so
+  node counts are unchanged.
 * ``exact_clique``: branch and bound with a greedy-coloring upper bound
   on each candidate set, colored on one neighbour bitmask per color class
   (the classes and their order are those of the quadratic coloring kept
@@ -203,15 +207,19 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
 
     Each node colors the uncolored vertex of greatest (saturation, degree,
     -index) with every color from 1 up to ``min(best - 1, used + 1)`` that
-    no neighbor holds, fixing that cap on entry, and stops early once
-    ``best`` meets the lower bound.  The nodes live on an explicit stack.
+    no neighbor holds, fixing that cap on entry, and stops once ``best``
+    meets the lower bound.  The nodes live on an explicit stack.
 
-    ``satc[c]`` is the bitmask of vertices with a neighbor colored c.  It
-    is kept exact for uncolored vertices only: a colored vertex's
-    saturation is read again only after backtracking has uncolored it, and
-    by then every change made below it has been undone.  ``score[u]`` is
-    ``|sat(u)| * n`` plus the rank of ``(degree, -u)``, so its maximum is
-    the vertex the saturation order picks.
+    Vertex r is the one of rank r under ``(degree, -index)``, so bit r of
+    each mask below stands for it and a higher bit wins a tie.  ``unc``
+    holds the uncolored vertices.  ``planes`` holds every vertex's
+    saturation bit-sliced, one int per bit, highest bit first: narrowing
+    ``unc`` through them and taking the highest bit left is the
+    saturation order's pick.  ``sat`` holds at bits ``c * n`` onward the
+    vertices with a neighbor colored c, so ``~(sat >> v)`` masked by
+    ``pat[cap]`` is the colors v may take.  The state is ints and a
+    planes list copied before each change, so a frame saves it and
+    backtracking restores it.
     """
     if g.m == 0:
         return 1 if g.n else 0
@@ -222,22 +230,31 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
         return best
 
     n = g.n
-    bits = [sum(1 << w for w in nbrs) for nbrs in g.adj]
-    score = [0] * n
-    for r, u in enumerate(sorted(range(n), key=lambda u: (len(g.adj[u]), -u))):
-        score[u] = r
-    satc = [0] * (best + 1)
-    for c, v in enumerate(clique, start=1):
-        satc[c] = bits[v]
-        for w in g.adj[v]:
-            score[w] += n
-    precolored = set(clique)
-    uncolored = [v for v in range(n) if v not in precolored]
-    unc = sum(1 << v for v in uncolored)
-    key = score.__getitem__
-    # a suspended node: (v, used, cap, color being tried, satc[color] before
-    # it, vertices whose saturation that color raised)
-    stack: list[tuple[int, int, int, int, int, list[int]]] = []
+    adj = g.adj
+    order = sorted(range(n), key=lambda u: (len(adj[u]), -u))
+    rank = [0] * n
+    for r, u in enumerate(order):
+        rank[u] = r
+    nbrs = [sum(1 << rank[w] for w in adj[u]) for u in order]
+    sat_count = [0] * n  # by rank
+    sat = 0
+    unc = (1 << n) - 1
+    for c, u in enumerate(clique, start=1):
+        sat |= nbrs[rank[u]] << c * n
+        unc ^= 1 << rank[u]
+        for w in adj[u]:
+            sat_count[rank[w]] += 1
+    # every color in play is below the greedy's count, so k bits hold
+    # any saturation
+    k = best.bit_length()
+    planes = [sum(1 << r for r in range(n) if sat_count[r] >> i & 1)
+              for i in range(k - 1, -1, -1)]
+    pat = [0]
+    for c in range(1, best):
+        pat.append(pat[-1] | 1 << c * n)
+    # a suspended node: (v, used, colors still to try, then the node's
+    # sat, planes and unc)
+    stack: list[tuple[int, int, int, int, list[int], int]] = []
     nodes, limit = counter.nodes, counter.limit
     used = len(clique)
     try:
@@ -249,48 +266,42 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
                     "chromatic search exceeded its node budget",
                     lower=lower, upper=best, nodes=nodes,
                 )
-            if uncolored:
-                v = max(uncolored, key=key)
-                uncolored.remove(v)
+            if unc:
+                cand = unc
+                for plane in planes:
+                    top = cand & plane
+                    if top:
+                        cand = top
+                v = cand.bit_length() - 1
                 unc ^= 1 << v
-                cap = min(best - 1, used + 1)
-                c = 0
+                free = ~(sat >> v) & pat[min(best - 1, used + 1)]
             else:
+                # a leaf; the root is none, as the clique leaves a
+                # vertex uncolored (else lower >= best)
                 if used < best:
                     best = used
-                if not stack:
-                    return best
-                v, used, cap, c, saved, touched = stack.pop()
-            # undo the node's last color, if any, and find its next one
-            while True:
-                if c:
-                    satc[c] = saved
-                    for w in touched:
-                        score[w] -= n
                     if best <= lower:
-                        c = cap  # the bound is met: try no further color
-                c += 1
-                while c <= cap and satc[c] >> v & 1:
-                    c += 1
-                if c <= cap:
-                    break
-                uncolored.append(v)
-                unc |= 1 << v
+                        return best
+                v, used, free, sat, planes, unc = stack.pop()
+            # back up to the nearest node with a color left to try
+            while not free:
                 if not stack:
                     return best
-                v, used, cap, c, saved, touched = stack.pop()
-            # color v with c and descend
-            saved = satc[c]
-            mask = bits[v] & unc & ~saved
-            satc[c] = saved | mask
-            touched = []
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
-                touched.append(w)
-                score[w] += n
-                mask ^= low
-            stack.append((v, used, cap, c, saved, touched))
+                v, used, free, sat, planes, unc = stack.pop()
+            low = free & -free
+            stack.append((v, used, free ^ low, sat, planes, unc))
+            # color v with c and descend: the neighbors without c gain it
+            shift = low.bit_length() - 1
+            carry = nbrs[v] & ~(sat >> shift)
+            sat |= carry << shift
+            planes = planes.copy()
+            i = k
+            while carry:
+                i -= 1
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+            c = shift // n
             if c > used:
                 used = c
     finally:

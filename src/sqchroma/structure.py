@@ -103,6 +103,14 @@ def is_AB_path(g: BipartiteGraph, layout: ConvexLayout,
         for j in range(i + 1, k):
             if sq.has_edge(path[i], path[j]) != (j - i == 1):
                 return False
+    return _owns_ends(g, layout, path, b, b_prime)
+
+
+def _owns_ends(g: BipartiteGraph, layout: ConvexLayout,
+               path: Sequence[int], b: int, b_prime: int) -> bool:
+    """The ownership and order tests of ``is_AB_path`` on a path already
+    known to be an induced path of A-vertices with distinct B-ends."""
+    n_a = g.n_a
     bb, bp = b - n_a, b_prime - n_a
     if bb not in g.adj[path[0]] or any(bb in g.adj[v] for v in path[1:]):
         return False
@@ -141,7 +149,9 @@ def verify_cycle_structure(g: BipartiteGraph, layout: ConvexLayout,
             # P2's path rises under <_A: take the reflection
             lab = lab[k - 3::-1] + [lab[k - 1], lab[k - 2]]
         a_path, v_k1, v_k = lab[:k - 2], lab[k - 2], lab[k - 1]
-        if is_AB_path(g, layout, a_path, v_k, v_k1):
+        # the cycle is induced, so a_path is an induced path in A and
+        # only the ownership and order tests of is_AB_path remain
+        if _owns_ends(g, layout, a_path, v_k, v_k1):
             report = _verify_p2_p3(g, layout, lab, a_path, v_k, v_k1)
             if report is not None:
                 return report

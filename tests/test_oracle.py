@@ -339,6 +339,72 @@ def test_chromatic_search_matches_reference_on_corpus():
     _assert_same_search(square(gen_lower_bound_H(2)))
 
 
+def circulant(n, jumps):
+    return SimpleGraph.from_edges(
+        n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return SimpleGraph.from_edges(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n)
+                                      if part[u] != part[v]])
+
+
+def cartesian(g, h):
+    return SimpleGraph.from_edges(
+        g.n * h.n,
+        [(a * h.n + b, w * h.n + b) for a in range(g.n) for b in range(h.n)
+         for w in g.adj[a]]
+        + [(a * h.n + b, a * h.n + w) for a in range(g.n)
+           for b in range(h.n) for w in h.adj[b]])
+
+
+def test_chromatic_search_matches_reference_with_five_saturation_planes():
+    # DSATUR uses 17 or more colors here, so saturations take five planes,
+    # and a vertex that sees 16 colors carries into the fifth
+    for seed, n, p in [(4, 40, 0.8), (0, 40, 0.85), (2, 40, 0.9),
+                       (3, 40, 0.9)]:
+        g = gnp(seed, n, p)
+        assert max(_dsatur_greedy(g).values()) >= 17
+        _assert_same_search(g)
+
+
+def test_chromatic_search_matches_reference_past_64_vertices():
+    # the masks span several int digits, and the color masks lie n bits
+    # apart in one int
+    for seed, n, p in [(0, 70, 0.1), (1, 70, 0.1), (2, 90, 0.1),
+                       (0, 90, 0.05), (5, 130, 0.03), (5, 130, 0.08)]:
+        _assert_same_search(gnp(seed, n, p))
+    _assert_same_search(gadget_and_path(60))
+
+
+def test_chromatic_search_matches_reference_on_regular_graphs():
+    # every vertex has the same degree, so the pick among equally
+    # saturated vertices rests on the index alone; a complete multipartite
+    # graph alone is colored optimally by DSATUR, so it enters as a factor
+    graphs = [cycle_graph(n) for n in (5, 9, 21, 67)]
+    graphs += [circulant(n, jumps) for n, jumps in [
+        (11, [1, 2]), (13, [1, 2, 4]), (17, [1, 2]), (23, [1, 2]),
+        (29, [1, 2, 4]), (13, [1, 3, 5]), (10, [2, 5])]]
+    graphs += [complement(cycle_graph(n)) for n in (7, 11)]
+    graphs += [cartesian(complete_multipartite(2, 2, 2, 2), cycle_graph(7)),
+               cartesian(complete_multipartite(3, 3, 3), circulant(7, [1, 2])),
+               cartesian(complete_multipartite(2, 2), circulant(11, [1, 2]))]
+    for g in graphs:
+        assert len({len(nbrs) for nbrs in g.adj}) == 1
+        # DSATUR exceeds omega, so the search runs
+        assert max(_dsatur_greedy(g).values()) > exact_stats(g).omega
+        _assert_same_search(g)
+
+
+def test_exact_stats_on_a_long_path_is_pinned():
+    # too deep for the recursive reference: 3000 vertices of path after
+    # the gadget, one node per vertex
+    assert exact_stats(gadget_and_path(3000)) == ExactStats(3, 3, 3008)
+
+
 def test_chromatic_search_matches_reference_on_h4_square():
     # the full count, 264 393, is pinned above; one node short of it the
     # search stops with the same bounds as the reference

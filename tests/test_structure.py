@@ -137,17 +137,19 @@ def _count_calls(monkeypatch, module, name):
 
 def test_structure_run_checks_each_cycle_once(tmp_path, monkeypatch, capsys):
     # one labeling per cycle: each of H(4)'s 1152 holes is checked for
-    # inducedness once and goes through P1 and P2/P3 once
+    # inducedness once and goes through P1's ownership tests and P2/P3
+    # once; the induced cycle already makes its A-path induced, so the
+    # path's adjacency is not tested again through is_AB_path
     path = tmp_path / "h4.bip"
     path.write_text(write_bipartite_text(gen_lower_bound_H(4)))
     counts = {name: _count_calls(monkeypatch, structure, name)
               for name in ("_check_induced_cycle", "is_AB_path",
-                           "_verify_p2_p3")}
+                           "_owns_ends", "_verify_p2_p3")}
     assert cli.run(["structure", str(path), "--summary"]) == 0
     assert capsys.readouterr().out == \
         "cycles=1152 passed=1152 spectrum_contiguous=True\n"
     assert {name: c[0] for name, c in counts.items()} == {
-        "_check_induced_cycle": 1152, "is_AB_path": 1152,
+        "_check_induced_cycle": 1152, "is_AB_path": 0, "_owns_ends": 1152,
         "_verify_p2_p3": 1152}
 
 
