@@ -31,19 +31,30 @@ operations to place rows, assemble and check the result; to find the
 classes, O(N) bit-set operations on m-bit integers plus one subset test
 per unqueued row that meets a placed row without containing it; and the
 sorts.  Rows arrive as the sorted tuples ``BipartiteGraph.adj`` holds and
-are deduplicated and sorted as such.  Placing a row collects the cells
-its columns lie in as one set and tests each cell at the ends and inside
-its run for fullness as a subset of the row; a subset test stops at the
-smaller size, so this costs O(|row|) without counting columns per cell.
-One pass reads the first and last position of every row under the final
+are deduplicated and sorted as such.  The column index is a list by
+column, and a row's bit sets are OR- and AND-reduced as they are read
+off it.  Placing a row collects the cells its columns lie in as one set
+and walks its run, testing each cell at the ends and inside the run for
+fullness as a subset of the row; a subset test stops at the smaller
+size, so this costs O(|row|) without counting columns per cell.  One
+pass reads the first and last position of every row under the final
 order: it checks the row against the order (fail closed) and gives the
 row's interval.
 
-When a class fails, the complete classes and the partial arrangements of
-the failed ones are assembled the same way.  Every placed row is
-consecutive under that order, so the NonConvexWitness names an A-vertex
-whose neighborhood could not be placed, the order attempted, and the
-gap triple itself.
+A verdict of no order stops at the first row that cannot be placed: the
+classes are generated one at a time, so it pays for the sort, the column
+index, the classes before the failed one and that class up to the
+failed row, and assembles nothing.  At that point the failed class is
+checked, fail closed: under its cells from left to right and then the
+failed row's new columns, one of its rows must have a gap.
+The NonConvexWitness builds its fields when first read, by finishing the
+same arrangement: the rest of the failed class is collected but not
+placed, the later classes are arranged, and the complete classes and the
+partial arrangements of the failed ones are assembled as above.  Every
+placed row is consecutive under that order, so the witness names an
+A-vertex whose neighborhood could not be placed, the order attempted,
+and the gap triple itself.  Only ``recognize`` prints it; ``color``,
+``structure`` and ``experiment`` read the verdict alone.
 
 Derived orderings: positions under <_B induce an interval (left, right)
 per non-isolated A-vertex, and <_A sorts A by right endpoint with ties
@@ -58,7 +69,7 @@ from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import and_, itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import BipartiteGraph, SimpleGraph
 from .errors import LayoutMismatch, SqchromaError
@@ -128,7 +139,6 @@ class BiconvexLayout:
     a_pos_prime: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class NonConvexWitness:
     """Certificate of a failed recognition run.
 
@@ -136,15 +146,61 @@ class NonConvexWitness:
     neighborhood of ``violating_a`` has a gap under it, exhibited by the
     triple ``gap`` = (b_p, b_q, b_r): positions p < q < r with b_p and
     b_r neighbors of the vertex and b_q not.
+
+    Recognition stops at the first row it cannot place.  The attempted
+    order is built on the first read of a field, by finishing the same
+    arrangement, so a caller that only needs the verdict never pays for
+    it.
     """
 
-    b_order_attempted: tuple[int, ...]
-    violating_a: int
-    gap: tuple[int, int, int]
+    def __init__(self, rows: Sequence[Sequence[int]],
+                 attempt: Callable[[], list[int]]):
+        self._rows = rows
+        self._attempt = attempt
+
+    @cached_property
+    def b_order_attempted(self) -> tuple[int, ...]:
+        order = tuple(self._attempt())
+        del self._attempt  # the engine's state is no longer needed
+        return order
+
+    @cached_property
+    def _violation(self) -> tuple[int, tuple[int, int, int]]:
+        """The first row with a gap under the attempt, and the gap."""
+        attempt = self.b_order_attempted
+        pos = [0] * len(attempt)
+        for p, b in enumerate(attempt):
+            pos[b] = p
+        for a, nbrs in enumerate(self._rows):
+            if len(nbrs) < 2:
+                continue
+            ps = sorted(pos[b] for b in nbrs)
+            if ps[-1] - ps[0] + 1 == len(ps):
+                continue
+            have = set(ps)
+            q = next(p for p in range(ps[0] + 1, ps[-1]) if p not in have)
+            r = next(p for p in ps if p > q)
+            p0 = max(p for p in ps if p < q)
+            return a, (attempt[p0], attempt[q], attempt[r])
+        raise _ArrangementError(  # pragma: no cover
+            "arrangement failed but every neighborhood fits the attempt"
+        )
+
+    @property
+    def violating_a(self) -> int:
+        return self._violation[0]
+
+    @property
+    def gap(self) -> tuple[int, int, int]:
+        return self._violation[1]
+
+    def __repr__(self) -> str:
+        return (f"NonConvexWitness(b_order_attempted={self.b_order_attempted}"
+                f", violating_a={self.violating_a}, gap={self.gap})")
 
 
 class _ArrangementError(SqchromaError):
-    """Internal: an assembled order contradicts the arrangement theory."""
+    """Internal: the arrangement contradicts its own theory (fail closed)."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +263,17 @@ class _Cells:
         hit = set(map(self.cell_of.get, row))  # None stands for new columns
         has_new = None in hit
         hit.discard(None)
-        p = q = next(iter(hit))
+        p = next(iter(hit))
         while prev[p] in hit:
             p = prev[p]
+        q, run = p, 1
         while nxt[q] in hit:
+            if q != p and not members[q] <= row:
+                return False  # an inner cell of the run sticks out of the row
             q = nxt[q]
-        run = [p]
-        while run[-1] != q:
-            run.append(nxt[run[-1]])
-        if len(run) != len(hit):
+            run += 1
+        if run != len(hit):
             return False  # the touched cells are not contiguous
-        if not all(members[c] <= row for c in run[1:-1]):
-            return False  # an inner cell of the run sticks out of the row
         full_p = members[p] <= row
         full_q = members[q] <= row
         if not has_new:
@@ -255,62 +310,95 @@ class _Cells:
 @dataclass
 class _OverlapClass:
     """One overlap class: the rows placed, as indices into the sorted row
-    list, and the cells they arrange.  ``complete`` is False when a row
-    could not be placed; the cells then arrange the rows placed before it."""
+    list, and the cells they arrange.  ``failed`` is the row that could
+    not be placed, or -1; the cells then arrange the rows placed before
+    it."""
 
     rows: list[int]
     cells: _Cells
-    complete: bool
+    failed: int = -1
+
+    @property
+    def complete(self) -> bool:
+        return self.failed < 0
 
 
-def _overlap_classes(sets: list[frozenset]) -> list[_OverlapClass]:
+def _overlap_classes(n_cols: int,
+                     sets: list[frozenset]) -> Iterator[_OverlapClass]:
     """Overlap classes of ``sets`` (sorted by size, then members), each
-    arranged.
+    arranged, in the order they start.
 
     A class starts at the smallest row not yet queued; the next row
     placed is always the smallest queued one, and placing a row queues
     every row that strictly overlaps it (a heap of ranks), so each placed
-    row strictly overlaps an earlier one.  After a failed placement the
-    rest of the class is still collected, but not placed.
+    row strictly overlaps an earlier one.  A class that fails is yielded
+    at the row that failed, so a caller that only needs the verdict stops
+    there.  If the caller goes on, the rest of the class is collected, but
+    not placed, and the classes after it follow.
 
     The column index holds, per column, the bit set of the rows through
     it.  OR-ing and AND-ing it over a row gives the rows that meet it and
     the rows that contain it, so the rows around a row are set aside by
     bit operations instead of a scan of their columns.
     """
-    col_rows: dict[int, int] = {}
+    col_rows = [0] * n_cols
     for i, s in enumerate(sets):
         bit = 1 << i
         for x in s:
-            col_rows[x] = col_rows.get(x, 0) | bit
+            col_rows[x] |= bit
+    rows_at = col_rows.__getitem__
     unqueued = (1 << len(sets)) - 1
-    classes: list[_OverlapClass] = []
     while unqueued:
         low = unqueued & -unqueued
         unqueued ^= low
         start = low.bit_length() - 1
         heap = [start]
-        cells = _Cells(sets[start])
-        placed: list[int] = []
-        complete = True
+        cls = _OverlapClass([], _Cells(sets[start]))
         while heap:
             i = heappop(heap)
             row = sets[i]
-            if i == start or complete and cells.place(row):
-                placed.append(i)
-            else:
-                complete = False
-            masks = list(map(col_rows.__getitem__, row))
-            cand = reduce(or_, masks) & ~reduce(and_, masks) & unqueued
-            while cand:  # rows meeting this one, not around it, unqueued
+            if i == start or cls.complete and cls.cells.place(row):
+                cls.rows.append(i)
+            elif cls.complete:  # the first row of the class that fails
+                cls.failed = i
+                yield cls
+            # rows meeting this one, not around it, unqueued
+            cand = (reduce(or_, map(rows_at, row))
+                    & ~reduce(and_, map(rows_at, row)) & unqueued)
+            while cand:
                 low = cand & -cand
                 cand ^= low
                 j = low.bit_length() - 1
                 if not sets[j] <= row:  # strict overlap
                     unqueued ^= low
                     heappush(heap, j)
-        classes.append(_OverlapClass(placed, cells, complete))
-    return classes
+        if cls.complete:
+            yield cls
+
+
+def _check_failure(sets: list[frozenset], cls: _OverlapClass) -> None:
+    """Fail closed at a failed placement: some row of the class must have
+    a gap under its cells from left to right, each cell's columns
+    ascending, then the failed row's new columns ascending.
+
+    Every placed row is a run of cells.  ``_Cells.place`` refuses a row
+    only when, under this order, a column outside it lies between two of
+    its own: in a cell its run skips, in an inner cell of its run, or,
+    when it has new columns, in a cell after its run or in the part of
+    its last cell it lacks.  So the failed row has a gap, and the check
+    cannot fire on a correct engine.  Raises _ArrangementError otherwise.
+    """
+    cells = cls.cells
+    failed = sets[cls.failed]
+    order = [x for c in cells.order() for x in sorted(cells.members[c])]
+    order += sorted(failed.difference(cells.cell_of))
+    pos = dict(zip(order, range(len(order))))
+    for i in [cls.failed, *cls.rows]:
+        ps = list(map(pos.__getitem__, sets[i]))
+        if max(ps) - min(ps) + 1 != len(ps):
+            return
+    raise _ArrangementError("a row failed to place, but every row of its "
+                            "class fits the cells")
 
 
 def _assemble(n_cols: int, sets: list[frozenset],
@@ -329,19 +417,19 @@ def _assemble(n_cols: int, sets: list[frozenset],
     class_of: dict[int, int] = {}
     for k, cls in enumerate(classes):
         class_of.update(dict.fromkeys(cls.rows, k))
-    owner: dict[int, int] = {}
+    owner = [-1] * n_cols
     host: dict[int, tuple[int, int]] = {}  # class -> (host or -1, a column)
     for i in sorted(class_of, reverse=True):
         k = class_of[i]
         if k not in host:
             x = next(iter(sets[i]))
-            host[k] = (owner.get(x, -1), x)
-        owner.update(dict.fromkeys(sets[i], k))
+            host[k] = (owner[x], x)
+        for x in sets[i]:
+            owner[x] = k
     # blocks per cell: (first column, class), class -1 for a lone column
     top: list[tuple[int, int]] = []
     blocks = [[[] for _ in cls.cells.members] for cls in classes]
-    for x in range(n_cols):
-        k = owner.get(x, -1)
+    for x, k in enumerate(owner):
         dest = top if k < 0 else blocks[k][classes[k].cells.cell_of[x]]
         dest.append((x, -1))
     flat: list[list[tuple[int, int]]] = [[] for _ in classes]
@@ -368,30 +456,40 @@ def _assemble(n_cols: int, sets: list[frozenset],
 
 
 def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
-             ) -> tuple[list[int], list[int], tuple | None]:
+             ) -> tuple[list[int], list[int], tuple] | NonConvexWitness:
     """Column order, the position of each column under it, and the
-    ``_intervals`` of ``rows`` under it, or None when no order makes every
-    row consecutive.  ``rows`` are sorted, duplicate-free tuples, as the
-    rows of ``BipartiteGraph.adj`` are.
+    ``_intervals`` of ``rows`` under it; or, when no order makes every row
+    consecutive, a NonConvexWitness over ``rows``.  ``rows`` are sorted,
+    duplicate-free tuples, as the rows of ``BipartiteGraph.adj`` are.
 
-    On failure the order assembles the complete classes and the partial
-    arrangements of the failed ones, so a row with a gap under it exists.
-    On success every row has been checked against the order (fail closed)
-    in the same pass that found its interval, so callers need not check it
-    again.
+    The arrangement stops at the first row that cannot be placed, after
+    ``_check_failure``.  The witness finishes it when read: the order then
+    assembles the complete classes and the partial arrangements of the
+    failed ones, so a row with a gap under it exists.  On success every
+    row has been checked against the order (fail closed) in the same pass
+    that found its interval, so callers need not check it again.
     """
     keyed = sorted({(len(row), row) for row in rows if len(row) >= 2})
     if keyed and (min(row[0] for _, row in keyed) < 0
                   or max(row[-1] for _, row in keyed) >= n_cols):
         raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
     sets = [frozenset(row) for _, row in keyed]
-    classes = _overlap_classes(sets)
+    classes: list[_OverlapClass] = []
+    pending = _overlap_classes(n_cols, sets)
+    for cls in pending:
+        classes.append(cls)
+        if not cls.complete:
+            _check_failure(sets, cls)
+
+            def attempt() -> list[int]:
+                classes.extend(pending)
+                return _assemble(n_cols, sets, classes)
+
+            return NonConvexWitness(rows, attempt)
     order = _assemble(n_cols, sets, classes)
     pos = [0] * n_cols
     for p, x in enumerate(order):
         pos[x] = p
-    if not all(cls.complete for cls in classes):
-        return order, pos, None
     try:
         return order, pos, _intervals(rows, pos)
     except LayoutMismatch as exc:
@@ -411,14 +509,17 @@ def consecutive_order(n_cols: int,
     Deterministic for a fixed input.  Rows of size < 2 impose nothing;
     a longer row naming a column outside 0..n_cols-1 raises ValueError.
     """
-    order, _, intervals = _arrange(n_cols, _normalized(rows))
-    return order if intervals is not None else None
+    result = _arrange(n_cols, _normalized(rows))
+    return None if isinstance(result, NonConvexWitness) else result[0]
 
 
 def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
     """The order ``consecutive_order`` would return, or on failure the
     assembled partial arrangement, for witness construction."""
-    return _arrange(n_cols, _normalized(rows))[0]
+    result = _arrange(n_cols, _normalized(rows))
+    if isinstance(result, NonConvexWitness):
+        return list(result.b_order_attempted)
+    return result[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,28 +570,11 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
     """Convex layout of ``g``, or a witness that no B-order works."""
-    attempt, pos, ivs = _arrange(g.n_b, g.adj)
-    if ivs is not None:  # _arrange has checked every neighborhood against it
-        return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs))
-    for a in range(g.n_a):  # first vertex with a gap under the attempt
-        nbrs = g.adj[a]
-        if len(nbrs) < 2:
-            continue
-        ps = sorted(pos[b] for b in nbrs)
-        if ps[-1] - ps[0] + 1 == len(ps):
-            continue
-        have = set(ps)
-        q = next(p for p in range(ps[0] + 1, ps[-1]) if p not in have)
-        r = next(p for p in ps if p > q)
-        p0 = max(p for p in ps if p < q)
-        return NonConvexWitness(
-            b_order_attempted=tuple(attempt),
-            violating_a=a,
-            gap=(attempt[p0], attempt[q], attempt[r]),
-        )
-    raise _ArrangementError(  # pragma: no cover
-        "arrangement failed but every neighborhood fits the attempt"
-    )
+    result = _arrange(g.n_b, g.adj)
+    if isinstance(result, NonConvexWitness):
+        return result
+    _, pos, ivs = result  # _arrange has checked every neighborhood
+    return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs))
 
 
 def order_A(g: BipartiteGraph, layout: ConvexLayout) -> tuple[int, ...]:

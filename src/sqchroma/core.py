@@ -24,7 +24,10 @@ coloring pipeline never asks.
 The module also owns the text interchange format used by the CLI:
 ``p bip <n_a> <n_b> <m>`` followed by ``m`` lines ``e <a> <b>`` (0-based)
 for bipartite graphs, and ``p gen <n> <m>`` with ``e <u> <v>`` lines for
-general graphs.  Lines starting with ``c`` are comments.
+general graphs.  Lines starting with ``c`` are comments.  A problem line
+may give each side (or a general graph) at most ``MAX_VERTICES`` = 2**24
+vertices; a larger size is an error at that line, not a request for
+memory.
 
 The format has two readers.  The line reader (``_parse_graph_lines`` and
 ``_build_graph``) is its one definition: it reads every text the format
@@ -258,6 +261,11 @@ def write_simple_text(g: SimpleGraph) -> str:
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+# The largest vertex count a problem line may give one side of a ``p bip``
+# graph, or a ``p gen`` graph.
+MAX_VERTICES = 1 << 24
+
+
 def _decimal(token: str) -> int:
     """``int(token)`` for a token of the documented form, else ValueError."""
     if not _INTEGER.fullmatch(token):
@@ -302,6 +310,10 @@ def _parse_graph_lines(text: str) -> tuple[str, list[int], list[tuple[int, int]]
                 header = (parts[1], [to_int(x) for x in parts[2:]])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad problem line") from exc
+            for n in header[1][:_HEADERS[parts[1]][1] - 1]:
+                if n > MAX_VERTICES:
+                    raise ValueError(f"line {lineno}: vertex count {n} "
+                                     f"exceeds the limit {MAX_VERTICES}")
         else:
             raise ValueError(f"line {lineno}: unknown record {head!r}")
     if header is None:
@@ -353,6 +365,8 @@ def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
     if head is None:
         return None
     n_a, n_b, m = map(int, head.groups())
+    if max(n_a, n_b) > MAX_VERTICES:
+        return None
     body = text[head.end():]
     tokens = body.split()
     # The body is m lines "e <digits> <digits>": without its ASCII digits

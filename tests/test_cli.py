@@ -1,9 +1,13 @@
 import argparse
 import functools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqchroma
 from sqchroma import cli, coloring, convexity, oracle
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
 from sqchroma.convexity import ConvexLayout
@@ -130,6 +134,49 @@ def test_package_error_is_one_line(np_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: layout sizes disagree with the graph\n"
+
+
+def test_color_fails_closed_when_a_placeable_row_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # the staircase {0,1}, {1,2}, {2,3} has a consecutive order: an engine
+    # that refuses its second row is at fault, and must not print NOT CONVEX
+    real = convexity._Cells.place
+    monkeypatch.setattr(convexity._Cells, "place",
+                        lambda cells, row: row != {1, 2} and real(cells, row))
+    path = tmp_path / "staircase.bip"
+    path.write_text("p bip 3 4 6\ne 0 0\ne 0 1\ne 1 1\ne 1 2\ne 2 2\ne 2 3\n")
+    assert run(["color", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a row failed to place, but every row of "
+                            "its class fits the cells\n")
+
+
+# files of at most 20 bytes whose problem line asks for 10^8 vertices
+_HEADER_PROBES = [(command, text)
+                  for text in ("p bip 100000000 1 0\n", "p bip 1 100000000 0\n")
+                  for command in ("color", "recognize", "exact")
+                  ] + [("exact", "p gen 100000000 0\n")]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("command, text", _HEADER_PROBES)
+def test_oversized_header_is_one_error_line_in_a_process(command, text):
+    # as a process under a 2 GB address-space limit: the header is refused
+    # before anything is allocated for its vertices, so no MemoryError
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(sqchroma.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "sqchroma.cli", command, "-"],
+                          input=text, capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, preexec_fn=limit,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: line 1: vertex count 100000000 exceeds the limit "
+               "16777216\n")
 
 
 def test_color_trace(np_file, capsys):

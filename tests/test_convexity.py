@@ -100,8 +100,21 @@ def _nested_class_chain(n):
     return rows
 
 
+def _outer_first_nesting(width):
+    """Rows {L-1, L} and [L, R) for L = 1, 3, 5, ... and R = width,
+    width-1, ...: each two-row class lies in the big cell of the one before
+    it, and starts, at its 2-element row, before the classes nested in it."""
+    rows = []
+    left, right = 1, width
+    while right - left >= 2:
+        rows += [[left - 1, left], range(left, right)]
+        left, right = left + 2, right - 1
+    return rows
+
+
 def test_deep_nesting_and_large_inputs_need_no_recursion():
     chain = _nested_class_chain(2000)
+    outer_first = _outer_first_nesting(1200)
     g = gen_random_convex(2000, 2000, 30, seed=0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
@@ -111,10 +124,13 @@ def test_deep_nesting_and_large_inputs_need_no_recursion():
         t1 = time.perf_counter()
         assert isinstance(recognize_convex(g), ConvexLayout)
         t2 = time.perf_counter()
+        assert consecutive_order(1200, outer_first) == list(range(1200))
+        t3 = time.perf_counter()
     finally:
         sys.setrecursionlimit(limit)
-    # each takes a few seconds; an engine quadratic in the rows takes minutes
-    assert t1 - t0 < 30 and t2 - t1 < 30
+    # each takes a second or so; an engine quadratic in the rows, or one
+    # that re-counts the rows inside a finished class's cells, takes minutes
+    assert t1 - t0 < 30 and t2 - t1 < 30 and t3 - t2 < 30
 
 
 def test_engine_dense_nested_families():
@@ -145,10 +161,12 @@ def test_engine_deterministic():
 
 
 def _classes_seen(sets, cells):
-    """Every class of ``_overlap_classes(sets)`` run on ``cells``: its rows,
-    whether it is complete, and the whole state of its partition."""
+    """Every class of ``_overlap_classes`` on ``sets``, run on ``cells``:
+    its rows, whether it is complete, and the whole state of its
+    partition."""
+    n_cols = 1 + max(map(max, sets), default=-1)
     with mock.patch.object(convexity, "_Cells", cells):
-        classes = _overlap_classes(sets)
+        classes = list(_overlap_classes(n_cols, sets))
     assert all(type(cls.cells) is cells for cls in classes)
     return [(cls.rows, cls.complete, cls.cells.order(), vars(cls.cells))
             for cls in classes]
@@ -188,6 +206,8 @@ def test_placement_matches_counting_reference_on_towers_and_staircases():
         _assert_placement_matches_reference(
             staircase + [[k + 1, k + 3], [k + 1, k + 4]])
     _assert_placement_matches_reference(_nested_class_chain(60))
+    for width in (3, 4, 10, 25, 60):
+        _assert_placement_matches_reference(_outer_first_nesting(width))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +390,53 @@ def test_accepted_order_is_checked_against_every_row():
             recognize_convex(g)
         with pytest.raises(convexity._ArrangementError):
             consecutive_order(3, g.adj)
+
+
+def _graph_of_rows(rows, n_b):
+    return build_bipartite(len(rows), n_b,
+                           [(a, b) for a, row in enumerate(rows) for b in row])
+
+
+def test_a_refused_placeable_row_fails_closed():
+    # the staircase {0,1}, {1,2}, {2,3} has a consecutive order, so a
+    # placement that refuses its second row is the engine's fault: the
+    # check at the failure point finds every row of the class fitting
+    rows = [[0, 1], [1, 2], [2, 3]]
+    real = convexity._Cells.place
+    with mock.patch.object(convexity._Cells, "place", autospec=True,
+                           side_effect=lambda cells, row:
+                           row != {1, 2} and real(cells, row)):
+        for verdict in (lambda: recognize_convex(_graph_of_rows(rows, 4)),
+                        lambda: consecutive_order(4, rows)):
+            with pytest.raises(convexity._ArrangementError,
+                               match="^a row failed to place, but every row "
+                                     "of its class fits the cells$"):
+                verdict()
+
+
+def test_reject_places_only_up_to_the_failed_row():
+    # a Tucker claw {0,1}, {1,2}, {1,3} and a 2000-row staircase on fresh
+    # columns: the claw's class fails first, so the verdict places the
+    # claw's rows and nothing else; reading the witness finishes the same
+    # arrangement and gives the fields the full arrangement always gave
+    claw = [[0, 1], [1, 2], [1, 3]]
+    rows = claw + [[4 + j, 5 + j] for j in range(2000)]
+    g = _graph_of_rows(rows, 2005)
+    real = convexity._Cells.place
+    with mock.patch.object(convexity._Cells, "place", autospec=True,
+                           side_effect=real) as place:
+        w = recognize_convex(g)
+        assert isinstance(w, NonConvexWitness)
+        assert [set(c.args[1]) for c in place.call_args_list] == [
+            {1, 2}, {1, 3}]
+        assert consecutive_order(2005, rows) is None
+        assert place.call_count == 4
+        assert w.gap == (1, 2, 3)
+        assert w.violating_a == 2
+        assert w.b_order_attempted == tuple(range(2005))
+        # one placement per staircase row after its first
+        assert place.call_count == 4 + 1999
+    _assert_witness_sound(g, w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqchroma.core import (
+    MAX_VERTICES,
     BipartiteGraph,
     SimpleGraph,
     _build_graph,
@@ -528,3 +529,33 @@ def test_bulk_reader_table_is_bounded_by_the_input():
         tracemalloc.stop()
     assert g.adj == ((999999,),)
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("text, read", [
+    ("p bip {big} 1 0\n", read_bipartite_text),
+    ("p bip 1 {big} 0\n", read_bipartite_text),
+    ("c a comment\np bip {big} {big} 0\n", read_graph_text),
+    ("p bip {big} 1 0", read_graph_text),  # no final line break
+    ("p gen {big} 0\n", read_simple_text),
+    ("p gen {big} 0\n", read_graph_text),
+])
+def test_header_sizes_over_the_cap_are_one_error(text, read):
+    # a vertex count above the cap is refused at its line, before a row is
+    # allocated; the bulk reader leaves it to the line reader
+    big = MAX_VERTICES + 1
+    text = text.format(big=big)
+    assert _read_canonical_bipartite(text) is None
+    lineno = 1 + text.startswith("c")
+    with pytest.raises(ValueError) as exc:
+        read(text)
+    assert str(exc.value) == (f"line {lineno}: vertex count {big} exceeds "
+                              f"the limit {MAX_VERTICES}")
+
+
+def test_header_sizes_at_the_cap_are_read():
+    # the cap itself is allowed; the edge count is not capped
+    assert MAX_VERTICES == 2 ** 24
+    text = f"p bip 1 {MAX_VERTICES} 1\ne 0 {MAX_VERTICES - 1}\n"
+    assert _assert_readers_agree(text).adj == ((MAX_VERTICES - 1,),)
+    with pytest.raises(ValueError, match="^problem line says m = "):
+        read_simple_text(f"p gen 3 {MAX_VERTICES + 1}\ne 0 1\n")
