@@ -36,7 +36,6 @@ from .convexity import (
     NonConvexWitness,
     check_proper_ordering,
     layout_from_order,
-    order_A,
     recognize_biconvex,
     recognize_convex,
 )

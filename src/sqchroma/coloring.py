@@ -7,10 +7,12 @@ positions in [minleft(p), maxright(p)] other than p, where minleft and
 maxright bound the intervals through p.  Those arrays over the positions
 are built in linear sweeps: maxright is a prefix maximum of right ends by
 left endpoint, minleft a suffix minimum of left ends by right endpoint.
-Step 1 below, which is all that runs at most positions, reads two slices
-only: the A-neighbors of b_j and the positions j+1 .. maxright(j).
-minleft and the A-vertices sorted by left endpoint serve the pivot steps
-alone, so they are built the first time a pivot needs them.
+N(b_j) within H_j is two slices: the A-neighbors of b_j and the
+positions j+1 .. maxright(j); steps 1 and 2 below read it that way.
+Every other neighborhood comes from one routine,
+``ExtensionState._filtered_neighbors``.  The A-vertices sorted by left
+endpoint serve the pivot steps alone, and minleft only the check of a
+Kempe swap, so each is built the first time it is needed.
 omega(G^2) is read off the layout in closed form, once per layout; the
 exact oracles in ``oracle`` stay off this pipeline and serve as its
 checks.
@@ -25,7 +27,8 @@ j is handled by a loop that terminates after at most |N(b_j) on A| pivot
 rounds:
 
 1. If the palette has a color unused on N(b_j) within the current
-   subgraph, b_j takes the lowest such color.
+   subgraph, b_j takes the lowest such color.  The bound holds whichever
+   free color is taken; the lowest keeps the output deterministic.
 2. Otherwise a *pivot* exists: the <_A-least A-neighbor of b_j whose
    color appears exactly once among b_j's neighbors.  If the pivot's own
    closed neighborhood misses a color, the pivot is recolored with the
@@ -167,9 +170,10 @@ class ExtensionState:
     above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
     in the square are read off arrays by B-position.  The A-neighbors of
     each position (the rows of ``b_adj`` themselves) and maxright are
-    built with the state, and are all that step 1 and the clique claims
-    read.  minleft and the A-vertices sorted by left endpoint serve only
-    the pivot steps, so they are built on first use.
+    built with the state, and are all that N(b_j) and the clique claims
+    read.  The A-vertices sorted by left endpoint serve only the pivot
+    steps and minleft only the Kempe check, so they are built on first
+    use.
     """
 
     graph: BipartiteGraph
@@ -226,12 +230,6 @@ class ExtensionState:
         return sorted((a for a, iv in enumerate(ivs) if iv is not None),
                       key=lambda a: ivs[a][0])
 
-    def bj_vertex(self) -> int:
-        return self.layout.b_seq[self.j]
-
-    def bj_global(self) -> int:
-        return self.graph.n_a + self.bj_vertex()
-
     def _filtered_neighbors(self, v: int, min_pos: int) -> list[int]:
         """Neighbors of ``v`` in the square, B-vertices only at positions
         ``min_pos`` and above."""
@@ -251,14 +249,6 @@ class ExtensionState:
                 + b_glob[max(self._minleft[p], min_pos):p]
                 + b_glob[max(p + 1, min_pos):self._maxright[p] + 1])
 
-    def neighborhood_bj(self) -> list[int]:
-        """N(b_j) within H_j: its A-neighbors plus later B-neighbors."""
-        return self._filtered_neighbors(self.bj_global(), self.j)
-
-    def neighbors_next(self, v: int) -> list[int]:
-        """Neighbors of ``v`` within H_{j+1}."""
-        return self._filtered_neighbors(v, self.j + 1)
-
 
 def find_pivot(state: ExtensionState) -> int:
     """<_A-least A-neighbor of b_j whose color is unique in N(b_j).
@@ -266,16 +256,16 @@ def find_pivot(state: ExtensionState) -> int:
     Defined whenever the coloring is non-extendable; its absence would
     contradict the counting claim and raises AlgorithmInvariantViolation.
     """
-    nb = state.neighborhood_bj()
-    counts = Counter(state.colors[v] for v in nb)
-    n_a = state.graph.n_a
+    j, colors = state.j, state.colors
+    a_j = state._a_at[j]
+    counts = Counter(map(colors.__getitem__, a_j))
+    counts.update(map(colors.__getitem__,
+                      state._b_glob[j + 1:state._maxright[j] + 1]))
     rank = state.layout.a_rank
-    candidates = [
-        v for v in nb if v < n_a and counts[state.colors[v]] == 1
-    ]
+    candidates = [v for v in a_j if counts[colors[v]] == 1]
     if not candidates:
         raise AlgorithmInvariantViolation(
-            f"pivot not found at position {state.j}: no uniquely colored "
+            f"pivot not found at position {j}: no uniquely colored "
             "A-neighbor of b_j"
         )
     return min(candidates, key=lambda v: rank[v])
@@ -296,7 +286,7 @@ def partner_color(state: ExtensionState,
     rank = state.layout.a_rank
     shielded: set[int] = set()
     holder: dict[int, int] = {}  # color -> <_A-least earlier A-neighbor
-    for w in state.neighbors_next(pivot):
+    for w in state._filtered_neighbors(pivot, state.j + 1):
         c = colors[w]
         if w >= n_a or rank[w] > rank[pivot]:
             shielded.add(c)
@@ -321,7 +311,7 @@ def kempe_swap(state: ExtensionState, pivot: int, y: int) -> frozenset[int]:
     stack = [pivot]
     while stack:
         v = stack.pop()
-        for w in state.neighbors_next(v):
+        for w in state._filtered_neighbors(v, state.j + 1):
             if w not in component and colors.get(w) in (x, y):
                 component.add(w)
                 stack.append(w)
@@ -330,11 +320,8 @@ def kempe_swap(state: ExtensionState, pivot: int, y: int) -> frozenset[int]:
     return frozenset(component)
 
 
-def _free_color(used: set[int], palette: int, rule: str) -> int | None:
-    colors = range(1, palette + 1)
-    if rule == "highest":
-        colors = range(palette, 0, -1)
-    for c in colors:
+def _free_color(used: set[int], palette: int) -> int | None:
+    for c in range(1, palette + 1):
         if c not in used:
             return c
     return None
@@ -399,7 +386,7 @@ def _assert_kempe_shape(state: ExtensionState, pivot: int,
         frontier = nxt
     rank = state.layout.a_rank
     for u in comp:
-        for w in state.neighbors_next(u):
+        for w in state._filtered_neighbors(u, state.j + 1):
             if w in comp and dist.get(w) == dist.get(u, -2) + 1:
                 if rank[w] >= rank[u]:
                     raise AlgorithmInvariantViolation(
@@ -415,23 +402,14 @@ def _assert_kempe_shape(state: ExtensionState, pivot: int,
 
 
 def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
-                        trace: list[TraceEvent] | None = None,
-                        free_color_rule: str = "lowest") -> Coloring:
+                        trace: list[TraceEvent] | None = None) -> Coloring:
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
     omega is ``layout.omega``.  The claims of Phase II are asserted as it
     runs.  ``trace``, when given, collects (event, position, ...) tuples
-    for the pivot / partner / swap steps.
-
-    ``free_color_rule`` picks among the free colors at steps 2 and 3.1;
-    the guarantee holds for any choice, and the non-default ``highest``
-    rule exists to drive the extension machinery (pivots, partner colors,
-    Kempe swaps) hard in tests.  The deterministic default is ``lowest``;
-    any other rule raises ValueError.
+    for the pivot / partner / swap steps.  Steps 1 and 2 take the lowest
+    free color.
     """
-    if free_color_rule not in ("lowest", "highest"):
-        raise ValueError(f"free_color_rule must be 'lowest' or 'highest', "
-                         f"got {free_color_rule!r}")
     omega = layout.omega
     palette = (3 * omega) // 2
     phase1 = greedy_interval_coloring(layout.intervals)
@@ -442,7 +420,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     state = ExtensionState(
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
     )
-    rank = layout.a_rank
+    rank, b_seq = layout.a_rank, layout.b_seq
     a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
     color_of = colors.__getitem__
     for j in range(g.n_b - 1, -1, -1):
@@ -451,15 +429,15 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         _assert_bj_cliques(state, omega)
         # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
         a_j, hi = a_at[j], maxright[j]
-        used = set(map(color_of, a_j))
-        used.update(map(color_of, b_glob[j + 1:hi + 1]))
         prev_rank: int | None = None
         for _ in range(len(a_j) + hi - j + 2):
-            free = _free_color(used, palette, free_color_rule)
+            used = set(map(color_of, a_j))
+            used.update(map(color_of, b_glob[j + 1:hi + 1]))
+            free = _free_color(used, palette)
             if free is not None:
                 colors[bjg] = free
                 if trace is not None:
-                    trace.append(("assign", j, state.bj_vertex(), free))
+                    trace.append(("assign", j, b_seq[j], free))
                 break
             a_c = find_pivot(state)
             if prev_rank is not None and rank[a_c] >= prev_rank:
@@ -470,15 +448,16 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
             x = colors[a_c]
             if trace is not None:
                 trace.append(("pivot", j, a_c, x))
-            closed_used = {colors[w] for w in state.neighbors_next(a_c)}
+            closed_used = {colors[w]
+                           for w in state._filtered_neighbors(a_c, j + 1)}
             closed_used.add(x)
-            z = _free_color(closed_used, palette, free_color_rule)
+            z = _free_color(closed_used, palette)
             if z is not None:
                 colors[a_c] = z
                 colors[bjg] = x
                 if trace is not None:
                     trace.append(("pivot_recolor", j, a_c, z))
-                    trace.append(("assign", j, state.bj_vertex(), x))
+                    trace.append(("assign", j, b_seq[j], x))
                 break
             y, a_prime, shielded = partner_color(state, a_c)
             if trace is not None:
@@ -489,11 +468,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 trace.append(("swap", j, x, y, len(comp)))
             # loop: if x is now free around b_j the next pass assigns it
             # (the swap cannot free any other color); otherwise a strictly
-            # smaller pivot takes over.  The swap is the one change to the
-            # colors that does not end the position, so only it makes the
-            # colors around b_j worth reading again.
-            used = set(map(color_of, a_j))
-            used.update(map(color_of, b_glob[j + 1:hi + 1]))
+            # smaller pivot takes over
         else:
             raise AlgorithmInvariantViolation(
                 f"pivot loop failed to terminate at position {j}"

@@ -528,6 +528,8 @@ def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
 
 def _compute_a_order(
         intervals: Sequence[tuple[int, int] | None]) -> tuple[int, ...]:
+    """<_A: isolated A-vertices first, then by right endpoint, then left,
+    then index."""
     isolated = [a for a, iv in enumerate(intervals) if iv is None]
     rest = sorted([(iv[1], iv[0], a) for a, iv in enumerate(intervals)
                    if iv is not None])
@@ -575,20 +577,6 @@ def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
         return result
     _, pos, ivs = result  # _arrange has checked every neighborhood
     return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs))
-
-
-def order_A(g: BipartiteGraph, layout: ConvexLayout) -> tuple[int, ...]:
-    """<_A permutation: right endpoint, then left, then index; isolated
-    A-vertices first.  Raises LayoutMismatch if the layout's intervals do
-    not describe ``g``."""
-    if len(layout.b_pos) != g.n_b or len(layout.intervals) != g.n_a:
-        raise LayoutMismatch("layout sizes disagree with the graph")
-    if sorted(layout.b_pos) != list(range(g.n_b)):
-        raise LayoutMismatch("b_pos is not a permutation")
-    rebuilt = layout_from_order(g, layout.b_seq)
-    if rebuilt.intervals != layout.intervals:
-        raise LayoutMismatch("layout intervals disagree with the graph")
-    return rebuilt.a_order
 
 
 def recognize_biconvex(g: BipartiteGraph) -> BiconvexLayout | None:

@@ -20,7 +20,6 @@ pushes the chromatic number above 5/4 of the clique number.
 
 from __future__ import annotations
 
-from .convexity import ConvexLayout, layout_from_order
 from .core import BipartiteGraph, SimpleGraph, build_bipartite, girth
 from .errors import RetryExhausted
 from .rng import SplitMix64
@@ -136,11 +135,6 @@ def gen_lower_bound_H(q: int) -> BipartiteGraph:
     edges += [(a, b_z3) for a in q4]
     edges += [(a, b) for a in q4 for b in b_q3]
     return build_bipartite(3 * q + 1, 2 * q + 2, edges)
-
-
-def lower_bound_layout(g: BipartiteGraph) -> ConvexLayout:
-    """Layout of gen_lower_bound_H under its construction order."""
-    return layout_from_order(g, list(range(g.n_b)))
 
 
 def gen_girth7(kind: str, params: dict, seed: int = 0) -> SimpleGraph:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BipartiteGraph, SimpleGraph, girth, half_square, max_degree, square, square_simple
-from .oracle import exact_chromatic, exact_clique
+from .oracle import exact_clique, exact_stats
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ def check_halfsquare_iso(g: SimpleGraph, b_g: BipartiteGraph,
 def check_sandwich(g: SimpleGraph, b_g: BipartiteGraph,
                    budget: int | None = None) -> bool:
     """omega(G^2) <= omega(B_G^2) <= 2 omega(G^2), and the same chain for
-    the chromatic numbers, with oracle-exact values."""
-    g2 = square_simple(g)
-    bg2 = square(b_g)
-    om, bg_om = exact_clique(g2, budget), exact_clique(bg2, budget)
-    chi, bg_chi = exact_chromatic(g2, budget), exact_chromatic(bg2, budget)
-    return (om <= bg_om <= 2 * om) and (chi <= bg_chi <= 2 * chi)
+    the chromatic numbers, with oracle-exact values.  ``budget`` bounds
+    the search on each square."""
+    s = exact_stats(square_simple(g), budget)
+    bg = exact_stats(square(b_g), budget)
+    return (s.omega <= bg.omega <= 2 * s.omega
+            and s.chi <= bg.chi <= 2 * s.chi)
 
 
 def check_omega_delta_girth(g: SimpleGraph, budget: int | None = None) -> bool:

@@ -11,7 +11,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
+from unittest import mock
 
+from sqchroma import coloring
 from sqchroma.convexity import ConvexLayout, _Cells
 from sqchroma.core import (
     SIDE_A,
@@ -441,3 +443,18 @@ class CountingCells(_Cells):
             self._new_cell(new, -1, self.head)
             return True
         return False
+
+
+def _highest_free_color(used: set[int], palette: int) -> int | None:
+    for c in range(palette, 0, -1):
+        if c not in used:
+            return c
+    return None
+
+
+def highest_free_color():
+    """Context manager under which Phase II takes the highest free color
+    instead of the lowest.  The palette bound holds for any choice, and
+    this order reaches the pivot steps far more often, so tests use it to
+    drive them on real inputs."""
+    return mock.patch.object(coloring, "_free_color", _highest_free_color)

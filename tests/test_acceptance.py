@@ -41,6 +41,8 @@ from sqchroma.structure import (
     verify_cycle_structure,
 )
 
+from helpers import highest_free_color
+
 SMALL_TRIALS = 1000
 LARGE_TRIALS = 100
 BICONVEX_TRIALS = 300
@@ -280,17 +282,17 @@ def test_criterion_9_proof_assertions(small_corpus, large_corpus,
                                       small_colored, large_colored):
     """No AlgorithmInvariantViolation across corpus runs with assertions
     enabled.  The default-rule runs of criteria 1-6 already executed with
-    assertions on (fixtures would have raised); this adds a highest-free
-    pass over a corpus slice, which drives the pivot machinery itself."""
+    assertions on (fixtures would have raised); this adds a pass over a
+    corpus slice that takes the highest free color, which drives the pivot
+    machinery itself."""
     pivots = swaps = 0
     for g in small_corpus[:200] + large_corpus[:20]:
         layout = recognize_convex(g)
         omega = clique_number_square(g, layout)
         trace = []
         try:
-            coloring = color_square_convex(
-                g, layout, trace=trace, free_color_rule="highest",
-            )
+            with highest_free_color():
+                coloring = color_square_convex(g, layout, trace=trace)
         except AlgorithmInvariantViolation as exc:  # pragma: no cover
             pytest.fail(f"invariant violation: {exc}")
         assert verify_coloring(square(g), coloring)

@@ -18,19 +18,22 @@ from sqchroma.coloring import (
     verify_coloring,
     verify_square_coloring,
 )
-from sqchroma.convexity import ConvexLayout, recognize_convex
+from sqchroma.convexity import ConvexLayout, layout_from_order, recognize_convex
 from sqchroma.core import SimpleGraph, build_bipartite, half_square, max_degree, square
 from sqchroma.errors import AlgorithmInvariantViolation
 from sqchroma.generators import (
     gen_lower_bound_H,
     gen_named,
     gen_random_convex,
-    lower_bound_layout,
 )
 from sqchroma.oracle import exact_clique, exact_stats
 from sqchroma.rng import SplitMix64
 
-from helpers import quadratic_interval_coloring, random_bipartite
+from helpers import (
+    highest_free_color,
+    quadratic_interval_coloring,
+    random_bipartite,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +102,8 @@ def test_clique_number_knn():
 def test_clique_number_lower_bound_family():
     for q in (2, 4, 6, 8):
         g = gen_lower_bound_H(q)
-        assert clique_number_square(g, lower_bound_layout(g)) == 2 * q + 3
+        construction = layout_from_order(g, range(g.n_b))
+        assert clique_number_square(g, construction) == 2 * q + 3
         assert clique_number_square(g, recognize_convex(g)) == 2 * q + 3
 
 
@@ -145,15 +149,13 @@ def test_coloring_module_does_not_import_the_oracles():
 
 
 # ---------------------------------------------------------------------------
-# color_square_convex, default rule
+# color_square_convex
 
 
-def _color(g, rule="lowest", trace=None):
+def _color(g, trace=None):
     layout = recognize_convex(g)
     omega = clique_number_square(g, layout)
-    coloring = color_square_convex(
-        g, layout, trace=trace, free_color_rule=rule,
-    )
+    coloring = color_square_convex(g, layout, trace=trace)
     return layout, omega, coloring
 
 
@@ -210,16 +212,8 @@ def test_color_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the extension machinery under the highest-free rule (the bound is
-# choice-independent, and this rule actually reaches the pivot path on
-# the corpus)
-
-
-@pytest.mark.parametrize("rule", ["Highest", "", "random"])
-def test_color_unknown_free_color_rule_raises(rule):
-    g = gen_named("not_perfect")
-    with pytest.raises(ValueError, match="'lowest' or 'highest'"):
-        color_square_convex(g, recognize_convex(g), free_color_rule=rule)
+# the extension machinery under the highest free color (the bound is
+# choice-independent, and this order reaches the pivot path more often)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,10 +223,8 @@ def test_color_highest_rule_still_within_bound(seed):
     g = gen_random_convex(rng.randint(4, 24), rng.randint(3, 12), 10, seed)
     layout = recognize_convex(g)
     omega = clique_number_square(g, layout)
-    trace = []
-    coloring = color_square_convex(
-        g, layout, trace=trace, free_color_rule="highest",
-    )
+    with highest_free_color():
+        coloring = color_square_convex(g, layout)
     assert verify_coloring(square(g), coloring)
     assert coloring.palette <= (3 * omega) // 2
 
@@ -241,10 +233,9 @@ def test_color_highest_rule_still_within_bound(seed):
 _PIVOT_ARRAYS = ("_minleft", "_starts", "_by_left")
 
 
-def test_pivot_path_reached_under_default_rule(monkeypatch):
-    # regression: this seeded instance drives the default lowest-free run
-    # into the pivot + recolor step (step 2 fails, step 3.1 succeeds),
-    # which builds each pivot array once
+def _count_builds(monkeypatch):
+    """Count how often each pivot array is built while the context of
+    ``monkeypatch`` is open."""
     built = dict.fromkeys(_PIVOT_ARRAYS, 0)
 
     def counting(name, real):
@@ -253,26 +244,37 @@ def test_pivot_path_reached_under_default_rule(monkeypatch):
             return real(state)
         return build
 
+    for name in _PIVOT_ARRAYS:
+        prop = ExtensionState.__dict__[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    return built
+
+
+def test_pivot_path_reached_under_default_rule(monkeypatch):
+    # regression: this seeded instance drives the default lowest-free run
+    # into the pivot + recolor step (step 1 fails, step 2 succeeds).  The
+    # pivot reads N(b_j) off the position arrays and its recolor reads an
+    # A-vertex's neighbors, so minleft, which only B-neighborhoods need,
+    # is never built
     g = gen_random_convex(10, 10, 4, seed=1282)
     layout = recognize_convex(g)
     trace = []
     with monkeypatch.context() as m:
-        for name in _PIVOT_ARRAYS:
-            prop = ExtensionState.__dict__[name]
-            m.setattr(prop, "func", counting(name, prop.func))
+        built = _count_builds(m)
         coloring = color_square_convex(g, layout, trace=trace)
     assert verify_coloring(square(g), coloring)
     kinds = [e[0] for e in trace]
     assert "pivot" in kinds and "pivot_recolor" in kinds
-    assert built == dict.fromkeys(_PIVOT_ARRAYS, 1)
+    assert built == {"_minleft": 0, "_starts": 1, "_by_left": 1}
 
 
 def test_pivot_events_on_instrumented_corpus():
-    # dense mixtures push the highest-free run into step 3; every
-    # occurrence is covered by the runtime claims (pivot exists, partner
-    # absent from the pivot's shield, strict descent), which raise
-    # AlgorithmInvariantViolation on any failure
-    events = {"pivot": 0, "pivot_recolor": 0, "swap": 0}
+    # dense mixtures under the highest free color: one position pivots
+    # and its pivot recolor settles it, with no partner or swap step.
+    # Every step is covered by the runtime claims (pivot exists, strict
+    # descent), which raise AlgorithmInvariantViolation on any failure
+    events = dict.fromkeys(
+        ("assign", "pivot", "pivot_recolor", "partner", "swap"), 0)
     for seed in range(200):
         rng = SplitMix64(seed * 131 + 5)
         nb = rng.randint(4, 10)
@@ -281,19 +283,15 @@ def test_pivot_events_on_instrumented_corpus():
         layout = recognize_convex(g)
         omega = clique_number_square(g, layout)
         trace = []
-        coloring = color_square_convex(
-            g, layout, trace=trace, free_color_rule="highest",
-        )
+        with highest_free_color():
+            coloring = color_square_convex(g, layout, trace=trace)
         assert verify_coloring(square(g), coloring)
         assert coloring.palette <= (3 * omega) // 2
         for e in trace:
             if e[0] in events:
                 events[e[0]] += 1
-        for e in trace:
-            if e[0] == "partner":
-                _, _, y, _a_prime, shielded = e
-                assert y not in shielded
-    assert events["pivot"] > 0, "corpus never reached the pivot step"
+    assert events == {"assign": 1407, "pivot": 1, "pivot_recolor": 1,
+                      "partner": 0, "swap": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +516,21 @@ def test_step1_rereads_the_colors_after_a_swap(monkeypatch):
     # real partner step and Kempe swap, which recolors a0 to 1 and a1, a3
     # to 2.  N(b_4) = {a0, a4} then holds 1 and 3, so b_4 must take 2; the
     # colors read before the swap would give it a0's new color 1.
+    # Only the Kempe check reads B-neighborhoods other than N(b_j), so
+    # the one swap builds minleft once.
     real = coloring_module._free_color
     calls = iter(range(2))
     monkeypatch.setattr(
         coloring_module, "_free_color",
         lambda *args: None if next(calls, None) is not None else real(*args))
+    built = _count_builds(monkeypatch)
     trace = []
     c = color_square_convex(_GADGET, recognize_convex(_GADGET), trace=trace)
     assert [e[0] for e in trace[:5]] == [
         "phase1", "pivot", "partner", "swap", "assign"]
     assert trace[3] == ("swap", 4, 2, 1, 3)
     assert trace[4] == ("assign", 4, 4, 2)
+    assert built["_minleft"] == 1
     assert verify_coloring(square(_GADGET), c)
 
 
@@ -588,7 +590,8 @@ def test_implicit_neighborhoods_match_square_lower_bound_family():
     for q in (2, 4, 6):
         g = gen_lower_bound_H(q)
         _assert_neighborhoods_match_square(g, recognize_convex(g))
-        _assert_neighborhoods_match_square(g, lower_bound_layout(g))
+        _assert_neighborhoods_match_square(
+            g, layout_from_order(g, range(g.n_b)))
 
 
 def _corpus():

@@ -19,7 +19,6 @@ from sqchroma.convexity import (
     check_proper_ordering,
     consecutive_order,
     layout_from_order,
-    order_A,
     recognize_biconvex,
     recognize_convex,
 )
@@ -328,7 +327,7 @@ def test_empty_graph():
 
 
 # ---------------------------------------------------------------------------
-# order_A
+# <_A
 
 
 def test_order_A_tie_break_on_left():
@@ -359,16 +358,7 @@ def test_order_A_nested_neighborhood_chain():
 
 def test_order_A_single_vertex_identity():
     g = build_bipartite(1, 2, [(0, 0), (0, 1)])
-    layout = recognize_convex(g)
-    assert order_A(g, layout) == (0,)
-
-
-def test_order_A_layout_mismatch():
-    g = build_bipartite(2, 2, [(0, 0), (1, 1)])
-    layout = recognize_convex(g)
-    bad = ConvexLayout(layout.b_pos, ((0, 1), (1, 1)), layout.a_order)
-    with pytest.raises(LayoutMismatch):
-        order_A(g, bad)
+    assert recognize_convex(g).a_order == (0,)
 
 
 def test_layout_from_order_rejects_a_gap():

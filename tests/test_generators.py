@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqchroma.convexity import ConvexLayout, recognize_biconvex, recognize_convex
+from sqchroma.convexity import (
+    ConvexLayout,
+    layout_from_order,
+    recognize_biconvex,
+    recognize_convex,
+)
 from sqchroma.core import (
     girth,
     half_square,
@@ -20,7 +25,6 @@ from sqchroma.generators import (
     gen_named,
     gen_random_biconvex,
     gen_random_convex,
-    lower_bound_layout,
 )
 from sqchroma.oracle import exact_stats, find_induced_cycles, is_perfect_small
 from sqchroma.rng import SplitMix64, derive_seed
@@ -151,7 +155,7 @@ def test_lower_bound_q4_closed_forms():
 
 def test_lower_bound_layout_matches_construction():
     g = gen_lower_bound_H(2)
-    layout = lower_bound_layout(g)
+    layout = layout_from_order(g, range(g.n_b))
     assert layout.b_seq == tuple(range(g.n_b))
     assert isinstance(recognize_convex(g), ConvexLayout)
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqchroma import oracle
 from sqchroma.convexity import NonConvexWitness, recognize_convex
 from sqchroma.core import SimpleGraph, girth, max_degree, square, square_simple
 from sqchroma.generators import gen_girth7
@@ -107,6 +108,19 @@ def test_sandwich_random(seed):
     g = random_simple(seed, max_n=8)
     b_g, _ = split_reduction(g)
     assert check_sandwich(g, b_g)
+
+
+def test_sandwich_searches_each_square_once(monkeypatch):
+    # omega and chi of a square come from one exact_stats call, so each
+    # square runs one clique search
+    calls = []
+    real = oracle._max_clique
+    monkeypatch.setattr(oracle, "_max_clique",
+                        lambda h, *args: calls.append(h.n) or real(h, *args))
+    g = cycle_graph(5)
+    b_g, _ = split_reduction(g)
+    assert check_sandwich(g, b_g)
+    assert calls == [5, 10]
 
 
 def test_split_of_bipartite_stays_bipartite_with_sandwich():
