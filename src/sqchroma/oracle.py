@@ -4,11 +4,11 @@ cycles, antiholes, perfectness.
 These are the ground truth against which the approximation algorithm and
 the structural theorems are tested, so they stay independent of the rest
 of the package: branch and bound and enumeration over SimpleGraph
-adjacency sets.  The chromatic search and the cycle enumeration run from
-explicit stacks.  The clique search recurses once per vertex of the
-clique it grows (its nested ``expand``), so it goes at most omega + 1
-calls deep, where omega is the clique number; no other depth grows with
-the input.
+adjacency, read as sets or as neighbor bitmasks.  The chromatic search
+and the cycle enumeration run from explicit stacks.  The clique search
+recurses once per vertex of the clique it grows (its nested
+``expand``), so it goes at most omega + 1 calls deep, where omega is the
+clique number; no other depth grows with the input.
 
 * ``exact_chromatic``: saturation-order branch and bound seeded with a
   greedily-found clique (its vertices are pre-colored, which both lower
@@ -27,8 +27,13 @@ the input.
   in the tests as its reference).
 * ``find_induced_cycles``: DFS over induced paths anchored at their
   minimum vertex, reflection-killed by comparing the two neighbors of the
-  anchor, run from an explicit stack of neighbor iterators.  Cycles come
-  out canonically rotated/reflected.
+  anchor, run from an explicit stack that holds one int per path vertex:
+  the bitmask of the candidates it has not tried yet.  A path is not
+  entered once no vertex is left that could close a cycle through it,
+  so a long cycle costs quadratic, not cubic, time, and the masks take
+  about n^2 bits on a path of n vertices.  Cycles come out canonically
+  rotated/reflected, in the order of the unpruned walk over sorted
+  neighbor sets kept in the tests as its reference.
 
 Every search counts nodes against a budget (default 10**7, overridable);
 exhausting it raises BudgetExceeded carrying the bounds proven so far.
@@ -316,38 +321,85 @@ def iter_induced_cycles(h: SimpleGraph, min_len: int,
                         max_len: int) -> Iterator[tuple[int, ...]]:
     """Induced (chordless) cycles with min_len <= length <= max_len, each
     yielded once in canonical form: anchored at its minimum vertex, second
-    entry smaller than last."""
+    entry smaller than last.
+
+    A DFS grows induced paths s, p1, ..., v from each anchor s over one
+    neighbour bitmask per vertex (bit w of ``nbr[u]`` is set when uw is an
+    edge).  The frame of the last vertex v is one int: the candidates it
+    has not tried yet, taken lowest bit first, which is the order of a
+    walk over sorted neighbours.  A candidate is a neighbour of v adjacent
+    to no inner vertex (p1 up to the vertex before v) that either closes a
+    cycle or extends the path.  It closes one when it is adjacent to s and
+    above p1 (which keeps one of the cycle's two reflections) and the cycle
+    is long enough; it is then yielded and never extended, as that would
+    leave a chord to s.  It extends the path when it is above s and not
+    adjacent to s and the path may still grow.  No path vertex is a
+    candidate: s is not above s, p1 is adjacent to s and not above p1,
+    and each later inner vertex is adjacent to the one before it.
+
+    The prune: a cycle through the path closes at a "closer", a vertex
+    above p1, adjacent to s and adjacent to no inner vertex (no such vertex
+    is on the path).  Growing the path only adds inner vertices, so the
+    closers only shrink, and a path left with none yields nothing however
+    it grows; the DFS does not enter it.  Nothing that would be yielded is
+    skipped, so the cycles come out in the order of the unpruned walk over
+    sorted neighbour sets that the tests keep as the reference.  On a long
+    cycle only anchor 0 gets past its first step, so C_n costs O(n^2) bit
+    operations where the walk made O(n^3) set operations.  Each depth
+    keeps two n-bit ints, its untried candidates and the union of its
+    inner vertices' neighbourhoods (the closers are the vertices above p1
+    and adjacent to s outside that union), so a path of n vertices holds
+    about n^2 bits (about 1 MB at n = 3000).
+    """
     if max_len < max(min_len, 3):
         return
-    adj = h.adj
+    nbr = [sum(1 << w for w in a) for a in h.adj]
     for s in range(h.n):
-        path = [s]
-        on_path = {s}
-        # one sorted-neighbor iterator per path vertex; the last one is
-        # the vertex being extended, and exhausting it backtracks
-        frames = [iter(sorted(adj[s]))]
-        while frames:
-            inner = path[1:-1]
-            for w in frames[-1]:
-                if w <= s or w in on_path:
+        ns = nbr[s]
+        above = -1 << s + 1
+        ext = above & ~ns  # the vertices that may extend a path from s
+        rest = ns & above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p1 = low.bit_length() - 1
+            # the vertices that may close a cycle s, p1, ...
+            close = ns & -1 << p1 + 1
+            if not close:
+                continue
+            # the path s, p1, ...; per depth, the untried candidates of
+            # its last vertex and the union of its inner vertices'
+            # neighbourhoods
+            path = [s, p1]
+            frames = [nbr[p1] & ((close if min_len <= 3 else 0)
+                                 | (ext if max_len > 3 else 0))]
+            blocked = [0]
+            while frames:
+                cands = frames[-1]
+                if not cands:
+                    frames.pop()
+                    blocked.pop()
+                    path.pop()
                     continue
-                # chordlessness: w may touch only the path's last vertex,
-                # except for the anchor when closing the cycle
-                if not adj[w].isdisjoint(inner):
+                low = cands & -cands
+                frames[-1] = cands ^ low
+                w = low.bit_length() - 1
+                if low & ns:
+                    # w closes a cycle; extending past w would leave a
+                    # chord to s
+                    yield tuple(path) + (w,)
                     continue
-                if len(path) >= 2 and s in adj[w]:
-                    length = len(path) + 1
-                    if length >= min_len and path[1] < w:
-                        yield tuple(path) + (w,)
-                    continue  # any extension past w would leave a chord to s
-                if len(path) + 1 < max_len:
-                    path.append(w)
-                    on_path.add(w)
-                    frames.append(iter(sorted(adj[w])))
-                    break
-            else:
-                frames.pop()
-                on_path.remove(path.pop())
+                # extending by w makes the last vertex inner
+                block = blocked[-1] | nbr[path[-1]]
+                if not close & ~block:
+                    continue  # no closer is left
+                path.append(w)
+                # the length of a cycle that w's frame closes
+                k = len(path) + 1
+                frames.append(nbr[w] & ~block
+                              & ((close if k >= min_len else 0)
+                                 | (ext if k < max_len else 0)))
+                blocked.append(block)
 
 
 def find_induced_cycles(h: SimpleGraph, min_len: int,

@@ -146,6 +146,44 @@ def naive_induced_cycles(g: SimpleGraph, min_len: int, max_len: int):
     return sorted(out)
 
 
+def walk_induced_cycles(h: SimpleGraph, min_len: int, max_len: int):
+    """Induced cycles by a DFS over sorted neighbour sets that extends
+    every induced path, with no prune: the reference for the bitmask
+    ``oracle.iter_induced_cycles``, which must yield the same cycles in
+    the same order.  Cubic on a long cycle."""
+    if max_len < max(min_len, 3):
+        return
+    adj = h.adj
+    for s in range(h.n):
+        path = [s]
+        on_path = {s}
+        # one sorted-neighbor iterator per path vertex; the last one is
+        # the vertex being extended, and exhausting it backtracks
+        frames = [iter(sorted(adj[s]))]
+        while frames:
+            inner = path[1:-1]
+            for w in frames[-1]:
+                if w <= s or w in on_path:
+                    continue
+                # chordlessness: w may touch only the path's last vertex,
+                # except for the anchor when closing the cycle
+                if not adj[w].isdisjoint(inner):
+                    continue
+                if len(path) >= 2 and s in adj[w]:
+                    length = len(path) + 1
+                    if length >= min_len and path[1] < w:
+                        yield tuple(path) + (w,)
+                    continue  # any extension past w would leave a chord to s
+                if len(path) + 1 < max_len:
+                    path.append(w)
+                    on_path.add(w)
+                    frames.append(iter(sorted(adj[w])))
+                    break
+            else:
+                frames.pop()
+                on_path.remove(path.pop())
+
+
 def canonical_cycle(cyc) -> tuple[int, ...]:
     """Lexicographically least rotation/reflection of a cycle sequence."""
     cyc = list(cyc)

@@ -23,7 +23,9 @@ from sqchroma.oracle import (
     exact_stats,
     find_induced_cycles,
     has_odd_antihole_gt5,
+    has_odd_hole,
     is_perfect_small,
+    iter_induced_cycles,
 )
 from sqchroma.rng import SplitMix64
 
@@ -37,6 +39,7 @@ from helpers import (
     random_bipartite,
     reference_exact_stats,
     stack_depth,
+    walk_induced_cycles,
 )
 
 
@@ -175,14 +178,54 @@ def test_cycles_match_subset_enumeration(seed):
 
 
 def test_cycles_of_a_long_cycle_need_no_recursion():
-    c300 = cycle_graph(300)
+    # the unpruned walk is cubic here and takes minutes at this length
+    c3000 = cycle_graph(3000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
     try:
-        cycles = find_induced_cycles(c300, 4, 300)
+        cycles = find_induced_cycles(c3000, 4, 3000)
+        odd = has_odd_hole(cycle_graph(3001))
     finally:
         sys.setrecursionlimit(limit)
-    assert cycles == [tuple(range(300))]
+    assert cycles == [tuple(range(3000))]
+    assert odd
+
+
+# (min_len, max_len) windows; None stands for the graph's order
+_WINDOWS = [(4, None), (3, 3), (4, 5), (5, 8), (6, 6)]
+
+
+def _assert_reference_order(h):
+    """The same cycles, unsorted, as the unpruned walk in every window."""
+    for min_len, max_len in _WINDOWS:
+        max_len = h.n if max_len is None else max_len
+        got = list(iter_induced_cycles(h, min_len, max_len))
+        assert got == list(walk_induced_cycles(h, min_len, max_len)), \
+            (min_len, max_len)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 40),
+       st.sampled_from([0.05, 0.1, 0.2, 0.3]))
+def test_cycles_come_in_the_reference_order(seed, n, p):
+    g = gnp(seed, n, p)
+    _assert_reference_order(g)
+    # the antihole search enumerates on the complement
+    _assert_reference_order(complement(g))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(70, 130),
+       st.sampled_from([0.5, 1.0, 1.5]))
+def test_cycles_come_in_the_reference_order_past_64_vertices(seed, n, degree):
+    # neighbour masks of several int digits
+    _assert_reference_order(gnp(seed, n, degree / n))
+
+
+def test_cycles_come_in_the_reference_order_on_squares():
+    for g in (gen_lower_bound_H(2), gen_lower_bound_H(4),
+              gen_named("complete", 8)):
+        _assert_reference_order(square(g))
 
 
 def test_cycles_canonical_and_unique():

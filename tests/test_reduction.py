@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqchroma import oracle
+from sqchroma import oracle, reduction
 from sqchroma.convexity import NonConvexWitness, recognize_convex
 from sqchroma.core import SimpleGraph, girth, max_degree, square, square_simple
 from sqchroma.generators import gen_girth7
-from sqchroma.oracle import exact_clique
+from sqchroma.oracle import ExactStats, exact_clique
 from sqchroma.reduction import (
     check_halfsquare_iso,
     check_omega_delta_girth,
@@ -121,6 +121,18 @@ def test_sandwich_searches_each_square_once(monkeypatch):
     b_g, _ = split_reduction(g)
     assert check_sandwich(g, b_g)
     assert calls == [5, 10]
+
+
+def test_sandwich_bounds_chi_by_twice_chi(monkeypatch):
+    # the chromatic chain ends at 2 chi(G^2), not 2 omega(G^2): with
+    # chi 3 and omega 2 on G^2, chi 5 on B_G^2 fits and chi 7 does not
+    g = cycle_graph(5)
+    b_g, _ = split_reduction(g)
+    for bg_chi, holds in ((5, True), (7, False)):
+        stats = iter([ExactStats(3, 2, 0), ExactStats(bg_chi, 3, 0)])
+        monkeypatch.setattr(reduction, "exact_stats",
+                            lambda h, budget: next(stats))
+        assert check_sandwich(g, b_g) is holds
 
 
 def test_split_of_bipartite_stays_bipartite_with_sandwich():
