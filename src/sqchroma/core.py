@@ -112,6 +112,12 @@ class SimpleGraph:
     n: int
     adj: tuple[frozenset[int], ...]
 
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Neighbor bitmasks: bit w of ``bits[u]`` is set when uw is an
+        edge.  Built once per graph, as ``BipartiteGraph.b_adj`` is."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -196,9 +202,15 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     )
 
 
-def girth(g: SimpleGraph) -> int | float:
-    """Exact girth via BFS from every vertex; ``math.inf`` for forests."""
-    best: int | float = math.inf
+def girth(g: SimpleGraph, cap: int | float = math.inf) -> int | float:
+    """Exact girth via BFS from every vertex; ``math.inf`` for forests.
+
+    With ``cap``, the smaller of the girth and ``cap``: each BFS stops
+    before a depth that could only close a cycle of length ``cap`` or
+    more, so ``girth(g, 7) < 7`` asks whether the girth is below seven
+    and searches to depth three from each vertex.
+    """
+    best: int | float = cap
     for root in range(g.n):
         dist = {root: 0}
         parent = {root: -1}

@@ -186,7 +186,7 @@ def gen_girth7(kind: str, params: dict, seed: int = 0) -> SimpleGraph:
         g = SimpleGraph.from_edges(next_id, edges)
     else:
         raise ValueError(f"unknown girth7 kind {kind!r}")
-    if girth(g) < 7:
+    if girth(g, 7) < 7:
         raise RetryExhausted(f"{kind} output has girth below 7")
     return g
 

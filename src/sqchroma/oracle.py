@@ -4,16 +4,23 @@ cycles, antiholes, perfectness.
 These are the ground truth against which the approximation algorithm and
 the structural theorems are tested, so they stay independent of the rest
 of the package: branch and bound and enumeration over SimpleGraph
-adjacency, read as sets or as neighbor bitmasks.  The chromatic search
-and the cycle enumeration run from explicit stacks.  The clique search
+adjacency, read as sets or as the neighbor bitmasks that
+``SimpleGraph.bits`` builds once per graph.  The chromatic search and
+the cycle enumeration run from explicit stacks.  The clique search
 recurses once per vertex of the clique it grows (its nested
 ``expand``), so it goes at most omega + 1 calls deep, where omega is the
 clique number; no other depth grows with the input.
 
+* ``greedy_clique``: the seed of both searches.  A clique is grown from
+  each vertex in degree order, adding the candidate with the most
+  neighbors among the candidates (one AND and one popcount of bitmasks
+  each), and the starts stop once none can beat the best clique: a start
+  of degree d gives at most d + 1 vertices.
 * ``exact_chromatic``: saturation-order branch and bound seeded with a
   greedily-found clique (its vertices are pre-colored, which both lower
-  bounds the answer and breaks color symmetry).  The search runs from an
-  explicit stack, and each node does a fixed number of big-int
+  bounds the answer and breaks color symmetry) and bounded from above by
+  a DSATUR coloring, whose saturations are color masks.  The search runs
+  from an explicit stack, and each node does a fixed number of big-int
   operations: the vertices are numbered by rank of (degree, -index), the
   saturation counts are kept as bit-sliced planes that pick the next
   vertex, the vertices with a neighbor of each color sit in one int at a
@@ -44,7 +51,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import SimpleGraph, complement
 from .errors import BudgetExceeded
@@ -83,19 +90,46 @@ class _Counter:
 
 
 def greedy_clique(g: SimpleGraph) -> list[int]:
-    """Maximal clique grown greedily from each vertex in degree order."""
+    """A maximal clique: the largest of those grown from each vertex in
+    degree order (highest first, lowest index on ties), the first found
+    on ties.
+
+    A start of degree d grows a clique of at most d + 1 vertices, and the
+    starts come in non-increasing degree, so once d + 1 is at most the
+    size of the best clique so far no later start can give a strictly
+    larger one, and the growth stops there.  The result is the one every
+    start would give.
+    """
+    bits = g.bits
     best: list[int] = []
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    for start in order[:g.n]:
-        clique = [start]
-        cands = set(g.adj[start])
-        while cands:
-            v = min(cands, key=lambda u: (-len(g.adj[u] & cands), u))
-            clique.append(v)
-            cands &= g.adj[v]
+    for start in sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)):
+        if len(g.adj[start]) + 1 <= len(best):
+            break
+        clique = _grow_clique(bits, start)
         if len(clique) > len(best):
             best = clique
     return best
+
+
+def _grow_clique(bits: tuple[int, ...], start: int) -> list[int]:
+    """The clique grown from ``start``: the next vertex is the candidate
+    with the most neighbors among the candidates, the lowest index on
+    ties, and the candidates are the common neighbors of the clique.
+    ``bits[v]`` is the neighbor bitmask of ``v``."""
+    clique = [start]
+    cands = bits[start]
+    while cands:
+        rest, most = cands, -1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            k = (bits[u] & cands).bit_count()
+            if k > most:
+                v, most = u, k
+        clique.append(v)
+        cands &= bits[v]
+    return clique
 
 
 def _dsatur_greedy(g: SimpleGraph) -> dict[int, int]:
@@ -104,27 +138,28 @@ def _dsatur_greedy(g: SimpleGraph) -> dict[int, int]:
     degree, then the lowest index, and it takes the lowest color no
     neighbor holds.
 
-    A lazy max-heap keyed ``(len(sat), degree, -u)``, stored negated,
-    gets a new entry whenever a saturation grows.  Saturations only grow,
-    so a vertex's current entry pops before its stale ones; stale entries
-    and those of colored vertices are skipped.  O((n + m) log n).
+    A vertex's saturation is a color mask: bit c is set when a neighbor
+    holds color c, so the lowest free color is the lowest bit above bit 0
+    that is clear.  A lazy max-heap keyed ``(saturation, degree, -u)``,
+    stored negated, gets a new entry whenever a saturation grows.
+    Saturations only grow, so a vertex's current entry pops before its
+    stale ones; stale entries and those of colored vertices are skipped.
+    O((n + m) log n).
     """
     colors: dict[int, int] = {}
-    sat: list[set[int]] = [set() for _ in range(g.n)]
+    sat = [1] * g.n  # bit 0 stands for no color, so it is always set
     heap = [(0, -len(nbrs), u) for u, nbrs in enumerate(g.adj)]
     heapify(heap)
     while heap:
         s, _, v = heappop(heap)
-        if v in colors or -s != len(sat[v]):
+        if v in colors or 1 - s != sat[v].bit_count():
             continue
-        c = 1
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
+        low = ~sat[v] & sat[v] + 1
+        colors[v] = low.bit_length() - 1
         for w in g.adj[v]:
-            if w not in colors and c not in sat[w]:
-                sat[w].add(c)
-                heappush(heap, (-len(sat[w]), -len(g.adj[w]), w))
+            if w not in colors and not sat[w] & low:
+                sat[w] |= low
+                heappush(heap, (1 - sat[w].bit_count(), -len(g.adj[w]), w))
     return colors
 
 
@@ -153,7 +188,7 @@ def exact_clique(h: SimpleGraph, budget: int | None = None) -> int:
     return _max_clique(h, counter, len(greedy_clique(h)))
 
 
-def _color_bound(bits: list[int],
+def _color_bound(bits: Sequence[int],
                  cands: list[int]) -> list[tuple[int, int]]:
     """Greedy coloring of the candidate set; returns (vertex, color) with
     colors non-decreasing.  The color is an upper bound on the clique a
@@ -181,7 +216,7 @@ def _color_bound(bits: list[int],
 
 def _max_clique(g: SimpleGraph, counter: _Counter, best: int) -> int:
     """Branch and bound from a known clique of size ``best``."""
-    bits = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    bits = g.bits
 
     def expand(cands: list[int], size: int):
         nonlocal best
@@ -353,7 +388,7 @@ def iter_induced_cycles(h: SimpleGraph, min_len: int,
     """
     if max_len < max(min_len, 3):
         return
-    nbr = [sum(1 << w for w in a) for a in h.adj]
+    nbr = h.bits
     for s in range(h.n):
         ns = nbr[s]
         above = -1 << s + 1

@@ -74,7 +74,7 @@ def check_sandwich(g: SimpleGraph, b_g: BipartiteGraph,
 def check_omega_delta_girth(g: SimpleGraph, budget: int | None = None) -> bool:
     """For girth >= 7 and max degree >= 2: omega(G^2) = max degree + 1."""
     delta = max_degree(g)
-    if girth(g) < 7:
+    if girth(g, 7) < 7:
         raise ValueError("precondition failed: girth below seven")
     if delta < 2:
         raise ValueError("precondition failed: max degree below two")

@@ -320,6 +320,25 @@ def quadratic_dsatur_greedy(g: SimpleGraph) -> dict[int, int]:
     return colors
 
 
+def set_greedy_clique(g: SimpleGraph) -> list[int]:
+    """Maximal clique grown greedily from every vertex in degree order, on
+    neighbor sets: the next vertex is the candidate with the most
+    neighbors among the candidates, the lowest index on ties.  The
+    reference for ``oracle.greedy_clique``, which grows on bitmasks and
+    stops at the degree bound."""
+    best: list[int] = []
+    for start in sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)):
+        clique = [start]
+        cands = set(g.adj[start])
+        while cands:
+            v = min(cands, key=lambda u: (-len(g.adj[u] & cands), u))
+            clique.append(v)
+            cands &= g.adj[v]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
 def recursive_chromatic(g: SimpleGraph, omega: int, counter: _Counter,
                         clique: list[int]) -> int:
     """The saturation-order branch and bound as one recursive call per

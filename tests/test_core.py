@@ -215,6 +215,14 @@ def test_square_simple_matches_the_reference(h):
         h.n, distance_two_pairs(h.n, h.edges()))
 
 
+@settings(max_examples=60)
+@given(simple_graphs(max_n=40))
+def test_bits_are_the_neighbor_sets(h):
+    assert [{w for w in range(h.n) if b >> w & 1} for b in h.bits] == [
+        set(nbrs) for nbrs in h.adj]
+    assert h.bits is h.bits  # built once per graph
+
+
 def test_girth_c7():
     c7 = SimpleGraph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
     assert girth(c7) == 7
@@ -239,6 +247,31 @@ def test_girth_matches_naive_enumeration(seed):
     g = random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 4), 0.5)
     sg = g.simple
     assert girth(sg) == naive_girth(sg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 10),
+       st.sampled_from([0.15, 0.25, 0.4, 0.6]))
+def test_capped_girth_matches_naive_enumeration(seed, n, p):
+    rng = SplitMix64(seed)
+    sg = SimpleGraph.from_edges(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n)
+                                    if rng.random() < p])
+    want = naive_girth(sg)
+    for cap in (3, 4, 5, 6, 7, 8, math.inf):
+        assert girth(sg, cap) == min(want, cap), cap
+
+
+def test_capped_girth_on_cycles_and_trees():
+    for n in range(3, 12):
+        cycle = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        for cap in (3, 6, 7, 8, 12, math.inf):
+            assert girth(cycle, cap) == min(n, cap), (n, cap)
+    t = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
+    assert girth(t, 7) == 7
+    c3000 = SimpleGraph.from_edges(3000, [(i, (i + 1) % 3000)
+                                          for i in range(3000)])
+    assert girth(c3000, 7) == 7
 
 
 def test_max_degree_k33():

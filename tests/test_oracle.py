@@ -22,6 +22,7 @@ from sqchroma.oracle import (
     exact_clique,
     exact_stats,
     find_induced_cycles,
+    greedy_clique,
     has_odd_antihole_gt5,
     has_odd_hole,
     is_perfect_small,
@@ -38,6 +39,7 @@ from helpers import (
     quadratic_dsatur_greedy,
     random_bipartite,
     reference_exact_stats,
+    set_greedy_clique,
     stack_depth,
     walk_induced_cycles,
 )
@@ -478,8 +480,48 @@ def test_dsatur_greedy_matches_quadratic_reference_on_squares():
             quadratic_dsatur_greedy(g).items())
 
 
-def _neighbour_bits(g):
-    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 40),
+       st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+def test_greedy_clique_matches_set_reference(seed, n, p):
+    # dense draws tie on degree and on neighbours among the candidates
+    g = gnp(seed, n, p)
+    assert greedy_clique(g) == set_greedy_clique(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(70, 130),
+       st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+def test_greedy_clique_matches_set_reference_past_64_vertices(seed, n, degree):
+    # neighbour masks of several int digits
+    g = gnp(seed, n, degree / n)
+    assert greedy_clique(g) == set_greedy_clique(g)
+
+
+def test_greedy_clique_matches_set_reference_on_squares():
+    graphs = [square(gen_lower_bound_H(2)), square(gen_lower_bound_H(4)),
+              square(gen_named("complete", 8))]
+    graphs += [square(gen_random_convex(12, 12, 6, s)) for s in range(30)]
+    for g in graphs:
+        assert greedy_clique(g) == set_greedy_clique(g)
+
+
+def test_greedy_clique_grows_only_above_the_degree_bound():
+    # the gadget's first start, vertex 0 of degree 4, grows a triangle, so
+    # only starts of degree 3 or more can give a larger clique; the 3000
+    # path vertices have degree 2 or less and are never grown from
+    g = gadget_and_path(3000)
+    grown = []
+    real = oracle._grow_clique
+
+    def counted(bits, start):
+        grown.append(start)
+        return real(bits, start)
+
+    with mock.patch.object(oracle, "_grow_clique", counted):
+        clique = greedy_clique(g)
+    assert clique == [0, 5, 6]
+    assert grown == [0, 7, 2, 3, 5, 6, 8]
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,7 +535,7 @@ def test_color_bound_matches_quadratic_reference(seed, n, p):
         j = int(rng.random() * (i + 1))
         cands[i], cands[j] = cands[j], cands[i]
     # the same classes, in the same order, listed the same way
-    assert _color_bound(_neighbour_bits(g), cands) == quadratic_color_bound(
+    assert _color_bound(g.bits, cands) == quadratic_color_bound(
         g, cands)
 
 
