@@ -26,20 +26,38 @@ no backtracking and no recursion:
    column's innermost class; the blocks of a cell are ordered by first
    column and an explicit stack writes the order out.
 
-Cost, for m rows and N = the sum of row sizes: O(N) dictionary and set
-operations to place rows, assemble and check the result; to find the
-classes, O(N) bit-set operations on m-bit integers plus one subset test
-per unqueued row that meets a placed row without containing it; and the
-sorts.  Rows arrive as the sorted tuples ``BipartiteGraph.adj`` holds and
-are deduplicated and sorted as such.  The column index is a list by
-column, and a row's bit sets are OR- and AND-reduced as they are read
-off it.  Placing a row collects the cells its columns lie in as one set
-and walks its run, testing each cell at the ends and inside the run for
-fullness as a subset of the row; a subset test stops at the smaller
-size, so this costs O(|row|) without counting columns per cell.  One
-pass reads the first and last position of every row under the final
-order: it checks the row against the order (fail closed) and gives the
-row's interval.
+Inputs whose rows are already runs of consecutive labels, as every
+convex input the generators make is, skip step 1's index and step 2's
+placement: the classes are read off the rows' endpoints.  Two runs
+[l1, r1] and [l2, r2] strictly overlap when l1 < l2 <= r1 < r2, and one
+sweep over the endpoints finds the components of that relation.  In any
+consecutive order of an overlap-connected class each atom (the columns
+lying in the same rows of the class) is a run, so the segments between
+the class's endpoints are its atoms, which are the engine's final cells.
+The engine's order of them is the labels' order or its reverse, and the
+first two rows it places decide which: the class's smallest row lies
+before the smallest row that strictly overlaps it.  Step 3 and the final
+check are shared, so both paths give the same order.
+
+Cost, for m rows, k <= m distinct rows of size >= 2 and N = the sum of
+row sizes.  Rows arrive as the sorted tuples ``BipartiteGraph.adj``
+holds.  Both paths start alike: the rows are deduplicated and sorted as
+tuples, and the ends of each distinct row are tested until one is not a
+run.  On consecutive labels the rest is the sort of the 2k endpoints,
+O(k log k), the sweep and its union-find, and O(N) to build the cells,
+assemble and check the result: O(N + k log k) in all.  Otherwise
+placing rows, assembling and checking cost O(N) dictionary and set
+operations, and the classes cost O(N) bit-set operations on m-bit
+integers plus one subset test per unqueued row that meets a placed row
+without containing it.  That column index is a list by column, and a
+row's bit sets are OR- and AND-reduced as they are read off it, so it
+takes time about N*m and memory about n_cols*m bits.  Placing a row
+collects the cells its columns lie in as one set and walks its run,
+testing each cell at the ends and inside the run for fullness as a
+subset of the row; a subset test stops at the smaller size, so this
+costs O(|row|) without counting columns per cell.  One pass reads the
+first and last position of every row under the final order: it checks
+the row against the order (fail closed) and gives the row's interval.
 
 A verdict of no order stops at the first row that cannot be placed: the
 classes are generated one at a time, so it pays for the sort, the column
@@ -69,7 +87,7 @@ from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import groupby
 from operator import and_, itemgetter, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import BipartiteGraph, SimpleGraph
 from .errors import LayoutMismatch, SqchromaError
@@ -212,12 +230,15 @@ class _Cells:
     overlap class: a doubly linked list of cells (-1 ends it) and the cell
     of every placed column.  Each placed row is a run of whole cells."""
 
-    def __init__(self, row: frozenset):
-        self.members: list[set[int]] = [set(row)]
-        self.prev = [-1]
-        self.next = [-1]
-        self.head = self.tail = 0
-        self.cell_of: dict[int, int] = dict.fromkeys(row, 0)
+    def __init__(self, runs: Sequence[Collection[int]]):
+        """Cells holding ``runs``, from the first to the last."""
+        self.members: list[set[int]] = list(map(set, runs))
+        last = len(runs) - 1
+        self.prev = list(range(-1, last))
+        self.next = [*range(1, last + 1), -1]
+        self.head, self.tail = 0, last
+        self.cell_of: dict[int, int] = {x: c for c, run in enumerate(runs)
+                                        for x in run}
 
     def _new_cell(self, cols: set[int], after: int, before: int) -> None:
         """Link a cell holding ``cols`` between ``after`` and ``before``."""
@@ -353,7 +374,7 @@ def _overlap_classes(n_cols: int,
         unqueued ^= low
         start = low.bit_length() - 1
         heap = [start]
-        cls = _OverlapClass([], _Cells(sets[start]))
+        cls = _OverlapClass([], _Cells([sets[start]]))
         while heap:
             i = heappop(heap)
             row = sets[i]
@@ -401,7 +422,78 @@ def _check_failure(sets: list[frozenset], cls: _OverlapClass) -> None:
                             "class fits the cells")
 
 
-def _assemble(n_cols: int, sets: list[frozenset],
+def _interval_classes(n_cols: int, ranked: list[tuple[int, ...]]
+                      ) -> list[_OverlapClass]:
+    """The arranged classes ``_overlap_classes`` gives for ``_ranked``
+    rows that are runs of consecutive columns, read off their endpoints.
+
+    Two runs [l1, r1] and [l2, r2] with l1 <= l2 strictly overlap when
+    l1 < l2 <= r1 < r2.  One sweep finds the classes.  Runs open in order
+    of left end, the longer first on a tie, and close in order of right
+    end, the later opened first on a tie; a run opens before the runs
+    that end at or after its left end close.  A stack holds the classes
+    of the open runs, each as one block, those opened last on top.  By
+    the tie rules, every run above a closing run's block starts after it,
+    starts before it ends, and ends after it: it strictly overlaps the
+    closing run, so those blocks join its class.  A union-find keeps the
+    classes.
+
+    Every class is complete.  Its cells are the segments between its rows'
+    endpoints, ordered as the engine orders them: its smallest row lies
+    before the smallest row that strictly overlaps it.
+    """
+    lefts = [row[0] for row in ranked]
+    rights = [row[-1] for row in ranked]
+    k = len(ranked)
+    w = n_cols + 1  # (left, -right), then (right, -left), as one integer
+    key = [left * w - right for left, right in zip(lefts, rights)]
+    opens = sorted(range(k), key=key.__getitem__)
+    key = [right * w - left for left, right in zip(lefts, rights)]
+    closes = sorted(range(k), key=key.__getitem__)
+    parent = list(range(k))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    stack: list[int] = []  # roots of the open classes, the innermost last
+    open_rows = [0] * k  # per root, the rows of its class still open
+    started = iter(opens)
+    nxt = next(started, -1)
+    for j in closes:
+        while nxt >= 0 and lefts[nxt] <= rights[j]:
+            stack.append(nxt)
+            open_rows[nxt] = 1
+            nxt = next(started, -1)
+        c = find(j)
+        while stack[-1] != c:
+            top = stack.pop()
+            parent[top] = c
+            open_rows[c] += open_rows[top]
+        open_rows[c] -= 1
+        if not open_rows[c]:
+            stack.pop()
+    members: dict[int, list[int]] = {}  # by smallest row: the engine's order
+    for i in range(k):
+        members.setdefault(find(i), []).append(i)
+    classes = []
+    for cls_rows in members.values():
+        first = cls_rows[0]
+        lf, rf = lefts[first], rights[first]
+        ends = sorted({lefts[i] for i in cls_rows}
+                      | {rights[i] + 1 for i in cls_rows})
+        runs = list(map(range, ends, ends[1:]))
+        second = next((i for i in cls_rows[1:]
+                       if lf < lefts[i] <= rf < rights[i]
+                       or lefts[i] < lf <= rights[i] < rf), first)
+        if lefts[second] < lf:
+            runs.reverse()
+        classes.append(_OverlapClass(cls_rows, _Cells(runs)))
+    return classes
+
+
+def _assemble(n_cols: int, sets: Sequence[Collection[int]],
               classes: list[_OverlapClass]) -> list[int]:
     """Column order putting each class's arrangement inside one cell of its
     host class, with the blocks of each cell ordered by first column.
@@ -462,18 +554,42 @@ def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
     consecutive, a NonConvexWitness over ``rows``.  ``rows`` are sorted,
     duplicate-free tuples, as the rows of ``BipartiteGraph.adj`` are.
 
+    When every row is a run of consecutive columns, the classes are read
+    off the rows' endpoints (``_interval_classes``); otherwise the engine
+    arranges them (``_arrange_engine``).  Both give the same result.
+    """
+    ranked = _ranked(n_cols, rows)
+    if all(row[-1] - row[0] + 1 == len(row) for row in ranked):
+        return _assembled(n_cols, rows, ranked,
+                          _interval_classes(n_cols, ranked))
+    return _arrange_engine(n_cols, rows, ranked)
+
+
+def _ranked(n_cols: int,
+            rows: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct rows of size >= 2, sorted by (size, members); a row's
+    rank is its index here.  Raises ValueError for a row naming a column
+    outside 0..n_cols-1."""
+    ranked = sorted({row for row in rows if len(row) >= 2})
+    ranked.sort(key=len)  # stable, so by size and then by members
+    if ranked and (min(row[0] for row in ranked) < 0
+                   or max(row[-1] for row in ranked) >= n_cols):
+        raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
+    return ranked
+
+
+def _arrange_engine(n_cols: int, rows: Sequence[tuple[int, ...]],
+                    ranked: list[tuple[int, ...]]
+                    ) -> tuple[list[int], list[int], tuple] | NonConvexWitness:
+    """``_arrange`` by placing the ``_ranked`` rows one at a time, for any
+    rows.
+
     The arrangement stops at the first row that cannot be placed, after
     ``_check_failure``.  The witness finishes it when read: the order then
     assembles the complete classes and the partial arrangements of the
-    failed ones, so a row with a gap under it exists.  On success every
-    row has been checked against the order (fail closed) in the same pass
-    that found its interval, so callers need not check it again.
+    failed ones, so a row with a gap under it exists.
     """
-    keyed = sorted({(len(row), row) for row in rows if len(row) >= 2})
-    if keyed and (min(row[0] for _, row in keyed) < 0
-                  or max(row[-1] for _, row in keyed) >= n_cols):
-        raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
-    sets = [frozenset(row) for _, row in keyed]
+    sets = list(map(frozenset, ranked))
     classes: list[_OverlapClass] = []
     pending = _overlap_classes(n_cols, sets)
     for cls in pending:
@@ -486,6 +602,17 @@ def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
                 return _assemble(n_cols, sets, classes)
 
             return NonConvexWitness(rows, attempt)
+    return _assembled(n_cols, rows, sets, classes)
+
+
+def _assembled(n_cols: int, rows: Sequence[tuple[int, ...]],
+               sets: Sequence[Collection[int]],
+               classes: list[_OverlapClass]) -> tuple[list[int], list[int],
+                                                      tuple]:
+    """The order ``_assemble`` gives for complete classes, the position of
+    each column under it, and the ``_intervals`` of ``rows``.  The same
+    pass that finds a row's interval checks the row against the order
+    (fail closed), so callers need not check it again."""
     order = _assemble(n_cols, sets, classes)
     pos = [0] * n_cols
     for p, x in enumerate(order):
@@ -511,15 +638,6 @@ def consecutive_order(n_cols: int,
     """
     result = _arrange(n_cols, _normalized(rows))
     return None if isinstance(result, NonConvexWitness) else result[0]
-
-
-def attempted_order(n_cols: int, rows: Iterable[Iterable[int]]) -> list[int]:
-    """The order ``consecutive_order`` would return, or on failure the
-    assembled partial arrangement, for witness construction."""
-    result = _arrange(n_cols, _normalized(rows))
-    if isinstance(result, NonConvexWitness):
-        return list(result.b_order_attempted)
-    return result[0]
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,14 @@ def test_package_error_is_one_line(np_file, capsys, monkeypatch):
 
 def test_color_fails_closed_when_a_placeable_row_is_refused(
         tmp_path, capsys, monkeypatch):
-    # the staircase {0,1}, {1,2}, {2,3} has a consecutive order: an engine
-    # that refuses its second row is at fault, and must not print NOT CONVEX
+    # the staircase on labels 0, 2, 1, 3, that is {0,2}, {1,2}, {1,3}, has
+    # a consecutive order: an engine that refuses its second row is at
+    # fault, and must not print NOT CONVEX
     real = convexity._Cells.place
     monkeypatch.setattr(convexity._Cells, "place",
                         lambda cells, row: row != {1, 2} and real(cells, row))
     path = tmp_path / "staircase.bip"
-    path.write_text("p bip 3 4 6\ne 0 0\ne 0 1\ne 1 1\ne 1 2\ne 2 2\ne 2 3\n")
+    path.write_text("p bip 3 4 6\ne 0 0\ne 0 2\ne 1 2\ne 1 1\ne 2 1\ne 2 3\n")
     assert run(["color", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,9 +13,12 @@ from sqchroma.convexity import (
     BiconvexLayout,
     ConvexLayout,
     NonConvexWitness,
+    _arrange,
+    _arrange_engine,
+    _ArrangementError,
     _normalized,
     _overlap_classes,
-    attempted_order,
+    _ranked,
     check_proper_ordering,
     consecutive_order,
     layout_from_order,
@@ -50,6 +53,14 @@ def _order_is_valid(n_cols, rows, order):
     return True
 
 
+def _attempted(n_cols, rows):
+    """The order ``_arrange`` accepts, or the witness's attempted order."""
+    result = _arrange(n_cols, _normalized(rows))
+    if isinstance(result, NonConvexWitness):
+        return list(result.b_order_attempted)
+    return result[0]
+
+
 # ---------------------------------------------------------------------------
 # The consecutive-arrangement engine against exhaustive search
 
@@ -63,7 +74,7 @@ def test_engine_agrees_with_brute_force(n_cols, n_rows, seed):
         row = [c for c in range(n_cols) if rng.random() < 0.45]
         rows.append(row)
     got = consecutive_order(n_cols, rows)
-    attempt = attempted_order(n_cols, rows)
+    attempt = _attempted(n_cols, rows)
     expected = brute_force_c1p(n_cols, rows)
     if expected is None:
         assert got is None
@@ -83,7 +94,7 @@ def test_engine_matches_pinned_corpus():
     for case in corpus:
         n_cols, rows = case["n_cols"], case["rows"]
         assert consecutive_order(n_cols, rows) == case["order"]
-        attempt = attempted_order(n_cols, rows)
+        attempt = _attempted(n_cols, rows)
         if case["order"] is None:
             assert not _order_is_valid(n_cols, rows, attempt)
         else:
@@ -111,25 +122,118 @@ def _outer_first_nesting(width):
     return rows
 
 
+def _engine(n_cols, rows):
+    """``_arrange`` on the engine's path, whatever the labels."""
+    return _arrange_engine(n_cols, rows, _ranked(n_cols, rows))
+
+
+def _engine_skipped():
+    """Context under which reaching the engine raises AssertionError."""
+    return mock.patch.object(convexity, "_overlap_classes",
+                             side_effect=AssertionError("engine reached"))
+
+
+def _assert_paths_agree(n_cols, rows):
+    """``_arrange`` reads ``rows``, runs of consecutive labels, off their
+    endpoints and gives what the engine gives; returns the result."""
+    with _engine_skipped():
+        result = _arrange(n_cols, rows)
+    assert result == _engine(n_cols, rows)
+    return result
+
+
 def test_deep_nesting_and_large_inputs_need_no_recursion():
-    chain = _nested_class_chain(2000)
-    outer_first = _outer_first_nesting(1200)
+    # all three are runs of their labels, so each runs on both paths
+    chain = _normalized(_nested_class_chain(2000))
+    outer_first = _normalized(_outer_first_nesting(1200))
     g = gen_random_convex(2000, 2000, 30, seed=0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
     try:
-        t0 = time.perf_counter()
-        assert consecutive_order(2000, chain) == list(range(2000))
-        t1 = time.perf_counter()
+        seconds, results = [], []
+        for n_cols, rows in ((2000, chain), (g.n_b, g.adj),
+                             (1200, outer_first)):
+            t0 = time.perf_counter()
+            results.append(_engine(n_cols, rows))
+            seconds.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            with _engine_skipped():
+                assert _arrange(n_cols, rows) == results[-1]
+            seconds.append(time.perf_counter() - t0)
+        assert results[0][0] == list(range(2000))
+        assert results[2][0] == list(range(1200))
         assert isinstance(recognize_convex(g), ConvexLayout)
-        t2 = time.perf_counter()
-        assert consecutive_order(1200, outer_first) == list(range(1200))
-        t3 = time.perf_counter()
     finally:
         sys.setrecursionlimit(limit)
     # each takes a second or so; an engine quadratic in the rows, or one
     # that re-counts the rows inside a finished class's cells, takes minutes
-    assert t1 - t0 < 30 and t2 - t1 < 30 and t3 - t2 < 30
+    assert max(seconds) < 30
+
+
+@st.composite
+def _interval_families(draw):
+    """Rows that are runs of consecutive labels, as sorted tuples, in any
+    order: empty and one-column rows, duplicates, columns in no row, rows
+    inside rows, and short staircases that form classes nested in the
+    cells of longer ones."""
+    n_cols = draw(st.integers(1, 40))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, n_cols - 1),
+                  st.one_of(st.integers(0, 4), st.integers(0, n_cols))),
+        max_size=30))
+    for left, steps in draw(st.lists(
+            st.tuples(st.integers(0, n_cols - 1), st.integers(1, 4)),
+            max_size=3)):
+        runs += [(left + j, 2) for j in range(steps)]
+    if n_cols >= 6 and draw(st.booleans()):
+        # two crossing runs [a, c) and [b, d), a staircase inside [b, c)
+        a, b, c, d = sorted(draw(st.lists(st.integers(0, n_cols), min_size=4,
+                                          max_size=4, unique=True)))
+        runs += [(a, c - a), (b, d - b)]
+        runs += [(j, 2) for j in range(b, c - 1)]
+    rows = [tuple(range(left, min(n_cols, left + size)))
+            for left, size in runs]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return n_cols, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_interval_families())
+def test_interval_path_matches_the_engine(family):
+    _assert_paths_agree(*family)
+
+
+def test_interval_path_matches_the_engine_on_towers_and_staircases():
+    for k in (2, 5, 40):
+        tower = [range(j + 1) for j in range(k)]
+        staircase = [range(j, j + 3) for j in range(k)]
+        for rows in (tower, staircase, tower + staircase):
+            _assert_paths_agree(k + 2, _normalized(rows))
+    _assert_paths_agree(60, _normalized(_nested_class_chain(60)))
+    for width in (3, 4, 10, 25, 60):
+        _assert_paths_agree(width, _normalized(_outer_first_nesting(width)))
+
+
+def test_consecutive_labels_skip_the_engine():
+    # a count, not a time: the identity-labelled graph never reaches the
+    # engine, nor does it with its B-labels reversed, since a reversed run
+    # is a run; with labels 2i and 2i+1 swapped its rows are no runs, and
+    # the engine arranges them
+    g = gen_random_convex(300, 300, 20, seed=0)
+
+    def relabelled(label):
+        return build_bipartite(g.n_a, g.n_b,
+                               [(a, label(b)) for a, b in g.edges()])
+
+    reversed_b = relabelled(lambda b: g.n_b - 1 - b)
+    swapped_b = relabelled(lambda b: b ^ 1)
+    with _engine_skipped():
+        assert isinstance(recognize_convex(g), ConvexLayout)
+        assert isinstance(recognize_convex(reversed_b), ConvexLayout)
+        with pytest.raises(AssertionError, match="engine reached"):
+            recognize_convex(swapped_b)
+    assert isinstance(recognize_convex(swapped_b), ConvexLayout)
 
 
 def test_engine_dense_nested_families():
@@ -147,7 +251,14 @@ def test_engine_dense_nested_families():
 def test_engine_rejects_columns_out_of_range():
     for rows in ([[0, 5]], [[0, 1], [1, 2]], [[-1, 0]]):
         with pytest.raises(ValueError, match="0..1"):
-            consecutive_order(2, rows)
+            _engine(2, _normalized(rows))
+
+
+def test_interval_path_rejects_columns_out_of_range():
+    with _engine_skipped():
+        for rows in ([[0, 1], [1, 2]], [[-1, 0]], [[1, 2]]):
+            with pytest.raises(ValueError, match="0..1"):
+                consecutive_order(2, rows)
 
 
 def test_engine_deterministic():
@@ -370,16 +481,23 @@ def test_layout_from_order_rejects_a_gap():
 
 
 def test_accepted_order_is_checked_against_every_row():
-    # fail closed: an assembled order that breaks a row is the engine's
-    # fault, whichever caller asked for it
-    g = build_bipartite(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)])
-    with mock.patch.object(convexity, "_assemble",
-                           lambda n_cols, sets, classes: [1, 0, 2]):
-        with pytest.raises(convexity._ArrangementError,
-                           match="assembled order violates a row"):
-            recognize_convex(g)
-        with pytest.raises(convexity._ArrangementError):
-            consecutive_order(3, g.adj)
+    # fail closed: an assembled order that breaks a row is the
+    # arrangement's fault, whichever caller asked for it and whichever path
+    # found the classes.  The rows {0,1}, {1,2} are runs of their labels;
+    # relabelled as {0,2}, {1,2} they reach the engine.
+    for edges, engine_runs in (([(0, 0), (0, 1), (1, 1), (1, 2)], False),
+                               ([(0, 0), (0, 2), (1, 2), (1, 1)], True)):
+        g = build_bipartite(2, 3, edges)
+        with mock.patch.object(convexity, "_assemble",
+                               lambda n_cols, sets, classes: [1, 0, 2]), \
+                mock.patch.object(convexity, "_overlap_classes",
+                                  wraps=_overlap_classes) as engine:
+            with pytest.raises(_ArrangementError,
+                               match="assembled order violates a row"):
+                recognize_convex(g)
+            with pytest.raises(_ArrangementError):
+                consecutive_order(3, g.adj)
+        assert engine.called == engine_runs
 
 
 def _graph_of_rows(rows, n_b):
@@ -388,17 +506,18 @@ def _graph_of_rows(rows, n_b):
 
 
 def test_a_refused_placeable_row_fails_closed():
-    # the staircase {0,1}, {1,2}, {2,3} has a consecutive order, so a
-    # placement that refuses its second row is the engine's fault: the
-    # check at the failure point finds every row of the class fitting
-    rows = [[0, 1], [1, 2], [2, 3]]
+    # the staircase on labels 0, 2, 1, 3, that is {0,2}, {1,2}, {1,3}, has
+    # a consecutive order, so a placement that refuses its second row is
+    # the engine's fault: the check at the failure point finds every row of
+    # the class fitting
+    rows = [[0, 2], [1, 2], [1, 3]]
     real = convexity._Cells.place
     with mock.patch.object(convexity._Cells, "place", autospec=True,
                            side_effect=lambda cells, row:
                            row != {1, 2} and real(cells, row)):
         for verdict in (lambda: recognize_convex(_graph_of_rows(rows, 4)),
                         lambda: consecutive_order(4, rows)):
-            with pytest.raises(convexity._ArrangementError,
+            with pytest.raises(_ArrangementError,
                                match="^a row failed to place, but every row "
                                      "of its class fits the cells$"):
                 verdict()
