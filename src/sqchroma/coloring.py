@@ -8,7 +8,16 @@ maxright bound the intervals through p.  Those arrays over the positions
 are built in linear sweeps: maxright is a prefix maximum of right ends by
 left endpoint, minleft a suffix minimum of left ends by right endpoint.
 N(b_j) within H_j is two slices: the A-neighbors of b_j and the
-positions j+1 .. maxright(j); steps 1 and 2 below read it that way.
+positions j+1 .. maxright(j); step 2 and the clique claims read it that
+way.  Step 1 reads it off a window that slides down with j: a count per
+color over N(b_j) and a bitmask of the colors 1..palette at count 0.  An
+A-vertex enters the window at its right end and leaves it below its left
+end; the B-part gains j+1 and loses positions from its top only, because
+maxright is a prefix maximum.  Each vertex enters and leaves once, so
+step 1 costs O(n_a + n_b) window updates in all, plus a lowest set bit
+per position.  A pivot round recolors A-vertices, and after one the
+window is counted again from N(b_j).  The clique claims and the final
+check cost O(n + m) each.
 Every other neighborhood comes from one routine,
 ``ExtensionState._filtered_neighbors``.  The A-vertices sorted by left
 endpoint serve the pivot steps alone, and minleft only the check of a
@@ -27,8 +36,9 @@ j is handled by a loop that terminates after at most |N(b_j) on A| pivot
 rounds:
 
 1. If the palette has a color unused on N(b_j) within the current
-   subgraph, b_j takes the lowest such color.  The bound holds whichever
-   free color is taken; the lowest keeps the output deterministic.
+   subgraph, b_j takes the lowest such color, the lowest set bit of the
+   window's mask.  The bound holds whichever free color is taken; the
+   lowest keeps the output deterministic.
 2. Otherwise a *pivot* exists: the <_A-least A-neighbor of b_j whose
    color appears exactly once among b_j's neighbors.  If the pivot's own
    closed neighborhood misses a color, the pivot is recolored with the
@@ -320,11 +330,14 @@ def kempe_swap(state: ExtensionState, pivot: int, y: int) -> frozenset[int]:
     return frozenset(component)
 
 
-def _free_color(used: set[int], palette: int) -> int | None:
-    for c in range(1, palette + 1):
-        if c not in used:
-            return c
-    return None
+def _free_color(free: int) -> int | None:
+    """The lowest color whose bit is set in ``free``, or None."""
+    return (free & -free).bit_length() - 1 if free else None
+
+
+def _mask(cols) -> int:
+    """The bitmask of a set of colors: bit c for color c."""
+    return sum(map((1).__lshift__, cols))
 
 
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
@@ -409,6 +422,17 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     runs.  ``trace``, when given, collects (event, position, ...) tuples
     for the pivot / partner / swap steps.  Steps 1 and 2 take the lowest
     free color.
+
+    Step 1 reads a window over N(b_j) within H_j: ``count[c]`` holds how
+    often color c occurs on it, and ``free`` has bit c set exactly for
+    the colors 1..palette at count 0.  As j falls, an A-vertex enters at
+    its right end and leaves below its left end (two pointers over the
+    A-vertices by right and by left end), and the B-part j+1 ..
+    maxright(j) gains j+1 and loses positions from its top only, because
+    maxright is a prefix maximum.  A pivot round recolors A-vertices, so
+    after one the window is counted again from N(b_j).  Each vertex
+    enters and leaves the window once: O(n_a + n_b) updates, against
+    O(n + m) each for the clique claims and the final check.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -420,24 +444,70 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     state = ExtensionState(
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
     )
-    rank, b_seq = layout.a_rank, layout.b_seq
+    rank, b_seq, ivs = layout.a_rank, layout.b_seq, layout.intervals
     a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
     color_of = colors.__getitem__
+    full = (1 << palette + 1) - 2  # colors 1..palette
+    count = [0] * (palette + 1)
+    free = full
+
+    def enter(c: int) -> None:
+        nonlocal free
+        if not count[c]:
+            free ^= 1 << c
+        count[c] += 1
+
+    def leave(c: int) -> None:
+        nonlocal free
+        count[c] -= 1
+        if not count[c]:
+            free |= 1 << c
+
+    def recount(j: int) -> None:
+        nonlocal free
+        count[:] = [0] * (palette + 1)
+        for c in map(color_of, a_at[j]):
+            count[c] += 1
+        for c in map(color_of, b_glob[j + 1:maxright[j] + 1]):
+            count[c] += 1
+        free = full & ~_mask(c for c in range(palette + 1) if count[c])
+
+    # <_A is by right end, so its reverse is the order of entry
+    by_right = [a for a in reversed(layout.a_order) if ivs[a] is not None]
+    by_left = sorted(by_right, key=ivs.__getitem__, reverse=True)
+    n_iv = len(by_right)
+    entered = left = 0
+    top = g.n_b - 1  # the B-part is j+1 .. top, empty while top <= j
     for j in range(g.n_b - 1, -1, -1):
         state.j = j
         bjg = b_glob[j]
         _assert_bj_cliques(state, omega)
         # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
         a_j, hi = a_at[j], maxright[j]
+        while entered < n_iv and ivs[by_right[entered]][1] >= j:
+            enter(color_of(by_right[entered]))
+            entered += 1
+        while left < n_iv and ivs[by_left[left]][0] > j:
+            leave(color_of(by_left[left]))
+            left += 1
+        for p in range(max(hi, j + 1) + 1, top + 1):
+            leave(color_of(b_glob[p]))
+        if hi > j:
+            enter(color_of(b_glob[j + 1]))
+        top = hi
+        # with the side-group claim, this makes the window's A-part A_j
+        if entered - left != len(a_j):
+            raise AlgorithmInvariantViolation(
+                f"window holds {entered - left} A-vertices, |A_j| = "
+                f"{len(a_j)} at position {j}"
+            )
         prev_rank: int | None = None
         for _ in range(len(a_j) + hi - j + 2):
-            used = set(map(color_of, a_j))
-            used.update(map(color_of, b_glob[j + 1:hi + 1]))
-            free = _free_color(used, palette)
-            if free is not None:
-                colors[bjg] = free
+            c = _free_color(free)
+            if c is not None:
+                colors[bjg] = c
                 if trace is not None:
-                    trace.append(("assign", j, b_seq[j], free))
+                    trace.append(("assign", j, b_seq[j], c))
                 break
             a_c = find_pivot(state)
             if prev_rank is not None and rank[a_c] >= prev_rank:
@@ -451,10 +521,11 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
             closed_used = {colors[w]
                            for w in state._filtered_neighbors(a_c, j + 1)}
             closed_used.add(x)
-            z = _free_color(closed_used, palette)
+            z = _free_color(full & ~_mask(closed_used))
             if z is not None:
                 colors[a_c] = z
                 colors[bjg] = x
+                recount(j)
                 if trace is not None:
                     trace.append(("pivot_recolor", j, a_c, z))
                     trace.append(("assign", j, b_seq[j], x))
@@ -464,6 +535,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 trace.append(("partner", j, y, a_prime, shielded))
             comp = kempe_swap(state, a_c, y)
             _assert_kempe_shape(state, a_c, comp)
+            recount(j)
             if trace is not None:
                 trace.append(("swap", j, x, y, len(comp)))
             # loop: if x is now free around b_j the next pass assigns it

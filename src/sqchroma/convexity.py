@@ -82,11 +82,12 @@ interval and precede everything in <_A.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import groupby
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, or_, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import BipartiteGraph, SimpleGraph
@@ -132,18 +133,25 @@ class ConvexLayout:
         the maximum of (#intervals containing [l, r]) + (r - l + 1).  Only
         left endpoints need trying as l; for the k intervals through l
         reaching furthest right, r is the k-th largest right endpoint.
-        Each interval is visited once per left endpoint it covers.
+
+        The negated right ends of the intervals through l stay in one
+        ascending list ``nr`` across the sweep, so r_k = -nr[k-1]: each
+        interval enters it once by ``insort`` and leaves it once, in a
+        slice deletion of the ended ones (right end below l) at its tail.
+        At each left endpoint max(k + r_k) is one pass of C builtins over
+        the intervals through it.
         """
         if not self.intervals and not self.b_pos:
             return 0
         best = 1
-        rights: list[int] = []  # right endpoints of the intervals through l
+        nr: list[int] = []  # negated right ends of the intervals through l
         by_left = sorted(iv for iv in self.intervals if iv is not None)
         for left, starting in groupby(by_left, key=itemgetter(0)):
-            rights = [r for r in rights if r >= left] + [r for _, r in starting]
-            rights.sort(reverse=True)
+            del nr[bisect_right(nr, -left):]
+            for _, r in starting:
+                insort(nr, -r)
             best = max(best,
-                       max(k + r for k, r in enumerate(rights, 1)) - left + 1)
+                       max(map(sub, range(1, len(nr) + 1), nr)) - left + 1)
         return best
 
 
@@ -656,17 +664,24 @@ def _compute_a_order(
 
 def _intervals(rows: Sequence[Sequence[int]],
                pos: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
-    """(first, last) position of every duplicate-free row, None if empty.
+    """(first, last) position of every row, None if empty.  The rows are
+    sorted, duplicate-free and in range, as the rows of
+    ``BipartiteGraph.adj`` are.
 
-    The same pass checks every row: the first that is not a run of
-    positions raises LayoutMismatch, naming it as the A-vertex of that
-    index."""
+    A row that is a run of its labels has the positions of the slice
+    ``pos[row[0]:row[-1] + 1]``; any other row maps through ``pos`` label
+    by label.  The same pass checks every row on the min, max and number
+    of its positions: the first that is not a run of positions raises
+    LayoutMismatch, naming it as the A-vertex of that index."""
     intervals: list[tuple[int, int] | None] = []
     for a, row in enumerate(rows):
         if not row:
             intervals.append(None)
             continue
-        ps = list(map(pos.__getitem__, row))
+        if row[-1] - row[0] + 1 == len(row):
+            ps = pos[row[0]:row[-1] + 1]
+        else:
+            ps = list(map(pos.__getitem__, row))
         first, last = min(ps), max(ps)
         if last - first + 1 != len(ps):
             raise LayoutMismatch(

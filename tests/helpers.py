@@ -9,11 +9,18 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
+from operator import itemgetter
 from typing import Sequence
 from unittest import mock
 
 from sqchroma import coloring
+from sqchroma.coloring import (
+    Coloring,
+    ExtensionState,
+    greedy_interval_coloring,
+    verify_square_coloring,
+)
 from sqchroma.convexity import ConvexLayout, _Cells
 from sqchroma.core import (
     SIDE_A,
@@ -502,11 +509,9 @@ class CountingCells(_Cells):
         return False
 
 
-def _highest_free_color(used: set[int], palette: int) -> int | None:
-    for c in range(palette, 0, -1):
-        if c not in used:
-            return c
-    return None
+def _highest_free_color(free: int) -> int | None:
+    """The highest color whose bit is set in ``free``, or None."""
+    return free.bit_length() - 1 if free else None
 
 
 def highest_free_color():
@@ -515,3 +520,100 @@ def highest_free_color():
     this order reaches the pivot steps far more often, so tests use it to
     drive them on real inputs."""
     return mock.patch.object(coloring, "_free_color", _highest_free_color)
+
+
+def outer_first_nesting(width: int) -> list:
+    """Rows {L-1, L} and [L, R) for L = 1, 3, 5, ... and R = width,
+    width-1, ...: each two-row class lies in the big cell of the one before
+    it, and starts, at its 2-element row, before the classes nested in it."""
+    rows = []
+    left, right = 1, width
+    while right - left >= 2:
+        rows += [[left - 1, left], range(left, right)]
+        left, right = left + 2, right - 1
+    return rows
+
+
+def sweep_omega(layout: ConvexLayout) -> int:
+    """omega(G^2) by the interval sweep that re-filters and re-sorts the
+    right ends through each left endpoint: the reference for
+    ``ConvexLayout.omega``, which keeps them in one sorted list."""
+    if not layout.intervals and not layout.b_pos:
+        return 0
+    best = 1
+    rights: list[int] = []  # right endpoints of the intervals through l
+    by_left = sorted(iv for iv in layout.intervals if iv is not None)
+    for left, starting in groupby(by_left, key=itemgetter(0)):
+        rights = [r for r in rights if r >= left] + [r for _, r in starting]
+        rights.sort(reverse=True)
+        best = max(best,
+                   max(k + r for k, r in enumerate(rights, 1)) - left + 1)
+    return best
+
+
+def set_color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
+                            trace: list | None = None) -> Coloring:
+    """Phase II with step 1 rebuilding the colors of N(b_j) as a set at
+    every position and round: the reference for the sliding window of
+    ``coloring.color_square_convex``, which must give the same colors and
+    trace.  The free color goes through ``coloring._free_color`` as a
+    mask, so ``highest_free_color`` steers both; steps 2 and 3 are the
+    module's own."""
+    omega = layout.omega
+    palette = (3 * omega) // 2
+    full = (1 << palette + 1) - 2
+    phase1 = greedy_interval_coloring(layout.intervals)
+    colors = dict(phase1.colors)
+    if trace is not None:
+        trace.append(("phase1", None, phase1.palette))
+    state = ExtensionState(graph=g, layout=layout, palette=palette,
+                           colors=colors, j=g.n_b)
+    rank, b_seq = layout.a_rank, layout.b_seq
+    a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
+    for j in range(g.n_b - 1, -1, -1):
+        state.j = j
+        coloring._assert_bj_cliques(state, omega)
+        a_j, hi = a_at[j], maxright[j]
+        prev_rank = None
+        for _ in range(len(a_j) + hi - j + 2):
+            used = {colors[v] for v in a_j}
+            used.update(colors[v] for v in b_glob[j + 1:hi + 1])
+            free = coloring._free_color(full & ~sum(1 << c for c in used))
+            if free is not None:
+                colors[b_glob[j]] = free
+                if trace is not None:
+                    trace.append(("assign", j, b_seq[j], free))
+                break
+            a_c = coloring.find_pivot(state)
+            if prev_rank is not None and rank[a_c] >= prev_rank:
+                raise AlgorithmInvariantViolation(
+                    f"pivot rank failed to decrease at position {j}")
+            prev_rank = rank[a_c]
+            x = colors[a_c]
+            if trace is not None:
+                trace.append(("pivot", j, a_c, x))
+            closed = {colors[w] for w in state._filtered_neighbors(a_c, j + 1)}
+            closed.add(x)
+            z = coloring._free_color(full & ~sum(1 << c for c in closed))
+            if z is not None:
+                colors[a_c] = z
+                colors[b_glob[j]] = x
+                if trace is not None:
+                    trace.append(("pivot_recolor", j, a_c, z))
+                    trace.append(("assign", j, b_seq[j], x))
+                break
+            y, a_prime, shielded = coloring.partner_color(state, a_c)
+            if trace is not None:
+                trace.append(("partner", j, y, a_prime, shielded))
+            comp = coloring.kempe_swap(state, a_c, y)
+            coloring._assert_kempe_shape(state, a_c, comp)
+            if trace is not None:
+                trace.append(("swap", j, x, y, len(comp)))
+        else:
+            raise AlgorithmInvariantViolation(
+                f"pivot loop failed to terminate at position {j}")
+    result = Coloring(colors, max(colors.values(), default=0))
+    if not verify_square_coloring(g, result):
+        raise AlgorithmInvariantViolation(
+            "final coloring failed properness verification")
+    return result

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -31,8 +33,11 @@ from sqchroma.rng import SplitMix64
 
 from helpers import (
     highest_free_color,
+    outer_first_nesting,
     quadratic_interval_coloring,
     random_bipartite,
+    set_color_square_convex,
+    sweep_omega,
 )
 
 
@@ -745,6 +750,92 @@ def test_clique_claims_fail_closed_on_a_small_cached_omega(omega, message):
     layout = recognize_convex(_GADGET)
     layout.__dict__["omega"] = omega
     assert _color_violation(layout) == message
+
+
+def test_window_fails_closed_on_an_interval_b_j_does_not_see():
+    # a1 widened to [0, 2]: at j = 2 the window holds a0..a3, while b_2's
+    # A-neighbors in G are a0, a2, a3, each of whose intervals holds 2
+    good = layout_from_order(_GADGET, range(_GADGET.n_b))
+    ivs = list(good.intervals)
+    ivs[1] = (0, 2)
+    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    assert _color_violation(layout) == (
+        "window holds 4 A-vertices, |A_j| = 3 at position 2")
+
+
+# ---------------------------------------------------------------------------
+# step 1's sliding window and the omega sweep against their references
+
+
+def _rows_graph(rows):
+    rows = [list(r) for r in rows]
+    n_b = max((r[-1] + 1 for r in rows if r), default=0)
+    return build_bipartite(len(rows), n_b,
+                           [(a, b) for a, r in enumerate(rows) for b in r])
+
+
+def _staircase(k, width):
+    return _rows_graph([range(j, j + width) for j in range(k)])
+
+
+def _reference_families():
+    graphs = [gen_lower_bound_H(q) for q in range(2, 17, 2)]
+    for k in range(1, 25):
+        graphs.append(_rows_graph([range(j + 1) for j in range(k)]))  # tower
+        graphs += [_staircase(k, width) for width in (2, 3, 4, 5)]
+    graphs += [_rows_graph(outer_first_nesting(w)) for w in range(3, 40)]
+    return graphs
+
+
+def _assert_window_matches_reference(g, events=None):
+    """Same colors, trace and omega as the references, under the default
+    free color and the highest; ``events`` counts the trace's kinds per
+    order."""
+    layout = recognize_convex(g)
+    for order in (contextlib.nullcontext, highest_free_color):
+        got, want = [], []
+        with order():
+            c = color_square_convex(g, layout, trace=got)
+            assert c == set_color_square_convex(g, layout, trace=want)
+        assert got == want
+        if events is not None:
+            events[order.__name__].update(e[0] for e in got)
+    assert layout.omega == sweep_omega(layout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs())
+def test_window_matches_set_reference(g):
+    _assert_window_matches_reference(g)
+
+
+def test_window_matches_set_reference_on_families():
+    # staircases reach pivot, partner and swap rounds under either order,
+    # so the recount after a pivot round runs too
+    events = defaultdict(Counter)
+    for g in _reference_families():
+        _assert_window_matches_reference(g, events)
+    for order in ("nullcontext", "highest_free_color"):
+        assert all(events[order][kind] > 0 for kind in (
+            "pivot", "pivot_recolor", "partner", "swap")), order
+
+
+def test_staircase_reaches_step3_unpatched():
+    # 12 rows of width 4 over 15 positions, omega = 5, palette 7: under
+    # the default free color, one position takes a partner step and a
+    # Kempe swap, with no seam patched
+    g = _staircase(12, 4)
+    trace = []
+    c = color_square_convex(g, recognize_convex(g), trace=trace)
+    kinds = Counter(e[0] for e in trace)
+    assert kinds["partner"] == kinds["swap"] >= 1
+    assert verify_coloring(square(g), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs().filter(lambda g: g.n_a + g.n_b <= 12))
+def test_omega_matches_exact_oracle_on_small_graphs(g):
+    assert recognize_convex(g).omega == exact_clique(square(g))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from sqchroma.rng import SplitMix64
 from helpers import (
     CountingCells,
     brute_force_c1p,
+    outer_first_nesting,
     random_bipartite,
     stack_depth,
 )
@@ -110,18 +111,6 @@ def _nested_class_chain(n):
     return rows
 
 
-def _outer_first_nesting(width):
-    """Rows {L-1, L} and [L, R) for L = 1, 3, 5, ... and R = width,
-    width-1, ...: each two-row class lies in the big cell of the one before
-    it, and starts, at its 2-element row, before the classes nested in it."""
-    rows = []
-    left, right = 1, width
-    while right - left >= 2:
-        rows += [[left - 1, left], range(left, right)]
-        left, right = left + 2, right - 1
-    return rows
-
-
 def _engine(n_cols, rows):
     """``_arrange`` on the engine's path, whatever the labels."""
     return _arrange_engine(n_cols, rows, _ranked(n_cols, rows))
@@ -145,7 +134,7 @@ def _assert_paths_agree(n_cols, rows):
 def test_deep_nesting_and_large_inputs_need_no_recursion():
     # all three are runs of their labels, so each runs on both paths
     chain = _normalized(_nested_class_chain(2000))
-    outer_first = _normalized(_outer_first_nesting(1200))
+    outer_first = _normalized(outer_first_nesting(1200))
     g = gen_random_convex(2000, 2000, 30, seed=0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
@@ -212,7 +201,7 @@ def test_interval_path_matches_the_engine_on_towers_and_staircases():
             _assert_paths_agree(k + 2, _normalized(rows))
     _assert_paths_agree(60, _normalized(_nested_class_chain(60)))
     for width in (3, 4, 10, 25, 60):
-        _assert_paths_agree(width, _normalized(_outer_first_nesting(width)))
+        _assert_paths_agree(width, _normalized(outer_first_nesting(width)))
 
 
 def test_consecutive_labels_skip_the_engine():
@@ -317,7 +306,7 @@ def test_placement_matches_counting_reference_on_towers_and_staircases():
             staircase + [[k + 1, k + 3], [k + 1, k + 4]])
     _assert_placement_matches_reference(_nested_class_chain(60))
     for width in (3, 4, 10, 25, 60):
-        _assert_placement_matches_reference(_outer_first_nesting(width))
+        _assert_placement_matches_reference(outer_first_nesting(width))
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +467,19 @@ def test_layout_from_order_rejects_a_gap():
     with pytest.raises(LayoutMismatch, match="^neighborhood of A1 is not "
                                              "consecutive under the order$"):
         layout_from_order(g, [1, 0, 2])
+
+
+def test_a_run_of_labels_is_checked_as_positions():
+    # under the order 0, 2, 1, 3, A1's row {0, 1} is a run of its labels,
+    # read as the slice of positions 0, 2, which is no run: fail closed.
+    # A0's row {0, 2} is no run of its labels and maps label by label to
+    # the positions 0, 1
+    g = build_bipartite(2, 4, [(0, 0), (0, 2), (1, 0), (1, 1)])
+    with pytest.raises(LayoutMismatch, match="^neighborhood of A1 is not "
+                                             "consecutive under the order$"):
+        layout_from_order(g, [0, 2, 1, 3])
+    g = build_bipartite(2, 4, [(0, 0), (0, 2), (1, 2), (1, 1)])
+    assert layout_from_order(g, [0, 2, 1, 3]).intervals == ((0, 1), (1, 2))
 
 
 def test_accepted_order_is_checked_against_every_row():
