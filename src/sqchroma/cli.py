@@ -162,24 +162,23 @@ def _coloring_json(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
 def _cmd_recognize(args) -> int:
     g = read_bipartite_text(_read_text(args.file))
     result = recognize_convex(g)
+    # the report is written whole, so a run that fails part way prints none
     if isinstance(result, NonConvexWitness):
-        print("NOT CONVEX")
-        print("attempted order:", " ".join(map(str, result.b_order_attempted)))
-        print(f"violating A-vertex: A{result.violating_a}")
-        print("gap triple (B-vertices):", " ".join(map(str, result.gap)))
-        return 0
-    # biconvex: the B-order in hand, plus an A-order for the B-neighborhoods
-    biconvex = consecutive_order(g.n_a, g.b_adj) is not None
-    print("BICONVEX" if biconvex else "CONVEX")
-    print("b-order:", " ".join(str(b) for b in result.b_seq))
-    print("a-order:", " ".join(str(a) for a in result.a_order))
-    print("intervals (A-vertex: left right):")
-    for a in range(g.n_a):
-        iv = result.intervals[a]
-        if iv is None:
-            print(f"  A{a}: isolated")
-        else:
-            print(f"  A{a}: {iv[0]} {iv[1]}")
+        lines = ["NOT CONVEX", "attempted order: "
+                 + " ".join(map(str, result.b_order_attempted)),
+                 f"violating A-vertex: A{result.violating_a}",
+                 "gap triple (B-vertices): " + " ".join(map(str, result.gap))]
+    else:
+        # biconvex: the B-order in hand, and an A-order for B's rows
+        biconvex = consecutive_order(g.n_a, g.b_adj) is not None
+        lines = ["BICONVEX" if biconvex else "CONVEX",
+                 "b-order: " + " ".join(map(str, result.b_seq)),
+                 "a-order: " + " ".join(map(str, result.a_order)),
+                 "intervals (A-vertex: left right):"]
+        lines += [f"  A{a}: isolated" if iv is None
+                  else f"  A{a}: {iv[0]} {iv[1]}"
+                  for a, iv in enumerate(result.intervals)]
+    _write_text(None, "\n".join(lines) + "\n")
     return 0
 
 
@@ -537,11 +536,13 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except AlgorithmInvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        message = f"internal error: {exc}"
+    except MemoryError:  # reported once its traceback has let go of the data
+        message = "error: out of memory"
     except (SqchromaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = f"error: {exc}"
+    print(message, file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -10,18 +10,19 @@ left endpoint, minleft a suffix minimum of left ends by right endpoint.
 N(b_j) within H_j is two slices: the A-neighbors of b_j and the
 positions j+1 .. maxright(j); step 2 and the clique claims read it that
 way.  Step 1 reads it off a window that slides down with j: a count per
-color over N(b_j) and a bitmask of the colors 1..palette at count 0.  An
-A-vertex enters the window at its right end and leaves it below its left
-end; the B-part gains j+1 and loses positions from its top only, because
-maxright is a prefix maximum.  Each vertex enters and leaves once, so
-step 1 costs O(n_a + n_b) window updates in all, plus a lowest set bit
-per position.  A pivot round recolors A-vertices, and after one the
-window is counted again from N(b_j).  The clique claims and the final
-check cost O(n + m) each.
+color over N(b_j), which the pivot is also read off, and a bitmask of
+the colors 1..palette at count 0.  An A-vertex enters the window at its
+right end and leaves it below its left end; the B-part gains j+1 and
+loses positions from its top only, because maxright is a prefix maximum.
+Each vertex enters and leaves once, so step 1 costs O(n_a + n_b) window
+updates in all, plus a lowest set bit per position.  A pivot round
+recolors A-vertices, and after one the window is counted again from
+N(b_j).  The clique claims and the final check cost O(n + m) each.
 Every other neighborhood comes from one routine,
-``ExtensionState._filtered_neighbors``.  The A-vertices sorted by left
-endpoint serve the pivot steps alone, and minleft only the check of a
-Kempe swap, so each is built the first time it is needed.
+``ExtensionState._filtered_neighbors``.  The A-vertices by left end are
+one order, ``ConvexLayout.by_left``: omega, the window and the pivot
+steps all read it.  minleft serves only the check of a Kempe swap, so
+it is built the first time it is needed.
 omega(G^2) is read off the layout in closed form, once per layout; the
 exact oracles in ``oracle`` stay off this pipeline and serve as its
 checks.
@@ -63,17 +64,16 @@ by vertex) and raises the same error if it fails.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import Sequence
 
 from .convexity import ConvexLayout
 # ``square`` is not called here.  bench/spans.py wraps ``coloring.square``
 # by name when it traces a run, so the name stays importable.
-from .core import BipartiteGraph, SimpleGraph, square  # noqa: F401
+from .core import BipartiteGraph, SimpleGraph, bitmask, square  # noqa: F401
 from .errors import AlgorithmInvariantViolation
 
 TraceEvent = tuple
@@ -181,9 +181,8 @@ class ExtensionState:
     in the square are read off arrays by B-position.  The A-neighbors of
     each position (the rows of ``b_adj`` themselves) and maxright are
     built with the state, and are all that N(b_j) and the clique claims
-    read.  The A-vertices sorted by left endpoint serve only the pivot
-    steps and minleft only the Kempe check, so they are built on first
-    use.
+    read.  minleft serves only the Kempe check, so it is built on first
+    use.  ``count`` holds how often each color occurs on N(b_j).
     """
 
     graph: BipartiteGraph
@@ -226,7 +225,7 @@ class ExtensionState:
     @cached_property
     def _starts(self) -> list[int]:
         """The number of intervals starting before each position, so the
-        A-vertices starting before p are _by_left[:_starts[p]]."""
+        A-vertices starting before p are ``layout.by_left[:_starts[p]]``."""
         starts = [0] * (len(self._b_glob) + 1)
         for iv in self.layout.intervals:
             if iv is not None:
@@ -234,11 +233,14 @@ class ExtensionState:
         return list(accumulate(starts))
 
     @cached_property
-    def _by_left(self) -> list[int]:
-        """The A-vertices with an interval, by left endpoint."""
-        ivs = self.layout.intervals
-        return sorted((a for a, iv in enumerate(ivs) if iv is not None),
-                      key=lambda a: ivs[a][0])
+    def count(self) -> list[int]:
+        """How often each color 0..palette occurs on N(b_j) within H_j,
+        counted when first read.  Phase II keeps it as its window."""
+        j, count = self.j, [0] * (self.palette + 1)
+        for c in map(self.colors.__getitem__, chain(
+                self._a_at[j], self._b_glob[j + 1:self._maxright[j] + 1])):
+            count[c] += 1
+        return count
 
     def _filtered_neighbors(self, v: int, min_pos: int) -> list[int]:
         """Neighbors of ``v`` in the square, B-vertices only at positions
@@ -251,9 +253,10 @@ class ExtensionState:
                 return []
             # the intervals meeting [l, r] pass through l or start in (l, r]
             l, r = iv
-            return ([w for w in self._a_at[l] if w != v]
-                    + self._by_left[self._starts[l + 1]:self._starts[r + 1]]
-                    + b_glob[max(l, min_pos):r + 1])
+            return [*(w for w in self._a_at[l] if w != v),
+                    *self.layout.by_left[self._starts[l + 1]:
+                                         self._starts[r + 1]],
+                    *b_glob[max(l, min_pos):r + 1]]
         p = self.layout.b_pos[v - n_a]
         return ([*self._a_at[p]]
                 + b_glob[max(self._minleft[p], min_pos):p]
@@ -263,22 +266,18 @@ class ExtensionState:
 def find_pivot(state: ExtensionState) -> int:
     """<_A-least A-neighbor of b_j whose color is unique in N(b_j).
 
-    Defined whenever the coloring is non-extendable; its absence would
-    contradict the counting claim and raises AlgorithmInvariantViolation.
+    Read off ``state.count``.  Defined whenever the coloring is
+    non-extendable; its absence would contradict the counting claim and
+    raises AlgorithmInvariantViolation.
     """
-    j, colors = state.j, state.colors
-    a_j = state._a_at[j]
-    counts = Counter(map(colors.__getitem__, a_j))
-    counts.update(map(colors.__getitem__,
-                      state._b_glob[j + 1:state._maxright[j] + 1]))
-    rank = state.layout.a_rank
-    candidates = [v for v in a_j if counts[colors[v]] == 1]
+    j, colors, count = state.j, state.colors, state.count
+    candidates = [v for v in state._a_at[j] if count[colors[v]] == 1]
     if not candidates:
         raise AlgorithmInvariantViolation(
             f"pivot not found at position {j}: no uniquely colored "
             "A-neighbor of b_j"
         )
-    return min(candidates, key=lambda v: rank[v])
+    return min(candidates, key=state.layout.a_rank.__getitem__)
 
 
 def partner_color(state: ExtensionState,
@@ -333,11 +332,6 @@ def kempe_swap(state: ExtensionState, pivot: int, y: int) -> frozenset[int]:
 def _free_color(free: int) -> int | None:
     """The lowest color whose bit is set in ``free``, or None."""
     return (free & -free).bit_length() - 1 if free else None
-
-
-def _mask(cols) -> int:
-    """The bitmask of a set of colors: bit c for color c."""
-    return sum(map((1).__lshift__, cols))
 
 
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
@@ -423,16 +417,17 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     for the pivot / partner / swap steps.  Steps 1 and 2 take the lowest
     free color.
 
-    Step 1 reads a window over N(b_j) within H_j: ``count[c]`` holds how
-    often color c occurs on it, and ``free`` has bit c set exactly for
-    the colors 1..palette at count 0.  As j falls, an A-vertex enters at
-    its right end and leaves below its left end (two pointers over the
-    A-vertices by right and by left end), and the B-part j+1 ..
-    maxright(j) gains j+1 and loses positions from its top only, because
-    maxright is a prefix maximum.  A pivot round recolors A-vertices, so
-    after one the window is counted again from N(b_j).  Each vertex
-    enters and leaves the window once: O(n_a + n_b) updates, against
-    O(n + m) each for the clique claims and the final check.
+    Step 1 reads a window over N(b_j) within H_j: ``state.count[c]``,
+    which ``find_pivot`` reads too, holds how often color c occurs on it,
+    and ``free`` has bit c set exactly for the colors 1..palette at count
+    0.  As j falls, an A-vertex enters at its right end and leaves below
+    its left end (two pointers over the A-vertices by right and by left
+    end), and the B-part j+1 .. maxright(j) gains j+1 and loses positions
+    from its top only, because maxright is a prefix maximum.  A pivot
+    round recolors A-vertices, so after one the window is counted again
+    from N(b_j).  Each vertex enters and leaves the window once: O(n_a +
+    n_b) updates, against O(n + m) each for the clique claims and the
+    final check.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -448,7 +443,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
     color_of = colors.__getitem__
     full = (1 << palette + 1) - 2  # colors 1..palette
-    count = [0] * (palette + 1)
+    count = state.count = [0] * (palette + 1)  # empty while j = n_b
     free = full
 
     def enter(c: int) -> None:
@@ -463,18 +458,15 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         if not count[c]:
             free |= 1 << c
 
-    def recount(j: int) -> None:
-        nonlocal free
-        count[:] = [0] * (palette + 1)
-        for c in map(color_of, a_at[j]):
-            count[c] += 1
-        for c in map(color_of, b_glob[j + 1:maxright[j] + 1]):
-            count[c] += 1
-        free = full & ~_mask(c for c in range(palette + 1) if count[c])
+    def recount() -> None:
+        nonlocal count, free
+        del state.count  # counted again on the next read
+        count = state.count
+        free = full & ~bitmask(compress(range(palette + 1), count))
 
-    # <_A is by right end, so its reverse is the order of entry
+    # the orders of entry and of leaving: by right end (<_A) and left, falling
     by_right = [a for a in reversed(layout.a_order) if ivs[a] is not None]
-    by_left = sorted(by_right, key=ivs.__getitem__, reverse=True)
+    by_left = layout.by_left[::-1]
     n_iv = len(by_right)
     entered = left = 0
     top = g.n_b - 1  # the B-part is j+1 .. top, empty while top <= j
@@ -521,11 +513,11 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
             closed_used = {colors[w]
                            for w in state._filtered_neighbors(a_c, j + 1)}
             closed_used.add(x)
-            z = _free_color(full & ~_mask(closed_used))
+            z = _free_color(full & ~bitmask(closed_used))
             if z is not None:
                 colors[a_c] = z
                 colors[bjg] = x
-                recount(j)
+                recount()
                 if trace is not None:
                     trace.append(("pivot_recolor", j, a_c, z))
                     trace.append(("assign", j, b_seq[j], x))
@@ -535,7 +527,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 trace.append(("partner", j, y, a_prime, shielded))
             comp = kempe_swap(state, a_c, y)
             _assert_kempe_shape(state, a_c, comp)
-            recount(j)
+            recount()
             if trace is not None:
                 trace.append(("swap", j, x, y, len(comp)))
             # loop: if x is now free around b_j the next pass assigns it

@@ -90,7 +90,7 @@ from itertools import groupby
 from operator import and_, itemgetter, or_, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .core import BipartiteGraph, SimpleGraph
+from .core import BipartiteGraph, SimpleGraph, inverse
 from .errors import LayoutMismatch, SqchromaError
 
 
@@ -101,6 +101,8 @@ class ConvexLayout:
     ``b_pos[b]`` is the position of B-vertex ``b`` under <_B;
     ``intervals[a]`` is the (left, right) position pair of N(a) or None
     for an isolated A-vertex; ``a_order`` lists A-vertices in <_A order.
+    Derived on first read: their inverses ``b_seq`` and ``a_rank``, and
+    ``by_left``, the one order of A by left end, for omega and Phase II.
     """
 
     b_pos: tuple[int, ...]
@@ -110,18 +112,19 @@ class ConvexLayout:
     @cached_property
     def b_seq(self) -> tuple[int, ...]:
         """B-vertices by position (inverse of ``b_pos``)."""
-        seq = [0] * len(self.b_pos)
-        for b, p in enumerate(self.b_pos):
-            seq[p] = b
-        return tuple(seq)
+        return tuple(inverse(self.b_pos))
 
     @cached_property
     def a_rank(self) -> tuple[int, ...]:
         """Rank of each A-vertex under <_A (inverse of ``a_order``)."""
-        rank = [0] * len(self.a_order)
-        for r, a in enumerate(self.a_order):
-            rank[a] = r
-        return tuple(rank)
+        return tuple(inverse(self.a_order))
+
+    @cached_property
+    def by_left(self) -> tuple[int, ...]:
+        """The A-vertices with an interval, by left end, index on ties."""
+        ivs = self.intervals
+        return tuple(sorted((a for a, iv in enumerate(ivs) if iv is not None),
+                            key=lambda a: ivs[a][0]))
 
     @cached_property
     def omega(self) -> int:
@@ -145,8 +148,8 @@ class ConvexLayout:
             return 0
         best = 1
         nr: list[int] = []  # negated right ends of the intervals through l
-        by_left = sorted(iv for iv in self.intervals if iv is not None)
-        for left, starting in groupby(by_left, key=itemgetter(0)):
+        for left, starting in groupby(map(self.intervals.__getitem__,
+                                          self.by_left), key=itemgetter(0)):
             del nr[bisect_right(nr, -left):]
             for _, r in starting:
                 insort(nr, -r)
@@ -194,9 +197,7 @@ class NonConvexWitness:
     def _violation(self) -> tuple[int, tuple[int, int, int]]:
         """The first row with a gap under the attempt, and the gap."""
         attempt = self.b_order_attempted
-        pos = [0] * len(attempt)
-        for p, b in enumerate(attempt):
-            pos[b] = p
+        pos = inverse(attempt)
         for a, nbrs in enumerate(self._rows):
             if len(nbrs) < 2:
                 continue
@@ -622,9 +623,7 @@ def _assembled(n_cols: int, rows: Sequence[tuple[int, ...]],
     pass that finds a row's interval checks the row against the order
     (fail closed), so callers need not check it again."""
     order = _assemble(n_cols, sets, classes)
-    pos = [0] * n_cols
-    for p, x in enumerate(order):
-        pos[x] = p
+    pos = inverse(order)
     try:
         return order, pos, _intervals(rows, pos)
     except LayoutMismatch as exc:
@@ -696,9 +695,7 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
     some neighborhood is not consecutive under it."""
     if sorted(b_seq) != list(range(g.n_b)):
         raise LayoutMismatch("b_seq is not a permutation of the B side")
-    b_pos = [0] * g.n_b
-    for p, b in enumerate(b_seq):
-        b_pos[b] = p
+    b_pos = inverse(b_seq)
     ivs = _intervals(g.adj, b_pos)
     return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(ivs))
 
@@ -722,10 +719,8 @@ def recognize_biconvex(g: BipartiteGraph) -> BiconvexLayout | None:
     a_seq = consecutive_order(g.n_a, [g.b_adj[b] for b in range(g.n_b)])
     if a_seq is None:
         return None
-    a_pos = [0] * g.n_a
-    for p, a in enumerate(a_seq):
-        a_pos[a] = p
-    return BiconvexLayout(b_layout=b_result, a_pos_prime=tuple(a_pos))
+    return BiconvexLayout(b_layout=b_result,
+                          a_pos_prime=tuple(inverse(a_seq)))
 
 
 def check_proper_ordering(h: SimpleGraph, layout: ConvexLayout) -> bool:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add, lt, mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -63,6 +63,19 @@ def vertex_names(n_a: int, n_b: int) -> list[str]:
     """Names of the vertices on the global order: A0.., then B0.. ."""
     return ([f"{SIDE_A}{i}" for i in range(n_a)]
             + [f"{SIDE_B}{j}" for j in range(n_b)])
+
+
+def inverse(order: Sequence[int]) -> list[int]:
+    """The position of each element of ``order``, a permutation of 0..n-1."""
+    pos = [0] * len(order)
+    for p, x in enumerate(order):
+        pos[x] = p
+    return pos
+
+
+def bitmask(members: Iterable[int]) -> int:
+    """The int with bit x set for each x of ``members``, distinct ints >= 0."""
+    return sum(map((1).__lshift__, members))
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,9 @@ class SimpleGraph:
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
-        """Neighbor bitmasks: bit w of ``bits[u]`` is set when uw is an
-        edge.  Built once per graph, as ``BipartiteGraph.b_adj`` is."""
-        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
+        """Neighbor bitmasks, by ``bitmask``: bit w of ``bits[u]`` is set
+        when uw is an edge.  Built once per graph, as ``b_adj`` is."""
+        return tuple(map(bitmask, self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":

@@ -5,11 +5,12 @@ These are the ground truth against which the approximation algorithm and
 the structural theorems are tested, so they stay independent of the rest
 of the package: branch and bound and enumeration over SimpleGraph
 adjacency, read as sets or as the neighbor bitmasks that
-``SimpleGraph.bits`` builds once per graph.  The chromatic search and
-the cycle enumeration run from explicit stacks.  The clique search
-recurses once per vertex of the clique it grows (its nested
-``expand``), so it goes at most omega + 1 calls deep, where omega is the
-clique number; no other depth grows with the input.
+``SimpleGraph.bits`` builds once per graph.  ``core``, the graph model,
+is all they share with the pipeline, its ``inverse`` and ``bitmask``
+too.  The chromatic search and the cycle enumeration run from explicit
+stacks.  The clique search recurses once per vertex of the clique it
+grows (its nested ``expand``), so it goes at most omega + 1 calls deep,
+where omega is the clique number; no other depth grows with the input.
 
 * ``greedy_clique``: the seed of both searches.  A clique is grown from
   each vertex in degree order, adding the candidate with the most
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
-from .core import SimpleGraph, complement
+from .core import SimpleGraph, bitmask, complement, inverse
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
@@ -272,26 +273,21 @@ def _chromatic(g: SimpleGraph, omega: int, counter: _Counter,
     n = g.n
     adj = g.adj
     order = sorted(range(n), key=lambda u: (len(adj[u]), -u))
-    rank = [0] * n
-    for r, u in enumerate(order):
-        rank[u] = r
-    nbrs = [sum(1 << rank[w] for w in adj[u]) for u in order]
+    rank = inverse(order)
+    nbrs = [bitmask(map(rank.__getitem__, adj[u])) for u in order]
     sat_count = [0] * n  # by rank
     sat = 0
-    unc = (1 << n) - 1
+    unc = (1 << n) - 1 ^ bitmask(map(rank.__getitem__, clique))
     for c, u in enumerate(clique, start=1):
         sat |= nbrs[rank[u]] << c * n
-        unc ^= 1 << rank[u]
         for w in adj[u]:
             sat_count[rank[w]] += 1
     # every color in play is below the greedy's count, so k bits hold
     # any saturation
     k = best.bit_length()
-    planes = [sum(1 << r for r in range(n) if sat_count[r] >> i & 1)
+    planes = [bitmask(r for r in range(n) if sat_count[r] >> i & 1)
               for i in range(k - 1, -1, -1)]
-    pat = [0]
-    for c in range(1, best):
-        pat.append(pat[-1] | 1 << c * n)
+    pat = [bitmask(range(n, c * n + 1, n)) for c in range(best)]
     # a suspended node: (v, used, colors still to try, then the node's
     # sat, planes and unc)
     stack: list[tuple[int, int, int, int, list[int], int]] = []

@@ -136,6 +136,22 @@ def test_package_error_is_one_line(np_file, capsys, monkeypatch):
     assert captured.err == "error: layout sizes disagree with the graph\n"
 
 
+@pytest.mark.parametrize("command", ["color", "recognize", "exact"])
+def test_running_out_of_memory_is_one_error_line(np_file, command, capsys,
+                                                 monkeypatch):
+    # a header within the vertex cap can still ask for more memory than
+    # the process has; each command reads the B-neighborhoods, and a
+    # MemoryError there is one error line, not a traceback
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(BipartiteGraph.__dict__["b_adj"], "func", exhausted)
+    assert run([command, np_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_color_fails_closed_when_a_placeable_row_is_refused(
         tmp_path, capsys, monkeypatch):
     # the staircase on labels 0, 2, 1, 3, that is {0,2}, {1,2}, {1,3}, has

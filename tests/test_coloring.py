@@ -235,7 +235,7 @@ def test_color_highest_rule_still_within_bound(seed):
 
 
 # the arrays that only the pivot steps read, built on first use
-_PIVOT_ARRAYS = ("_minleft", "_starts", "_by_left")
+_PIVOT_ARRAYS = ("_minleft", "_starts")
 
 
 def _count_builds(monkeypatch):
@@ -270,7 +270,7 @@ def test_pivot_path_reached_under_default_rule(monkeypatch):
     assert verify_coloring(square(g), coloring)
     kinds = [e[0] for e in trace]
     assert "pivot" in kinds and "pivot_recolor" in kinds
-    assert built == {"_minleft": 0, "_starts": 1, "_by_left": 1}
+    assert built == {"_minleft": 0, "_starts": 1}
 
 
 def test_pivot_events_on_instrumented_corpus():
@@ -660,11 +660,20 @@ def test_position_arrays_match_their_definition(g):
         assert state._maxright[p] == max((r for _, r in through), default=p)
         assert state._a_at[p] == g.b_adj[b]
     lefts = [iv[0] for iv in layout.intervals if iv is not None]
-    assert sorted(state._by_left) == [
-        a for a, iv in enumerate(layout.intervals) if iv is not None]
-    assert [layout.intervals[a][0] for a in state._by_left] == sorted(lefts)
     assert state._starts == [sum(l < p for l in lefts)
                              for p in range(g.n_b + 1)]
+    for p in range(g.n_b + 1):
+        assert all(layout.intervals[a][0] < p
+                   for a in layout.by_left[:state._starts[p]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs())
+def test_by_left_matches_its_definition(g):
+    # the A-vertices with an interval, by left end, index on ties
+    layout = recognize_convex(g)
+    assert layout.by_left == tuple(a for _, a in sorted(
+        (iv[0], a) for a, iv in enumerate(layout.intervals) if iv is not None))
 
 
 # On the gadget at j = 1: A_1 = {a0, a1, a2} and B_1 = positions 2..4, all
@@ -830,6 +839,41 @@ def test_staircase_reaches_step3_unpatched():
     kinds = Counter(e[0] for e in trace)
     assert kinds["partner"] == kinds["swap"] >= 1
     assert verify_coloring(square(g), c)
+
+
+def _counter_pivot(state):
+    """find_pivot with the colors of N(b_j) counted afresh in a Counter."""
+    j, colors = state.j, state.colors
+    a_j, hi = state._a_at[j], state._maxright[j]
+    counts = Counter(colors[v] for v in a_j)
+    counts.update(colors[v] for v in state._b_glob[j + 1:hi + 1])
+    rank = state.layout.a_rank
+    return min((v for v in a_j if counts[colors[v]] == 1),
+               key=lambda v: rank[v])
+
+
+def test_find_pivot_matches_counter_reference(monkeypatch):
+    # find_pivot reads the window's counts; at every pivot round of the
+    # seeded pivot instance and of the width-4 staircases, under either
+    # free color, they must give the pivot a fresh count gives
+    real = coloring_module.find_pivot
+    calls = Counter()
+
+    def checked(state):
+        calls[order.__name__] += 1
+        pivot = real(state)
+        assert pivot == _counter_pivot(state)
+        return pivot
+
+    monkeypatch.setattr(coloring_module, "find_pivot", checked)
+    graphs = [gen_random_convex(10, 10, 4, seed=1282)]
+    graphs += [_staircase(k, 4) for k in range(1, 25)]
+    for order in (contextlib.nullcontext, highest_free_color):
+        for g in graphs:
+            with order():
+                c = color_square_convex(g, recognize_convex(g))
+            assert verify_coloring(square(g), c)
+    assert calls["nullcontext"] > 0 and calls["highest_free_color"] > 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,11 +13,13 @@ from sqchroma.core import (
     _build_graph,
     _parse_graph_lines,
     _read_canonical_bipartite,
+    bitmask,
     build_bipartite,
     complement,
     girth,
     half_square,
     induced_subgraph,
+    inverse,
     max_degree,
     read_bipartite_text,
     read_graph_text,
@@ -592,3 +594,21 @@ def test_header_sizes_at_the_cap_are_read():
     assert _assert_readers_agree(text).adj == ((MAX_VERTICES - 1,),)
     with pytest.raises(ValueError, match="^problem line says m = "):
         read_simple_text(f"p gen 3 {MAX_VERTICES + 1}\ne 0 1\n")
+
+
+def test_inverse_and_bitmask_of_nothing():
+    assert inverse([]) == [] and inverse(range(0)) == []
+    assert bitmask([]) == 0 and bitmask(frozenset()) == 0
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_inverse_round_trips(order):
+    pos = inverse(order)
+    assert all(order[pos[x]] == x for x in range(len(order)))
+    assert inverse(pos) == list(order)
+
+
+@given(st.frozensets(st.integers(0, 300)))
+def test_bitmask_sets_one_bit_per_member(members):
+    assert bitmask(members) == sum(1 << x for x in members)
+    assert bitmask(sorted(members)) == bitmask(members)
