@@ -27,25 +27,31 @@ no backtracking and no recursion:
    column and an explicit stack writes the order out.
 
 Inputs whose rows are already runs of consecutive labels, as every
-convex input the generators make is, skip step 1's index and step 2's
-placement: the classes are read off the rows' endpoints.  Two runs
-[l1, r1] and [l2, r2] strictly overlap when l1 < l2 <= r1 < r2, and one
-sweep over the endpoints finds the components of that relation.  In any
-consecutive order of an overlap-connected class each atom (the columns
-lying in the same rows of the class) is a run, so the segments between
-the class's endpoints are its atoms, which are the engine's final cells.
-The engine's order of them is the labels' order or its reverse, and the
-first two rows it places decide which: the class's smallest row lies
-before the smallest row that strictly overlaps it.  Step 3 and the final
-check are shared, so both paths give the same order.
+convex input the generators make is, skip step 1's index, step 2's
+placement and step 3's scan: the order is written off the rows'
+endpoints.  Two runs [l1, r1] and [l2, r2] strictly overlap when
+l1 < l2 <= r1 < r2, and one sweep over the endpoints finds the
+components of that relation.  In any consecutive order of an
+overlap-connected class each atom (the columns lying in the same rows of
+the class) is a run, so the segments between the class's endpoints are
+its atoms, which are the engine's final cells.  The engine's order of
+them is the labels' order or its reverse, and the first two rows it
+places decide which: the class's smallest row lies before the smallest
+row that strictly overlaps it.  With step 3 on top, the engine's whole
+order is the labels' order, except that each class it reverses lists
+its cells from the last to the first, each cell in the same order
+inside; one walk over the nested spans of the reversed classes writes
+it.  The final check is shared, so both paths give the same order.
 
 Cost, for m rows, k <= m distinct rows of size >= 2 and N = the sum of
 row sizes.  Rows arrive as the sorted tuples ``BipartiteGraph.adj``
-holds.  Both paths start alike: the rows are deduplicated and sorted as
-tuples, and the ends of each distinct row are tested until one is not a
-run.  On consecutive labels the rest is the sort of the 2k endpoints,
-O(k log k), the sweep and its union-find, and O(N) to build the cells,
-assemble and check the result: O(N + k log k) in all.  Otherwise
+holds, so a row is a run of its labels when its ends are len - 1
+apart: O(m) tests.  On consecutive labels the rows are ranked by (size,
+left end) and their 2k endpoints sorted, O(k log k); the sweep and its
+union-find, and collecting the endpoints of the reversed classes, are
+O(k log k) too, and the walk writes the order in O(n_cols + k log k)
+without a set or dict per column.  Checking the result costs O(N).
+Otherwise the engine deduplicates and sorts the rows as tuples, and
 placing rows, assembling and checking cost O(N) dictionary and set
 operations, and the classes cost O(N) bit-set operations on m-bit
 integers plus one subset test per unqueued row that meets a placed row
@@ -82,7 +88,7 @@ interval and precede everything in <_A.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heappop, heappush
@@ -431,30 +437,40 @@ def _check_failure(sets: list[frozenset], cls: _OverlapClass) -> None:
                             "class fits the cells")
 
 
-def _interval_classes(n_cols: int, ranked: list[tuple[int, ...]]
-                      ) -> list[_OverlapClass]:
-    """The arranged classes ``_overlap_classes`` gives for ``_ranked``
-    rows that are runs of consecutive columns, read off their endpoints.
+def _reversed_classes(n_cols: int, rows: Sequence[tuple[int, ...]]
+                      ) -> list[list[int]]:
+    """The overlap classes of ``rows``, every one a run of its labels,
+    whose engine order lists their cells backwards: each as its sorted
+    endpoints, the outer spans first.  Raises ValueError for a row of size
+    >= 2 naming a column outside 0..n_cols-1.
 
-    Two runs [l1, r1] and [l2, r2] with l1 <= l2 strictly overlap when
-    l1 < l2 <= r1 < r2.  One sweep finds the classes.  Runs open in order
-    of left end, the longer first on a tie, and close in order of right
-    end, the later opened first on a tie; a run opens before the runs
-    that end at or after its left end close.  A stack holds the classes
-    of the open runs, each as one block, those opened last on top.  By
-    the tie rules, every run above a closing run's block starts after it,
-    starts before it ends, and ends after it: it strictly overlaps the
+    A run's rank is its place in (size, left) order, which is the (size,
+    members) order ``_ranked`` gives.  Each pair is ranked as one integer, so
+    no row is hashed or compared as a tuple.  Two runs [l1, r1] and [l2, r2]
+    with l1 <= l2 strictly overlap when l1 < l2 <= r1 < r2.  One sweep finds
+    the classes.  Runs open in order of left end, the longer first on a tie,
+    and close in order of right end, the later opened first on a tie; a run
+    opens before the runs that end at or after its left end close.  A stack
+    holds the classes of the open runs, each as one block, those opened last on
+    top.  By the tie rules, every run above a closing run's block starts after
+    it, starts before it ends, and ends after it: it strictly overlaps the
     closing run, so those blocks join its class.  A union-find keeps the
     classes.
 
-    Every class is complete.  Its cells are the segments between its rows'
-    endpoints, ordered as the engine orders them: its smallest row lies
-    before the smallest row that strictly overlaps it.
+    The engine places a class's smallest row first and the smallest row
+    that strictly overlaps it second, and lists the class's cells in the
+    order those two rows take: backwards when the second starts left of
+    the first.  A class of one row has one cell, and is never reversed.
     """
-    lefts = [row[0] for row in ranked]
-    rights = [row[-1] for row in ranked]
+    long_rows = [row for row in rows if len(row) >= 2]
+    if long_rows and (min([row[0] for row in long_rows]) < 0
+                      or max([row[-1] for row in long_rows]) >= n_cols):
+        raise ValueError(f"row columns must lie in 0..{n_cols - 1}")
+    w = n_cols + 1  # a pair (x, y) as the integer x * w + y
+    ranked = sorted({len(row) * w + row[0] for row in long_rows})
     k = len(ranked)
-    w = n_cols + 1  # (left, -right), then (right, -left), as one integer
+    lefts = [rank % w for rank in ranked]
+    rights = [rank // w + left - 1 for rank, left in zip(ranked, lefts)]
     key = [left * w - right for left, right in zip(lefts, rights)]
     opens = sorted(range(k), key=key.__getitem__)
     key = [right * w - left for left, right in zip(lefts, rights)]
@@ -475,7 +491,9 @@ def _interval_classes(n_cols: int, ranked: list[tuple[int, ...]]
             stack.append(nxt)
             open_rows[nxt] = 1
             nxt = next(started, -1)
-        c = find(j)
+        c = parent[j]  # most rows hang off their root: no call then
+        if parent[c] != c:
+            c = find(c)
         while stack[-1] != c:
             top = stack.pop()
             parent[top] = c
@@ -483,23 +501,73 @@ def _interval_classes(n_cols: int, ranked: list[tuple[int, ...]]
         open_rows[c] -= 1
         if not open_rows[c]:
             stack.pop()
-    members: dict[int, list[int]] = {}  # by smallest row: the engine's order
-    for i in range(k):
-        members.setdefault(find(i), []).append(i)
-    classes = []
-    for cls_rows in members.values():
-        first = cls_rows[0]
-        lf, rf = lefts[first], rights[first]
-        ends = sorted({lefts[i] for i in cls_rows}
-                      | {rights[i] + 1 for i in cls_rows})
-        runs = list(map(range, ends, ends[1:]))
-        second = next((i for i in cls_rows[1:]
-                       if lf < lefts[i] <= rf < rights[i]
-                       or lefts[i] < lf <= rights[i] < rf), first)
-        if lefts[second] < lf:
-            runs.reverse()
-        classes.append(_OverlapClass(cls_rows, _Cells(runs)))
-    return classes
+    roots = [p if parent[p] == p else find(i) for i, p in enumerate(parent)]
+    first = [-1] * k  # per root, the smallest row of its class
+    second = [-1] * k  # and the smallest row strictly overlapping that one
+    for i, c in enumerate(roots):
+        f = first[c]
+        if f < 0:
+            first[c] = i
+        elif second[c] < 0 and (lefts[f] < lefts[i] <= rights[f] < rights[i]
+                                or lefts[i] < lefts[f] <= rights[i]
+                                < rights[f]):
+            second[c] = i
+    ends: dict[int, set[int]] = {c: set() for c, s in enumerate(second)
+                                 if s >= 0 and lefts[s] < lefts[first[c]]}
+    if ends:
+        for i, c in enumerate(roots):
+            if c in ends:
+                ends[c].update((lefts[i], rights[i] + 1))
+    return sorted(map(sorted, ends.values()), key=lambda e: (e[0], -e[-1]))
+
+
+def _run_order(n_cols: int, spans: list[list[int]]) -> list[int]:
+    """The engine's column order for rows that are runs of their labels,
+    given the sorted endpoints of their reversed classes, outer spans
+    first (``_reversed_classes``).
+
+    The engine orders the blocks of every cell, and the top-level blocks,
+    by first column.  On runs this order is the labels', except that a
+    reversed class lists its cells from the last to the first:
+    - Classes are laminar: when two supports meet, one lies in a single
+      cell of the other, so the spans of the reversed classes form a
+      forest, and each lies in one cell of every span around it.
+    - An overlap-connected class of runs covers its whole span, so no
+      lone column falls inside a nested span, and the blocks of a cell
+      are disjoint runs of labels.
+    - Blocks within a cell are sorted by first column, which lies inside
+      the block, so they come out in label order.  A class that is not
+      reversed lists its cells in label order too, so only the reversed
+      classes move any column.
+
+    One walk with an explicit stack of segments writes the order, so the
+    nesting depth costs no Python recursion.  A segment is a range of
+    labels and the spans that lie in it, a slice of ``spans``, in which
+    the spans nested in one span follow it.  A segment is written in
+    label order up to its first span; the rest of the segment after that
+    span goes on the stack, then the span's cells, the first cell lowest,
+    so the last cell comes off first.  The spans of a cell are found by
+    bisection on the spans' left ends.  Each span pushes one segment per
+    cell and one more, so the walk costs O(n_cols + k log k) for k rows.
+    """
+    starts = [e[0] for e in spans]
+    order: list[int] = []
+    stack = [(0, n_cols, 0, len(spans))]  # (lo, hi, spans[i:j] in [lo, hi))
+    while stack:
+        lo, hi, i, j = stack.pop()
+        if i == j:
+            order.extend(range(lo, hi))
+            continue
+        ends = spans[i]
+        order.extend(range(lo, ends[0]))
+        inner = bisect_left(starts, ends[-1], i + 1, j)  # past those nested
+        stack.append((ends[-1], hi, inner, j))
+        i += 1
+        for a, b in zip(ends, ends[1:]):
+            d = bisect_left(starts, b, i, inner)
+            stack.append((a, b, i, d))
+            i = d
+    return order
 
 
 def _assemble(n_cols: int, sets: Sequence[Collection[int]],
@@ -563,15 +631,15 @@ def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
     consecutive, a NonConvexWitness over ``rows``.  ``rows`` are sorted,
     duplicate-free tuples, as the rows of ``BipartiteGraph.adj`` are.
 
-    When every row is a run of consecutive columns, the classes are read
-    off the rows' endpoints (``_interval_classes``); otherwise the engine
-    arranges them (``_arrange_engine``).  Both give the same result.
+    When every row is a run of consecutive columns, the order is written
+    off the rows' endpoints (``_reversed_classes``, ``_run_order``);
+    otherwise the engine arranges them (``_arrange_engine``).  Both give
+    the same result.
     """
-    ranked = _ranked(n_cols, rows)
-    if all(row[-1] - row[0] + 1 == len(row) for row in ranked):
-        return _assembled(n_cols, rows, ranked,
-                          _interval_classes(n_cols, ranked))
-    return _arrange_engine(n_cols, rows, ranked)
+    if all(len(row) < 2 or row[-1] - row[0] + 1 == len(row) for row in rows):
+        return _checked(rows, _run_order(n_cols,
+                                         _reversed_classes(n_cols, rows)))
+    return _arrange_engine(n_cols, rows, _ranked(n_cols, rows))
 
 
 def _ranked(n_cols: int,
@@ -611,18 +679,15 @@ def _arrange_engine(n_cols: int, rows: Sequence[tuple[int, ...]],
                 return _assemble(n_cols, sets, classes)
 
             return NonConvexWitness(rows, attempt)
-    return _assembled(n_cols, rows, sets, classes)
+    return _checked(rows, _assemble(n_cols, sets, classes))
 
 
-def _assembled(n_cols: int, rows: Sequence[tuple[int, ...]],
-               sets: Sequence[Collection[int]],
-               classes: list[_OverlapClass]) -> tuple[list[int], list[int],
-                                                      tuple]:
-    """The order ``_assemble`` gives for complete classes, the position of
-    each column under it, and the ``_intervals`` of ``rows``.  The same
-    pass that finds a row's interval checks the row against the order
-    (fail closed), so callers need not check it again."""
-    order = _assemble(n_cols, sets, classes)
+def _checked(rows: Sequence[tuple[int, ...]],
+             order: list[int]) -> tuple[list[int], list[int], tuple]:
+    """``order``, the position of each column under it, and the
+    ``_intervals`` of ``rows``.  The same pass that finds a row's interval
+    checks the row against the order (fail closed), so callers need not
+    check it again."""
     pos = inverse(order)
     try:
         return order, pos, _intervals(rows, pos)

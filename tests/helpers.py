@@ -534,6 +534,13 @@ def outer_first_nesting(width: int) -> list:
     return rows
 
 
+def mirrored(width: int, rows) -> list:
+    """``rows`` with each column x relabelled width-1-x.  Mirrored, the
+    outer-first nesting family nests about width/3 classes whose engine
+    order lists their cells backwards."""
+    return [[width - 1 - x for x in row] for row in rows]
+
+
 def sweep_omega(layout: ConvexLayout) -> int:
     """omega(G^2) by the interval sweep that re-filters and re-sorts the
     right ends through each left endpoint: the reference for

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +39,7 @@ from sqchroma.rng import SplitMix64
 from helpers import (
     CountingCells,
     brute_force_c1p,
+    mirrored,
     outer_first_nesting,
     random_bipartite,
     stack_depth,
@@ -132,16 +134,21 @@ def _assert_paths_agree(n_cols, rows):
 
 
 def test_deep_nesting_and_large_inputs_need_no_recursion():
-    # all three are runs of their labels, so each runs on both paths
+    # all four are runs of their labels, so each runs on both paths; the
+    # mirrored outer-first family nests about 400 classes that list their
+    # cells backwards
     chain = _normalized(_nested_class_chain(2000))
     outer_first = _normalized(outer_first_nesting(1200))
+    outer_first_mirrored = _normalized(mirrored(1200,
+                                                outer_first_nesting(1200)))
     g = gen_random_convex(2000, 2000, 30, seed=0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
     try:
         seconds, results = [], []
         for n_cols, rows in ((2000, chain), (g.n_b, g.adj),
-                             (1200, outer_first)):
+                             (1200, outer_first),
+                             (1200, outer_first_mirrored)):
             t0 = time.perf_counter()
             results.append(_engine(n_cols, rows))
             seconds.append(time.perf_counter() - t0)
@@ -151,6 +158,7 @@ def test_deep_nesting_and_large_inputs_need_no_recursion():
             seconds.append(time.perf_counter() - t0)
         assert results[0][0] == list(range(2000))
         assert results[2][0] == list(range(1200))
+        assert results[3][0] != list(range(1200))
         assert isinstance(recognize_convex(g), ConvexLayout)
     finally:
         sys.setrecursionlimit(limit)
@@ -159,12 +167,33 @@ def test_deep_nesting_and_large_inputs_need_no_recursion():
     assert max(seconds) < 30
 
 
+def test_run_path_builds_no_cells_and_stays_small():
+    # a measure, not a time: the outer-first family at width 2400 has
+    # 962,000 row entries, and cells for its classes would hold about 150
+    # bytes per entry; the order written off the endpoints needs about
+    # 1 MiB, mirrored (799 reversed classes) or not
+    for rows in (outer_first_nesting(2400),
+                 mirrored(2400, outer_first_nesting(2400))):
+        rows = _normalized(rows)
+        with _engine_skipped(), \
+                mock.patch.object(convexity, "_Cells",
+                                  side_effect=AssertionError("cells built")):
+            tracemalloc.start()
+            try:
+                _arrange(2400, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
 @st.composite
 def _interval_families(draw):
     """Rows that are runs of consecutive labels, as sorted tuples, in any
     order: empty and one-column rows, duplicates, columns in no row, rows
     inside rows, and short staircases that form classes nested in the
-    cells of longer ones."""
+    cells of longer ones.  Half of the families are mirrored, which
+    changes which classes the engine lists backwards."""
     n_cols = draw(st.integers(1, 40))
     runs = draw(st.lists(
         st.tuples(st.integers(0, n_cols - 1),
@@ -182,6 +211,8 @@ def _interval_families(draw):
         runs += [(j, 2) for j in range(b, c - 1)]
     rows = [tuple(range(left, min(n_cols, left + size)))
             for left, size in runs]
+    if draw(st.booleans()):  # the mirror image, x -> n_cols - 1 - x
+        rows = [tuple(n_cols - 1 - x for x in reversed(row)) for row in rows]
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     return n_cols, draw(st.permutations(rows))
@@ -202,6 +233,8 @@ def test_interval_path_matches_the_engine_on_towers_and_staircases():
     _assert_paths_agree(60, _normalized(_nested_class_chain(60)))
     for width in (3, 4, 10, 25, 60):
         _assert_paths_agree(width, _normalized(outer_first_nesting(width)))
+        _assert_paths_agree(width, _normalized(
+            mirrored(width, outer_first_nesting(width))))
 
 
 def test_consecutive_labels_skip_the_engine():
@@ -483,15 +516,16 @@ def test_a_run_of_labels_is_checked_as_positions():
 
 
 def test_accepted_order_is_checked_against_every_row():
-    # fail closed: an assembled order that breaks a row is the
-    # arrangement's fault, whichever caller asked for it and whichever path
-    # found the classes.  The rows {0,1}, {1,2} are runs of their labels;
-    # relabelled as {0,2}, {1,2} they reach the engine.
-    for edges, engine_runs in (([(0, 0), (0, 1), (1, 1), (1, 2)], False),
-                               ([(0, 0), (0, 2), (1, 2), (1, 1)], True)):
+    # fail closed: an order that breaks a row is the arrangement's fault,
+    # whichever caller asked for it and whichever path wrote the order.
+    # The rows {0,1}, {1,2} are runs of their labels, so ``_run_order``
+    # writes their order; relabelled as {0,2}, {1,2} they reach the engine,
+    # and ``_assemble`` writes it.
+    for edges, writer in (([(0, 0), (0, 1), (1, 1), (1, 2)], "_run_order"),
+                          ([(0, 0), (0, 2), (1, 2), (1, 1)], "_assemble")):
         g = build_bipartite(2, 3, edges)
-        with mock.patch.object(convexity, "_assemble",
-                               lambda n_cols, sets, classes: [1, 0, 2]), \
+        with mock.patch.object(convexity, writer,
+                               return_value=[1, 0, 2]) as wrong, \
                 mock.patch.object(convexity, "_overlap_classes",
                                   wraps=_overlap_classes) as engine:
             with pytest.raises(_ArrangementError,
@@ -499,7 +533,8 @@ def test_accepted_order_is_checked_against_every_row():
                 recognize_convex(g)
             with pytest.raises(_ArrangementError):
                 consecutive_order(3, g.adj)
-        assert engine.called == engine_runs
+        assert wrong.call_count == 2
+        assert engine.called == (writer == "_assemble")
 
 
 def _graph_of_rows(rows, n_b):
