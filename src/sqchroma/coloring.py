@@ -354,7 +354,7 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
     ivs = state.layout.intervals
     reach = j  # the furthest right end in A_j, or j when A_j is empty
     for a in a_j:
-        left, right = ivs[a]
+        left, right = ivs[a] or (j + 1, j)  # no interval: it misses j
         if left > j or right < j:
             raise AlgorithmInvariantViolation(
                 f"N(b_j) side group not a clique at position {j}"

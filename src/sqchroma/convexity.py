@@ -245,15 +245,13 @@ class _Cells:
     overlap class: a doubly linked list of cells (-1 ends it) and the cell
     of every placed column.  Each placed row is a run of whole cells."""
 
-    def __init__(self, runs: Sequence[Collection[int]]):
-        """Cells holding ``runs``, from the first to the last."""
-        self.members: list[set[int]] = list(map(set, runs))
-        last = len(runs) - 1
-        self.prev = list(range(-1, last))
-        self.next = [*range(1, last + 1), -1]
-        self.head, self.tail = 0, last
-        self.cell_of: dict[int, int] = {x: c for c, run in enumerate(runs)
-                                        for x in run}
+    def __init__(self, row: Collection[int]):
+        """One cell holding the columns of ``row``."""
+        self.members: list[set[int]] = [set(row)]
+        self.prev = [-1]
+        self.next = [-1]
+        self.head = self.tail = 0
+        self.cell_of: dict[int, int] = dict.fromkeys(row, 0)
 
     def _new_cell(self, cols: set[int], after: int, before: int) -> None:
         """Link a cell holding ``cols`` between ``after`` and ``before``."""
@@ -389,7 +387,7 @@ def _overlap_classes(n_cols: int,
         unqueued ^= low
         start = low.bit_length() - 1
         heap = [start]
-        cls = _OverlapClass([], _Cells([sets[start]]))
+        cls = _OverlapClass([], _Cells(sets[start]))
         while heap:
             i = heappop(heap)
             row = sets[i]
@@ -716,14 +714,12 @@ def consecutive_order(n_cols: int,
 # Public recognition operations
 
 
-def _compute_a_order(
-        intervals: Sequence[tuple[int, int] | None]) -> tuple[int, ...]:
+def _compute_a_order(intervals: Sequence[tuple[int, int] | None],
+                     width: int) -> tuple[int, ...]:
     """<_A: isolated A-vertices first, then by right endpoint, then left,
-    then index."""
-    isolated = [a for a, iv in enumerate(intervals) if iv is None]
-    rest = sorted([(iv[1], iv[0], a) for a, iv in enumerate(intervals)
-                   if iv is not None])
-    return tuple(isolated + [a for _, _, a in rest])
+    then index.  Every endpoint is below ``width``."""
+    keys = [-1 if iv is None else iv[1] * width + iv[0] for iv in intervals]
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def _intervals(rows: Sequence[Sequence[int]],
@@ -762,7 +758,7 @@ def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
         raise LayoutMismatch("b_seq is not a permutation of the B side")
     b_pos = inverse(b_seq)
     ivs = _intervals(g.adj, b_pos)
-    return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(ivs))
+    return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(ivs, g.n_b))
 
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
@@ -771,7 +767,7 @@ def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
     if isinstance(result, NonConvexWitness):
         return result
     _, pos, ivs = result  # _arrange has checked every neighborhood
-    return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs))
+    return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs, g.n_b))
 
 
 def recognize_biconvex(g: BipartiteGraph) -> BiconvexLayout | None:

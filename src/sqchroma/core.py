@@ -36,24 +36,24 @@ allows and raises every error message.  ``read_bipartite_text`` and
 ``p bip`` file, the one ``write_bipartite_text`` writes: comment lines,
 the problem line, then exactly ``m`` edge lines of plain ASCII decimals,
 sorted by (a, b) without repeats, each line ended by "\\n".  The pass
-screens the comment lines and the problem line with one regex, and the
-edge lines with one split and one deletion of their digits.  It converts
-the tokens through a table and slices the rows out of the edge list.  It
-returns None for any other text, and for every text the line reader
-would reject, so such text goes to the line reader unchanged and the
-errors all come from there.
+screens the comment lines and the problem line with one regex.  It reads
+the edge lines a chunk of about 2**18 characters at a time: one split
+and one deletion of the digits screen a chunk, a table converts its
+B-tokens, and a row ends where the A-token changes, so the read holds
+little beyond the graph it returns.  It returns None for any other text,
+and for every text the line reader would reject, so such text goes to
+the line reader unchanged and the errors all come from there.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, lt, mul
-from typing import Iterable, Sequence
+from itertools import islice
+from operator import lt, ne, or_
+from typing import Iterable, Iterator, Sequence
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -378,46 +378,101 @@ _CANONICAL_HEAD = re.compile(
 _NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 
 
+# The edge lines of a canonical text are screened, split and converted
+# this many characters at a time, cut after a line break.
+_CHUNK = 1 << 18
+
+
+def _edge_chunks(text: str, start: int
+                 ) -> Iterator[tuple[list[str], list[str]] | None]:
+    """The A- and B-tokens of the edge lines of ``text`` from ``start`` on,
+    chunk by chunk; None last if a chunk is not lines "e <a> <b>\\n" of
+    ASCII decimals."""
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        tokens = chunk.split()
+        n = len(tokens) // 3
+        # Without its ASCII digits the chunk is n lines "e  " and nothing
+        # else, and 3n tokens every third of which is "e" leave two digit
+        # runs after each "e", none empty and none touching it, if no
+        # digits follow the last line break to stand in for an empty run.
+        if (len(tokens) != 3 * n or tokens[0::3].count("e") != n
+                or chunk.translate(_NO_DIGITS) != "e  \n" * n
+                or chunk[-1] != "\n"):
+            yield None
+            return
+        yield tokens[1::3], tokens[2::3]
+
+
 def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
     """The graph of a ``p bip`` text in canonical form, read in bulk; None
     for any other text, and for every text the line reader would reject.
 
-    The edge tokens go through a ``str -> int`` table whose size is bounded
-    by the input, then ``int()`` if the table misses (a leading zero, or
-    more vertices than tokens).  The rows are slices of the edge list.
+    The edge lines are read in chunks of about ``_CHUNK`` characters
+    (``_edge_chunks``), so their tokens and the copies that screen them
+    exist for one chunk at a time.  Beyond the graph it returns, the read
+    holds one chunk's worth of those, the list of rows and a ``str -> int``
+    table for the B-tokens whose size is bounded by the input; ``int()``
+    reads a chunk in which the table misses (a leading zero, or more
+    B-vertices than tokens).  A row ends where the A-token changes, so
+    only the first A-token of each row is converted.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
     n_a, n_b, m = map(int, head.groups())
-    if max(n_a, n_b) > MAX_VERTICES:
+    start = head.end()
+    # each edge line "e <a> <b>\n" takes at least six characters, so this
+    # bounds the table by the input
+    if max(n_a, n_b) > MAX_VERTICES or 6 * m > len(text) - start:
         return None
-    body = text[head.end():]
-    tokens = body.split()
-    # The body is m lines "e <digits> <digits>": without its ASCII digits
-    # it is m lines "e  " and nothing else, no digits follow its last line
-    # break, and 3m tokens every third of which is "e" leave two digit runs
-    # after each "e", none empty and none touching it.
-    if (len(tokens) != 3 * m or tokens[0::3].count("e") != m
-            or body.translate(_NO_DIGITS) != "e  \n" * m
-            or not text.endswith("\n")):
-        return None
-    k = min(max(n_a, n_b), len(tokens))
+    k = min(n_b, 3 * m)
     table = dict(zip(map(str, range(k)), range(k)))
-    try:
-        a_list = list(map(table.__getitem__, tokens[1::3]))
-        b_list = list(map(table.__getitem__, tokens[2::3]))
-    except KeyError:
-        a_list = list(map(int, tokens[1::3]))
-        b_list = list(map(int, tokens[2::3]))
-    if m and (max(a_list) >= n_a or max(b_list) >= n_b):
+    rows: list[tuple[int, ...]] = [()] * n_a
+    # the row read last stays open, as its A-token, its vertex and a list
+    # of its B-neighbours, since the next chunk may go on with it
+    last, a, tail = "", -1, []
+    lines = 0
+    for chunk in _edge_chunks(text, start):
+        if chunk is None:
+            return None
+        a_tokens, b_tokens = chunk
+        n = len(a_tokens)
+        lines += n
+        if lines > m:
+            return None
+        try:
+            b_list = list(map(table.__getitem__, b_tokens))
+        except KeyError:
+            b_list = list(map(int, b_tokens))
+            if max(b_list) >= n_b:
+                return None
+        # True where a row ends; B rises along each row
+        ends = [*map(ne, a_tokens, islice(a_tokens, 1, None)), True]
+        if not all(map(or_, ends, map(lt, b_list, islice(b_list, 1, None)))):
+            return None  # not sorted by (a, b), or an edge repeats
+        s = 0
+        if a_tokens[0] == last:  # the open row goes on
+            if tail[-1] >= b_list[0]:
+                return None
+            s = ends.index(True) + 1
+            tail += b_list[:s]
+        while s < n:
+            e = ends.index(True, s) + 1
+            h = int(a_tokens[s])
+            if not a < h < n_a:
+                return None  # rows out of order, or out of range
+            if tail:
+                rows[a] = tuple(tail)
+            a, tail, s = h, b_list[s:e], e
+        last = a_tokens[-1]
+    if lines != m:
         return None
-    codes = list(map(add, map(mul, a_list, repeat(n_b)), b_list))
-    if not all(map(lt, codes, islice(codes, 1, None))):
-        return None  # not sorted by (a, b), or an edge repeats
-    starts = [bisect_left(a_list, a) for a in range(n_a + 1)]
-    return BipartiteGraph(n_a, n_b, tuple(
-        [tuple(b_list[s:e]) for s, e in zip(starts, islice(starts, 1, None))]))
+    if tail:
+        rows[a] = tuple(tail)
+    return BipartiteGraph(n_a, n_b, tuple(rows))
 
 
 def read_graph_text(text: str) -> BipartiteGraph | SimpleGraph:

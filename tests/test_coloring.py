@@ -676,6 +676,18 @@ def test_by_left_matches_its_definition(g):
         (iv[0], a) for a, iv in enumerate(layout.intervals) if iv is not None))
 
 
+@settings(max_examples=300, deadline=None)
+@given(convex_graphs())
+def test_a_order_matches_its_definition(g):
+    # isolated A-vertices first, then by right end, left end and index
+    layout = recognize_convex(g)
+    ivs = layout.intervals
+    assert layout.a_order == tuple(
+        [a for a, iv in enumerate(ivs) if iv is None]
+        + [a for _, _, a in sorted((iv[1], iv[0], a)
+                                   for a, iv in enumerate(ivs) if iv is not None)])
+
+
 # On the gadget at j = 1: A_1 = {a0, a1, a2} and B_1 = positions 2..4, all
 # under a0 = [0, 4]; omega(G^2) = 6 passes every claim.
 def _claims_state(layout=None):
@@ -718,6 +730,23 @@ def _a1_at_zero_layout():
 def test_clique_claim_interval_misses_j():
     assert _violation(_claims_state(_a1_at_zero_layout()), 9) == (
         "N(b_j) side group not a clique at position 1")
+
+
+def _dropped_a1_layout(g):
+    # a layout that gives a1 no interval, although it has B-neighbors
+    good = recognize_convex(g)
+    ivs = list(good.intervals)
+    ivs[1] = None
+    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+
+
+def test_clique_claim_no_interval_misses_j():
+    assert _violation(_claims_state(_dropped_a1_layout(_GADGET)), 9) == (
+        "N(b_j) side group not a clique at position 1")
+    g = build_bipartite(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        color_square_convex(g, _dropped_a1_layout(g))
+    assert str(err.value) == "N(b_j) side group not a clique at position 2"
 
 
 def test_clique_claim_no_interval_covers_b_j():

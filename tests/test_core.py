@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqchroma import core as core_module
 from sqchroma.core import (
     MAX_VERTICES,
     BipartiteGraph,
@@ -564,6 +565,69 @@ def test_bulk_reader_table_is_bounded_by_the_input():
         tracemalloc.stop()
     assert g.adj == ((999999,),)
     assert peak < 100_000
+
+
+# With a chunk of one character each edge line is a chunk of its own, and
+# with eight or thirteen the lines "e <a> <b>" below go two to a chunk.
+@pytest.mark.parametrize("size", [1, 8, 13])
+@pytest.mark.parametrize("text, adj", [
+    # a row that spans a seam
+    ("p bip 2 3 4\ne 0 0\ne 0 1\ne 0 2\ne 1 1\n", ((0, 1, 2), (1,))),
+    # rows out of order across a seam
+    ("p bip 2 2 3\ne 1 0\ne 1 1\ne 0 1\n", None),
+    # an edge repeated across a seam, in a row and as a row of its own
+    ("p bip 2 2 3\ne 0 0\ne 0 1\ne 0 1\n", None),
+    ("p bip 2 2 3\ne 0 1\ne 1 0\ne 1 0\n", None),
+    # one line too many, or too few, in the last chunk
+    ("p bip 2 2 2\ne 0 0\ne 0 1\ne 1 0\n", None),
+    ("p bip 200 200 4\ne 100 100\ne 100 101\ne 101 100\n", None),
+    # a leading zero at a seam: as a row's first A-token and as a B-token
+    # it is read by int(); as the same A-vertex spelt anew the row looks
+    # like a second row of that vertex, and the line reader takes it
+    ("p bip 8 8 2\ne 6 0\ne 007 1\n", ((), (), (), (), (), (), (0,), (1,))),
+    ("p bip 1 8 2\ne 0 006\ne 0 007\n", ((6, 7),)),
+    ("p bip 8 8 2\ne 7 0\ne 007 1\n", None),
+    # an empty body with m > 0
+    ("p bip 2 2 1\n", None),
+    ("c\np bip 2 2 3\n", None),
+])
+def test_bulk_reader_across_chunk_seams(monkeypatch, size, text, adj):
+    monkeypatch.setattr(core_module, "_CHUNK", size)
+    bulk = _assert_readers_agree(text)
+    assert (bulk if bulk is None else bulk.adj) == adj
+
+
+@settings(max_examples=500, deadline=None)
+@given(bip_texts(), st.integers(1, 12))
+def test_bulk_reader_agrees_with_the_line_reader_in_tiny_chunks(text, size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_module, "_CHUNK", size)
+        _assert_readers_agree(text)
+
+
+def test_bulk_reader_peak_is_a_small_multiple_of_the_graph():
+    # the text of random_convex(10^5, 10^5, 30) at seed 0, written with
+    # string operations from the same draws: 1.55 M edge lines, 21 MB
+    n, rng = 100_000, SplitMix64(0)
+    labels = list(map(str, range(n)))
+    rows, m = [], 0
+    for a in range(n):
+        length = rng.randint(1, 30)
+        left = rng.randint(0, n - length)
+        rows.append(f"e {a} " + f"\ne {a} ".join(labels[left:left + length])
+                    + "\n")
+        m += length
+    text = f"p bip {n} {n} {m}\n" + "".join(rows)
+    del rows, labels
+    tracemalloc.start()
+    try:
+        g = _read_canonical_bipartite(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_a == g.n_b == n and g.m == m
+    # what is traced after the read is the graph it returns
+    assert peak < 3 * size
 
 
 @pytest.mark.parametrize("text, read", [
