@@ -441,8 +441,6 @@ def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
         a_tokens, b_tokens = chunk
         n = len(a_tokens)
         lines += n
-        if lines > m:
-            return None
         try:
             b_list = list(map(table.__getitem__, b_tokens))
         except KeyError:
