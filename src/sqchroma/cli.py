@@ -145,14 +145,15 @@ def _coloring_text(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
 
 
 def _coloring_json(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
+    """``json.dumps(..., sort_keys=True)`` of the palette, omega, bound and
+    colors, as one join.  The colors are sorted as their ``"name": color``
+    items: a name is letters and digits, all above the closing quote, so
+    the items sort as their names do."""
     colors = coloring.colors
-    return json.dumps({
-        "palette": coloring.palette,
-        "omega": omega,
-        "bound": (3 * omega) // 2,
-        "colors": {name: colors[v]
-                   for v, name in enumerate(vertex_names(g.n_a, g.n_b))},
-    }, indent=None, sort_keys=True) + "\n"
+    items = sorted([f'"{name}": {colors[v]}'
+                    for v, name in enumerate(vertex_names(g.n_a, g.n_b))])
+    return (f'{{"bound": {(3 * omega) // 2}, "colors": {{{", ".join(items)}}}, '
+            f'"omega": {omega}, "palette": {coloring.palette}}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_holes(args) -> int:
     h = _read_square_or_raw(args)
-    cycles = find_induced_cycles(h, args.min_len, args.max_len or h.n)
+    max_len = h.n if args.max_len is None else args.max_len
+    cycles = find_induced_cycles(h, args.min_len, max_len)
     for cyc in cycles:
         print(f"cycle length={len(cyc)}:", " ".join(map(str, cyc)))
     print(f"total={len(cycles)}")
@@ -382,7 +384,10 @@ def _cmd_verify(args) -> int:
     colors: dict[int, int] = {}
     palette = None
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("coloring JSON is nested too deeply") from None
         raw = obj.get("colors")
         if not isinstance(raw, dict):
             raise ValueError('coloring JSON needs a "colors" object')

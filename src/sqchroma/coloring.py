@@ -15,9 +15,13 @@ the colors 1..palette at count 0.  An A-vertex enters the window at its
 right end and leaves it below its left end; the B-part gains j+1 and
 loses positions from its top only, because maxright is a prefix maximum.
 Each vertex enters and leaves once, so step 1 costs O(n_a + n_b) window
-updates in all, plus a lowest set bit per position.  A pivot round
-recolors A-vertices, and after one the window is counted again from
-N(b_j).  The clique claims and the final check cost O(n + m) each.
+updates in all, plus a lowest set bit per position, in one flat loop.
+The pivot steps start only at a position whose window leaves no color
+free.  A pivot round recolors A-vertices, and after one the window is
+counted again from N(b_j).  The clique claims are checked in one pass
+over all positions before the first, O(n_b + m); the final check reads
+each row of G that is a run of its labels as one slice of the color
+list, O(n + m).
 Every other neighborhood comes from one routine,
 ``ExtensionState._filtered_neighbors``.  The A-vertices by left end are
 one order, ``ConvexLayout.by_left``: omega, the window and the pivot
@@ -55,11 +59,13 @@ Step 3's loop-back re-derives the pivot instead of jumping to the swap
 partner directly; the two agree whenever the direct jump is sound, and
 re-deriving keeps every step covered by the supporting claims (pivot
 uniqueness, partner existence, strict pivot descent).  Those claims are
-always asserted at runtime; a failure raises AlgorithmInvariantViolation
-and would indicate an implementation bug, never bad input.  The finished
-coloring is always checked, independently of the layout, on the closed
-neighborhoods of G (``verify_square_coloring``, on a list of the colors
-by vertex) and raises the same error if it fails.
+always asserted at runtime, the clique claims on N(b_j) for every
+position before Phase II starts and the others in each pivot round; a
+failure raises AlgorithmInvariantViolation and would indicate an
+implementation bug, never bad input.  The finished coloring is always
+checked, independently of the layout, on the closed neighborhoods of G
+(``verify_square_coloring``, on a list of the colors by vertex) and
+raises the same error if it fails.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from typing import Sequence
 
 from .convexity import ConvexLayout
@@ -108,20 +114,24 @@ def verify_square_coloring(g: BipartiteGraph, c: Coloring) -> bool:
     closed neighborhood N_G[v], so it suffices that ``c`` is total, stays
     in 1..palette, and gives every N_G[v] distinct colors: O(n + m), no
     layout and no square needed.  The colors are read once into a list
-    by vertex, and each N_G[v] is checked on that list.
+    by vertex, and each N_G[v] is checked on that list.  The rows are
+    sorted and without repeats, so a row whose last label is its first
+    plus its length minus one is a run of labels: its colors are read as
+    one slice of the list, and any other row's one label at a time.
     """
     n_a = g.n_a
     col = list(map(c.colors.get, range(n_a + g.n_b)))
     if None in col or col and not 1 <= min(col) <= max(col) <= c.palette:
         return False
     col_b = col[n_a:]
-    for own, row in zip(col, g.adj):
-        seen = set(map(col_b.__getitem__, row))
-        if own in seen or len(seen) != len(row):
-            return False
-    for own, row in zip(col_b, g.b_adj):
-        seen = set(map(col.__getitem__, row))
-        if own in seen or len(seen) != len(row):
+    for own, row, lookup in chain(zip(col, g.adj, repeat(col_b)),
+                                  zip(col_b, g.b_adj, repeat(col))):
+        k = len(row)
+        if k and row[-1] - row[0] == k - 1:
+            seen = set(lookup[row[0]:row[-1] + 1])
+        else:
+            seen = set(map(lookup.__getitem__, row))
+        if own in seen or len(seen) != k:
             return False
     return True
 
@@ -334,39 +344,52 @@ def _free_color(free: int) -> int | None:
     return (free & -free).bit_length() - 1 if free else None
 
 
+def _recount(state: ExtensionState, full: int) -> tuple[list[int], int]:
+    """Count the window over N(b_j) again after a pivot round recolored
+    A-vertices: the counts, and the mask of the colors in ``full`` that
+    are at count 0."""
+    del state.count  # counted again on the next read
+    count = state.count
+    return count, full & ~bitmask(compress(range(len(count)), count))
+
+
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
     """N(b_j) within H_j is two cliques through b_j, within the counting
-    bounds: A_j, the A-neighbors of b_j, and B_j, the positions j+1 ..
-    maxright(j).  By interval arithmetic: every interval of A_j contains
-    j, and one of them covers b_j and every position of B_j."""
-    j = state.j
-    a_j = state._a_at[j]
-    hi = state._maxright[j]  # last position of B_j, or j when it is empty
-    if len(a_j) > omega - 1:
-        raise AlgorithmInvariantViolation(
-            f"|A_j| = {len(a_j)} exceeds omega-1 at position {j}"
-        )
-    # the B_j bound presumes b_j has a later B-neighbor at all
-    if hi > j and hi - j > omega - 2:
-        raise AlgorithmInvariantViolation(
-            f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
-        )
+    bounds, at every position j from ``state.j`` down to 0: A_j, the
+    A-neighbors of b_j, and B_j, the positions j+1 .. maxright(j).  By
+    interval arithmetic: every interval of A_j contains j, and one of them
+    covers b_j and every position of B_j.  The positions are checked from
+    the highest down, the order Phase II absorbs them in, so a failure
+    names the first position whose claim fails.  O(n_b + m) in all."""
     ivs = state.layout.intervals
-    reach = j  # the furthest right end in A_j, or j when A_j is empty
-    for a in a_j:
-        left, right = ivs[a] or (j + 1, j)  # no interval: it misses j
-        if left > j or right < j:
+    a_at, maxright = state._a_at, state._maxright
+    for j in range(state.j, -1, -1):
+        a_j = a_at[j]
+        hi = maxright[j]  # last position of B_j, or j when it is empty
+        if len(a_j) > omega - 1:
             raise AlgorithmInvariantViolation(
-                f"N(b_j) side group not a clique at position {j}"
+                f"|A_j| = {len(a_j)} exceeds omega-1 at position {j}"
             )
-        if right > reach:
-            reach = right
-    # every interval of A_j starts at or before j by now, so one covers
-    # j..hi iff the furthest right end reaches hi
-    if hi > reach:
-        raise AlgorithmInvariantViolation(
-            f"no A-neighbor covers B_j + b_j at position {j}"
-        )
+        # the B_j bound presumes b_j has a later B-neighbor at all
+        if hi > j and hi - j > omega - 2:
+            raise AlgorithmInvariantViolation(
+                f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
+            )
+        reach = j  # the furthest right end in A_j, or j when A_j is empty
+        for a in a_j:
+            left, right = ivs[a] or (j + 1, j)  # no interval: it misses j
+            if left > j or right < j:
+                raise AlgorithmInvariantViolation(
+                    f"N(b_j) side group not a clique at position {j}"
+                )
+            if right > reach:
+                reach = right
+        # every interval of A_j contains j, so one covers j..hi iff the
+        # furthest right end reaches hi
+        if hi > reach:
+            raise AlgorithmInvariantViolation(
+                f"no A-neighbor covers B_j + b_j at position {j}"
+            )
 
 
 def _assert_kempe_shape(state: ExtensionState, pivot: int,
@@ -413,21 +436,24 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
     omega is ``layout.omega``.  The claims of Phase II are asserted as it
-    runs.  ``trace``, when given, collects (event, position, ...) tuples
-    for the pivot / partner / swap steps.  Steps 1 and 2 take the lowest
-    free color.
+    runs: the clique claims on N(b_j) once for the layout, before the
+    first position, and the pivot claims in every pivot round.  ``trace``,
+    when given, collects (event, position, ...) tuples for the pivot /
+    partner / swap steps.  Steps 1 and 2 take the lowest free color.
 
-    Step 1 reads a window over N(b_j) within H_j: ``state.count[c]``,
-    which ``find_pivot`` reads too, holds how often color c occurs on it,
+    Step 1 is one flat loop over the positions, falling, on a window over
+    N(b_j) within H_j: ``count[c]`` holds how often color c occurs on it,
     and ``free`` has bit c set exactly for the colors 1..palette at count
     0.  As j falls, an A-vertex enters at its right end and leaves below
     its left end (two pointers over the A-vertices by right and by left
     end), and the B-part j+1 .. maxright(j) gains j+1 and loses positions
-    from its top only, because maxright is a prefix maximum.  A pivot
-    round recolors A-vertices, so after one the window is counted again
-    from N(b_j).  Each vertex enters and leaves the window once: O(n_a +
-    n_b) updates, against O(n + m) each for the clique claims and the
-    final check.
+    from its top only, because maxright is a prefix maximum.  Each vertex
+    enters and leaves the window once: O(n_a + n_b) updates, against
+    O(n_b + m) for the clique claims and O(n + m) for the final check.
+    The pivot rounds start only where ``_free_color`` finds no color on
+    the window.  Their state is ``state``: ``find_pivot`` reads the
+    window's counts as ``state.count``, and a round recolors A-vertices,
+    so after one the window is counted again from N(b_j).
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -437,55 +463,49 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         trace.append(("phase1", None, phase1.palette))
 
     state = ExtensionState(
-        graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b,
+        graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b - 1,
     )
+    _assert_bj_cliques(state, omega)
     rank, b_seq, ivs = layout.a_rank, layout.b_seq, layout.intervals
     a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
     color_of = colors.__getitem__
     full = (1 << palette + 1) - 2  # colors 1..palette
-    count = state.count = [0] * (palette + 1)  # empty while j = n_b
+    count = state.count = [0] * (palette + 1)  # empty above the top position
     free = full
 
-    def enter(c: int) -> None:
-        nonlocal free
-        if not count[c]:
-            free ^= 1 << c
-        count[c] += 1
-
-    def leave(c: int) -> None:
-        nonlocal free
-        count[c] -= 1
-        if not count[c]:
-            free |= 1 << c
-
-    def recount() -> None:
-        nonlocal count, free
-        del state.count  # counted again on the next read
-        count = state.count
-        free = full & ~bitmask(compress(range(palette + 1), count))
-
-    # the orders of entry and of leaving: by right end (<_A) and left, falling
+    # the orders of entry and of leaving: by right end (<_A) and left,
+    # falling, each with its ends and a sentinel no position passes
     by_right = [a for a in reversed(layout.a_order) if ivs[a] is not None]
     by_left = layout.by_left[::-1]
-    n_iv = len(by_right)
+    enters = [ivs[a][1] for a in by_right] + [-1]
+    leaves = [ivs[a][0] for a in by_left] + [-1]
     entered = left = 0
     top = g.n_b - 1  # the B-part is j+1 .. top, empty while top <= j
     for j in range(g.n_b - 1, -1, -1):
-        state.j = j
-        bjg = b_glob[j]
-        _assert_bj_cliques(state, omega)
         # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
         a_j, hi = a_at[j], maxright[j]
-        while entered < n_iv and ivs[by_right[entered]][1] >= j:
-            enter(color_of(by_right[entered]))
+        while enters[entered] >= j:
+            c = color_of(by_right[entered])
             entered += 1
-        while left < n_iv and ivs[by_left[left]][0] > j:
-            leave(color_of(by_left[left]))
+            if not count[c]:
+                free ^= 1 << c
+            count[c] += 1
+        while leaves[left] > j:
+            c = color_of(by_left[left])
             left += 1
+            count[c] -= 1
+            if not count[c]:
+                free |= 1 << c
         for p in range(max(hi, j + 1) + 1, top + 1):
-            leave(color_of(b_glob[p]))
+            c = color_of(b_glob[p])
+            count[c] -= 1
+            if not count[c]:
+                free |= 1 << c
         if hi > j:
-            enter(color_of(b_glob[j + 1]))
+            c = color_of(b_glob[j + 1])
+            if not count[c]:
+                free ^= 1 << c
+            count[c] += 1
         top = hi
         # with the side-group claim, this makes the window's A-part A_j
         if entered - left != len(a_j):
@@ -493,50 +513,53 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 f"window holds {entered - left} A-vertices, |A_j| = "
                 f"{len(a_j)} at position {j}"
             )
-        prev_rank: int | None = None
-        for _ in range(len(a_j) + hi - j + 2):
-            c = _free_color(free)
-            if c is not None:
-                colors[bjg] = c
+        c = _free_color(free)
+        if c is None:
+            state.j = j
+            prev_rank: int | None = None
+            for round_ in range(len(a_j) + hi - j + 2):
+                if round_:  # the first round's lookup is the one above
+                    c = _free_color(free)
+                    if c is not None:
+                        break
+                a_c = find_pivot(state)
+                if prev_rank is not None and rank[a_c] >= prev_rank:
+                    raise AlgorithmInvariantViolation(
+                        f"pivot rank failed to decrease at position {j}"
+                    )
+                prev_rank = rank[a_c]
+                x = colors[a_c]
                 if trace is not None:
-                    trace.append(("assign", j, b_seq[j], c))
-                break
-            a_c = find_pivot(state)
-            if prev_rank is not None and rank[a_c] >= prev_rank:
+                    trace.append(("pivot", j, a_c, x))
+                closed_used = {colors[w] for w
+                               in state._filtered_neighbors(a_c, j + 1)}
+                closed_used.add(x)
+                z = _free_color(full & ~bitmask(closed_used))
+                if z is not None:
+                    colors[a_c] = z
+                    count, free = _recount(state, full)
+                    if trace is not None:
+                        trace.append(("pivot_recolor", j, a_c, z))
+                    c = x
+                    break
+                y, a_prime, shielded = partner_color(state, a_c)
+                if trace is not None:
+                    trace.append(("partner", j, y, a_prime, shielded))
+                comp = kempe_swap(state, a_c, y)
+                _assert_kempe_shape(state, a_c, comp)
+                if trace is not None:
+                    trace.append(("swap", j, x, y, len(comp)))
+                count, free = _recount(state, full)
+                # loop: if x is now free around b_j the next round assigns
+                # it (the swap cannot free any other color); otherwise a
+                # strictly smaller pivot takes over
+            else:
                 raise AlgorithmInvariantViolation(
-                    f"pivot rank failed to decrease at position {j}"
+                    f"pivot loop failed to terminate at position {j}"
                 )
-            prev_rank = rank[a_c]
-            x = colors[a_c]
-            if trace is not None:
-                trace.append(("pivot", j, a_c, x))
-            closed_used = {colors[w]
-                           for w in state._filtered_neighbors(a_c, j + 1)}
-            closed_used.add(x)
-            z = _free_color(full & ~bitmask(closed_used))
-            if z is not None:
-                colors[a_c] = z
-                colors[bjg] = x
-                recount()
-                if trace is not None:
-                    trace.append(("pivot_recolor", j, a_c, z))
-                    trace.append(("assign", j, b_seq[j], x))
-                break
-            y, a_prime, shielded = partner_color(state, a_c)
-            if trace is not None:
-                trace.append(("partner", j, y, a_prime, shielded))
-            comp = kempe_swap(state, a_c, y)
-            _assert_kempe_shape(state, a_c, comp)
-            recount()
-            if trace is not None:
-                trace.append(("swap", j, x, y, len(comp)))
-            # loop: if x is now free around b_j the next pass assigns it
-            # (the swap cannot free any other color); otherwise a strictly
-            # smaller pivot takes over
-        else:
-            raise AlgorithmInvariantViolation(
-                f"pivot loop failed to terminate at position {j}"
-            )
+        colors[b_glob[j]] = c
+        if trace is not None:
+            trace.append(("assign", j, b_seq[j], c))
 
     palette_used = max(colors.values(), default=0)
     result = Coloring(colors, palette_used)

@@ -7,10 +7,12 @@ of the package: branch and bound and enumeration over SimpleGraph
 adjacency, read as sets or as the neighbor bitmasks that
 ``SimpleGraph.bits`` builds once per graph.  ``core``, the graph model,
 is all they share with the pipeline, its ``inverse`` and ``bitmask``
-too.  The chromatic search and the cycle enumeration run from explicit
-stacks.  The clique search recurses once per vertex of the clique it
-grows (its nested ``expand``), so it goes at most omega + 1 calls deep,
-where omega is the clique number; no other depth grows with the input.
+too, and ``_decimal``, the format's integer rule, which reads
+SQCHROMA_BUDGET.  The chromatic search and the cycle enumeration run
+from explicit stacks.  The clique search recurses once per vertex of the
+clique it grows (its nested ``expand``), so it goes at most omega + 1
+calls deep, where omega is the clique number; no other depth grows with
+the input.
 
 * ``greedy_clique``: the seed of both searches.  A clique is grown from
   each vertex in degree order, adding the candidate with the most
@@ -43,8 +45,10 @@ where omega is the clique number; no other depth grows with the input.
   rotated/reflected, in the order of the unpruned walk over sorted
   neighbor sets kept in the tests as its reference.
 
-Every search counts nodes against a budget (default 10**7, overridable);
-exhausting it raises BudgetExceeded carrying the bounds proven so far.
+Every search counts nodes against a budget (default 10**7, overridable
+by argument or by SQCHROMA_BUDGET, a decimal integer as the text format
+writes one); exhausting it raises BudgetExceeded carrying the bounds
+proven so far.
 """
 
 from __future__ import annotations
@@ -54,15 +58,23 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
-from .core import SimpleGraph, bitmask, complement, inverse
+from .core import SimpleGraph, _decimal, bitmask, complement, inverse
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
 
 
 def _budget() -> int:
+    """The node budget SQCHROMA_BUDGET gives, read as the text format reads
+    an integer, or DEFAULT_BUDGET when it is unset or empty."""
     env = os.environ.get("SQCHROMA_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return _decimal(env)
+    except ValueError:
+        raise ValueError("SQCHROMA_BUDGET must be a decimal integer, "
+                         f"got {env!r}") from None
 
 
 @dataclass(frozen=True)

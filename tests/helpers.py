@@ -574,12 +574,12 @@ def set_color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     if trace is not None:
         trace.append(("phase1", None, phase1.palette))
     state = ExtensionState(graph=g, layout=layout, palette=palette,
-                           colors=colors, j=g.n_b)
+                           colors=colors, j=g.n_b - 1)
+    coloring._assert_bj_cliques(state, omega)
     rank, b_seq = layout.a_rank, layout.b_seq
     a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
     for j in range(g.n_b - 1, -1, -1):
         state.j = j
-        coloring._assert_bj_cliques(state, omega)
         a_j, hi = a_at[j], maxright[j]
         prev_rank = None
         for _ in range(len(a_j) + hi - j + 2):

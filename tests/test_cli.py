@@ -6,16 +6,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sqchroma
 from sqchroma import cli, coloring, convexity, oracle
 from sqchroma.cli import CSV_COLUMNS, ExperimentRecord, experiment_ratio_sweep, run
+from sqchroma.coloring import Coloring
 from sqchroma.convexity import ConvexLayout
 from sqchroma.core import (
     BipartiteGraph,
     SimpleGraph,
     read_bipartite_text,
     read_simple_text,
+    vertex_names,
     write_bipartite_text,
     write_simple_text,
 )
@@ -106,6 +110,28 @@ def test_color_text_and_json_agree(np_file, capsys):
         text_colors[name] = int(color)
     assert obj["colors"] == text_colors
     assert palette <= bound
+
+
+# side sizes whose names cross a digit-length boundary, and empty sides
+_SIDES = st.integers(0, 12) | st.sampled_from([9, 10, 11, 99, 100, 101])
+
+
+@given(st.data())
+def test_coloring_json_is_json_dumps_with_sorted_keys(data):
+    n_a, n_b = data.draw(_SIDES), data.draw(_SIDES)
+    n = n_a + n_b
+    colors = data.draw(st.lists(st.integers(0, 10**6), min_size=n,
+                                max_size=n))
+    omega, palette = data.draw(st.integers(0, 99)), data.draw(st.integers(0, 99))
+    g = BipartiteGraph(n_a, n_b, ((),) * n_a)
+    want = json.dumps({
+        "palette": palette,
+        "omega": omega,
+        "bound": (3 * omega) // 2,
+        "colors": dict(zip(vertex_names(n_a, n_b), colors)),
+    }, sort_keys=True) + "\n"
+    assert cli._coloring_json(g, Coloring(dict(enumerate(colors)), palette),
+                              omega) == want
 
 
 def test_color_rejects_omega_and_budget_flags(np_file, capsys):
@@ -234,6 +260,16 @@ def test_holes_listing(np_file, capsys):
     assert run(["holes", np_file]) == 0
     out = capsys.readouterr().out
     assert "cycle length=5" in out and "total=3" in out
+
+
+@pytest.mark.parametrize("max_len, total", [(None, 3), (5, 3), (4, 2),
+                                              (3, 0), (1, 0), (0, 0)])
+def test_holes_max_len_is_a_limit_even_at_zero(np_file, capsys, max_len,
+                                               total):
+    # not_perfect's square has induced cycles of lengths 4, 4 and 5
+    flags = [] if max_len is None else ["--max-len", str(max_len)]
+    assert run(["holes", np_file, *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"total={total}"
 
 
 def test_structure_reports(np_file, capsys):
@@ -383,6 +419,17 @@ def test_verify_json_without_colors_object(np_file, tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == 'error: coloring JSON needs a "colors" object\n'
+
+
+def test_verify_deeply_nested_json_is_one_error_line(np_file, tmp_path,
+                                                     capsys):
+    depth = 200_000
+    col_path = tmp_path / "coloring.json"
+    col_path.write_text('{"colors": ' + "[" * depth + "]" * depth + "}")
+    assert run(["verify", np_file, str(col_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coloring JSON is nested too deeply\n"
 
 
 @pytest.mark.parametrize("color", ["x", 1.5, True, None, [1]])
@@ -647,6 +694,17 @@ def test_exact_budget_does_not_carry_over(np_file, monkeypatch, capsys):
     assert run(["exact", np_file]) == 0
     assert budgets == [1, None]
     assert capsys.readouterr().out == "chi=5 omega=5\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1_000", "+5"])
+def test_budget_variable_named_in_its_error(np_file, monkeypatch, capsys,
+                                            value):
+    monkeypatch.setenv("SQCHROMA_BUDGET", value)
+    assert run(["exact", np_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: SQCHROMA_BUDGET must be a decimal integer, got {value!r}\n")
 
 
 def test_good_call_after_usage_errors(np_file, capsys):

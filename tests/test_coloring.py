@@ -773,9 +773,38 @@ def _color_violation(layout):
     return str(err.value)
 
 
+def _cached_omega_layout(omega):
+    # a gadget layout whose cached omega is smaller than omega(G^2) = 6
+    layout = recognize_convex(_GADGET)
+    layout.__dict__["omega"] = omega
+    return layout
+
+
+# a0, a1 and a2 see one position each, and a3 sees 3..7, so omega(G^2) is 6
+_SPOKES = build_bipartite(4, 8, [(0, 0), (1, 1), (2, 2)]
+                          + [(3, b) for b in range(3, 8)])
+
+
+def _a0_reaching_2_layout():
+    # a layout that widens a0 to [0, 2]: maxright(1) becomes 2, which no
+    # A-neighbor of b_1 reaches
+    good = layout_from_order(_SPOKES, range(_SPOKES.n_b))
+    ivs = list(good.intervals)
+    ivs[0] = (0, 2)
+    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+
+
 def test_clique_claims_fail_closed_on_a_corrupted_layout():
+    # each of the four claims, raised through color_square_convex
+    assert _color_violation(_cached_omega_layout(3)) == (
+        "|A_j| = 3 exceeds omega-1 at position 3")
+    assert _color_violation(_cached_omega_layout(4)) == (
+        "|B_j| = 3 exceeds omega-2 at position 1")
     assert _color_violation(_a1_at_zero_layout()) == (
         "N(b_j) side group not a clique at position 1")
+    with pytest.raises(AlgorithmInvariantViolation) as err:
+        color_square_convex(_SPOKES, _a0_reaching_2_layout())
+    assert str(err.value) == "no A-neighbor covers B_j + b_j at position 1"
 
 
 @pytest.mark.parametrize("omega, message", [
@@ -785,9 +814,7 @@ def test_clique_claims_fail_closed_on_a_corrupted_layout():
 def test_clique_claims_fail_closed_on_a_small_cached_omega(omega, message):
     # omega(G^2) is 6; a layout whose cached omega is smaller is caught
     # at the first position where a side outgrows it
-    layout = recognize_convex(_GADGET)
-    layout.__dict__["omega"] = omega
-    assert _color_violation(layout) == message
+    assert _color_violation(_cached_omega_layout(omega)) == message
 
 
 def test_window_fails_closed_on_an_interval_b_j_does_not_see():

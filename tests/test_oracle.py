@@ -138,6 +138,16 @@ def test_budget_env_var_override(monkeypatch):
     assert exact_clique(g) >= 1
 
 
+@pytest.mark.parametrize("value", ["abc", "1_000", "+5", " 7", "1e3", "0x10"])
+def test_budget_env_var_is_a_decimal_integer(monkeypatch, value):
+    # read by the text format's integer rule, not by int()
+    monkeypatch.setenv("SQCHROMA_BUDGET", value)
+    with pytest.raises(ValueError) as err:
+        exact_clique(random_simple(7, max_n=9, p=0.5))
+    assert str(err.value) == (
+        f"SQCHROMA_BUDGET must be a decimal integer, got {value!r}")
+
+
 def test_perfect_graphs_have_chi_equal_omega():
     for seed in range(40):
         g = random_simple(seed, max_n=8)
