@@ -15,7 +15,9 @@ File arguments accept ``-`` for standard input.  Exit codes: 0 success,
 error; failures print one ``error: ...`` (or, for a failed proof-backed
 check, ``internal error: ...``) line on stderr.  Only the exact oracles of
 ``exact`` and ``experiment --with-exact`` take a node budget, from
---budget or SQCHROMA_BUDGET.
+--budget or SQCHROMA_BUDGET.  Every integer option is read as the text
+format reads its integers (``-?[0-9]+``); any other token is a usage
+error.
 
 ``run(argv)`` may be called any number of times in one process, as tests
 and the benchmark do.  It builds the argument parser on its first call,
@@ -212,8 +214,10 @@ def _cmd_exact(args) -> int:
     try:
         stats = exact_stats(h, args.budget)
     except BudgetExceeded as exc:
+        lower, upper = ("unknown" if x is None else x
+                        for x in (exc.lower, exc.upper))
         print(f"budget exceeded after {exc.nodes} nodes "
-              f"(bounds: {exc.lower}..{exc.upper})", file=sys.stderr)
+              f"(bounds: {lower}..{upper})", file=sys.stderr)
         return 1
     print(f"chi={stats.chi} omega={stats.omega}")
     return 0
@@ -420,6 +424,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _int_option(token: str) -> int:
+    """An integer option, read as the text format reads its integers
+    (``-?[0-9]+``); any other token is a usage error, as for ``int``."""
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {token!r}") from None
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -435,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_int_option, default=None,
                        help="oracle node budget (default from "
                             "SQCHROMA_BUDGET or 10^7)")
 
@@ -460,8 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holes", help="induced cycles of the square")
     p.add_argument("file")
     p.add_argument("--raw", action="store_true")
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--min-len", type=_int_option, default=4)
+    p.add_argument("--max-len", type=_int_option, default=None)
     p.set_defaults(func=_cmd_holes)
 
     p = sub.add_parser("structure", help="cycle structure reports")
@@ -472,21 +486,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph")
     gsub = p.add_subparsers(dest="family", required=True)
     pg = gsub.add_parser("random_convex")
-    pg.add_argument("n_a", type=int)
-    pg.add_argument("n_b", type=int)
-    pg.add_argument("max_interval_len", type=int)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("n_a", type=_int_option)
+    pg.add_argument("n_b", type=_int_option)
+    pg.add_argument("max_interval_len", type=_int_option)
+    pg.add_argument("--seed", type=_int_option, default=0)
     pg.add_argument("-o", "--output", default=None)
     pg = gsub.add_parser("random_biconvex")
-    pg.add_argument("n_a", type=int)
-    pg.add_argument("n_b", type=int)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("n_a", type=_int_option)
+    pg.add_argument("n_b", type=_int_option)
+    pg.add_argument("--seed", type=_int_option, default=0)
     pg.add_argument("-o", "--output", default=None)
     pg = gsub.add_parser("lower_bound_h")
-    pg.add_argument("q", type=int)
+    pg.add_argument("q", type=_int_option)
     pg.add_argument("-o", "--output", default=None)
     pg = gsub.add_parser("complete")
-    pg.add_argument("n", type=int)
+    pg.add_argument("n", type=_int_option)
     pg.add_argument("-o", "--output", default=None)
     pg = gsub.add_parser("named")
     pg.add_argument("name", choices=[n for n in generators.NAMED_GRAPHS
@@ -494,11 +508,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("-o", "--output", default=None)
     pg = gsub.add_parser("girth7")
     pg.add_argument("kind", choices=["long_cycle", "tree", "subdivided_random"])
-    pg.add_argument("--n", type=int, default=9)
-    pg.add_argument("--branching", type=int, default=2)
-    pg.add_argument("--depth", type=int, default=4)
+    pg.add_argument("--n", type=_int_option, default=9)
+    pg.add_argument("--branching", type=_int_option, default=2)
+    pg.add_argument("--depth", type=_int_option, default=4)
     pg.add_argument("--p", type=float, default=0.4)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=_int_option, default=0)
     pg.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
@@ -511,13 +525,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["random_convex", "random_biconvex",
                             "lower_bound_H", "complete"])
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-a", dest="n_a", type=int, default=10)
-    p.add_argument("--n-b", dest="n_b", type=int, default=10)
-    p.add_argument("--max-interval-len", type=int, default=10)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--trials", type=_int_option, default=10)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--n-a", dest="n_a", type=_int_option, default=10)
+    p.add_argument("--n-b", dest="n_b", type=_int_option, default=10)
+    p.add_argument("--max-interval-len", type=_int_option, default=10)
+    p.add_argument("--q", type=_int_option, default=2)
+    p.add_argument("--n", type=_int_option, default=2)
     p.add_argument("--with-exact", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)

@@ -7,21 +7,25 @@ positions in [minleft(p), maxright(p)] other than p, where minleft and
 maxright bound the intervals through p.  Those arrays over the positions
 are built in linear sweeps: maxright is a prefix maximum of right ends by
 left endpoint, minleft a suffix minimum of left ends by right endpoint.
-N(b_j) within H_j is two slices: the A-neighbors of b_j and the
-positions j+1 .. maxright(j); step 2 and the clique claims read it that
-way.  Step 1 reads it off a window that slides down with j: a count per
-color over N(b_j), which the pivot is also read off, and a bitmask of
-the colors 1..palette at count 0.  An A-vertex enters the window at its
-right end and leaves it below its left end; the B-part gains j+1 and
-loses positions from its top only, because maxright is a prefix maximum.
-Each vertex enters and leaves once, so step 1 costs O(n_a + n_b) window
-updates in all, plus a lowest set bit per position, in one flat loop.
-The pivot steps start only at a position whose window leaves no color
-free.  A pivot round recolors A-vertices, and after one the window is
-counted again from N(b_j).  The clique claims are checked in one pass
-over all positions before the first, O(n_b + m); the final check reads
-each row of G that is a run of its labels as one slice of the color
-list, O(n + m).
+N(b_j) within H_j is A_j, the A-vertices whose rows of G hold b_j, plus
+the positions j+1 .. maxright(j).  G is read through its A-rows only;
+the transpose, A_j as a list for every position, is built the first
+time a pivot round needs it.  Step 1 reads N(b_j) off a window that
+slides down with j: a count per color over it, which the pivot is also
+read off, and a bitmask of the colors 1..palette at count 0.  An
+A-vertex enters the window at its right end and leaves it below its
+left end; the B-part gains j+1 and loses positions from its top only,
+because maxright is a prefix maximum.  Each vertex enters and leaves
+once, so step 1 costs O(n_a + n_b) window updates in all, plus a lowest
+set bit per position, in one flat loop.  The pivot steps start only at
+a position whose window leaves no color free.  A pivot round recolors
+A-vertices, and after one the window is counted again from N(b_j).
+The clique claims are checked for all positions before the first, from
+one pass over the A-rows that places each row's positions against its
+interval, O(n + m); the same pass counts |A_j| for step 1.  The final
+check reads each A-row that is a run of its labels as one slice of the
+color list, and the closed neighborhoods of B through the color classes
+of A: the A-vertices of one color must have disjoint rows, O(n + m).
 Every other neighborhood comes from one routine,
 ``ExtensionState._filtered_neighbors``.  The A-vertices by left end are
 one order, ``ConvexLayout.by_left``: omega, the window and the pivot
@@ -70,10 +74,11 @@ raises the same error if it fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from typing import Sequence
 
 from .convexity import ConvexLayout
@@ -113,27 +118,36 @@ def verify_square_coloring(g: BipartiteGraph, c: Coloring) -> bool:
     Two vertices are at distance at most two in G iff both lie in some
     closed neighborhood N_G[v], so it suffices that ``c`` is total, stays
     in 1..palette, and gives every N_G[v] distinct colors: O(n + m), no
-    layout and no square needed.  The colors are read once into a list
-    by vertex, and each N_G[v] is checked on that list.  The rows are
-    sorted and without repeats, so a row whose last label is its first
-    plus its length minus one is a run of labels: its colors are read as
-    one slice of the list, and any other row's one label at a time.
+    layout and no square needed, and G is read through its A-rows only.
+    The colors are read once into a list by vertex.  N_G[a] is A-vertex
+    a and its row; the rows are sorted and without repeats, so a row
+    whose last label is its first plus its length minus one is a run of
+    labels, and its colors are read as one slice of the list, any other
+    row's one label at a time.  N_G[b] is b and the A-vertices whose rows
+    hold b.  b against each of them is a pair that some N_G[a] holds
+    too, so what is left is that no two A-vertices of one color share a
+    B-neighbor: the A-vertices of each color class must have pairwise
+    disjoint rows, so the B-labels of a class's rows, listed together,
+    hold no repeat.  The lists are kept by the colors in use, in a dict,
+    so nothing is allocated by the palette or by a color's value.
     """
     n_a = g.n_a
     col = list(map(c.colors.get, range(n_a + g.n_b)))
     if None in col or col and not 1 <= min(col) <= max(col) <= c.palette:
         return False
     col_b = col[n_a:]
-    for own, row, lookup in chain(zip(col, g.adj, repeat(col_b)),
-                                  zip(col_b, g.b_adj, repeat(col))):
+    labels_of: defaultdict[int, list[int]] = defaultdict(list)
+    for own, row in zip(col, g.adj):
         k = len(row)
         if k and row[-1] - row[0] == k - 1:
-            seen = set(lookup[row[0]:row[-1] + 1])
+            seen = set(col_b[row[0]:row[-1] + 1])
         else:
-            seen = set(map(lookup.__getitem__, row))
+            seen = set(map(col_b.__getitem__, row))
         if own in seen or len(seen) != k:
             return False
-    return True
+        labels_of[own] += row
+    return all(len(set(labels)) == len(labels)
+               for labels in labels_of.values())
 
 
 def greedy_interval_coloring(
@@ -188,11 +202,12 @@ class ExtensionState:
 
     ``colors`` is a proper coloring of H_{j+1} (all of A plus B-positions
     above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
-    in the square are read off arrays by B-position.  The A-neighbors of
-    each position (the rows of ``b_adj`` themselves) and maxright are
-    built with the state, and are all that N(b_j) and the clique claims
-    read.  minleft serves only the Kempe check, so it is built on first
-    use.  ``count`` holds how often each color occurs on N(b_j).
+    in the square are read off arrays by B-position.  maxright is built
+    with the state; with the A-rows of G it is all that step 1 and the
+    clique claims read.  The A-neighbors of each position, the rows of
+    ``g.b_adj`` and so the transpose of G, are built on first use, as
+    minleft is: only a pivot round reads them.  ``count`` holds how often
+    each color occurs on N(b_j).
     """
 
     graph: BipartiteGraph
@@ -206,8 +221,6 @@ class ExtensionState:
         b_seq = self.layout.b_seq
         # square-global index of the B-vertex at each position
         self._b_glob = [g.n_a + b for b in b_seq]
-        # A-neighbors of each position: the intervals through it
-        self._a_at = list(map(g.b_adj.__getitem__, b_seq))
         # maxright(p) bounds the intervals through p, and is p itself where
         # none passes.  An interval starting at or before p that reaches p
         # passes through it, so maxright is a prefix maximum of right ends
@@ -219,6 +232,13 @@ class ExtensionState:
                 if maxright[l] < r:
                     maxright[l] = r
         self._maxright = list(accumulate(maxright, max))
+
+    @cached_property
+    def _a_at(self) -> list[tuple[int, ...]]:
+        """The A-neighbors of each position, A_p: the intervals through it
+        in a valid layout.  Read only in pivot rounds, so G's transpose is
+        built only then."""
+        return list(map(self.graph.b_adj.__getitem__, self.layout.b_seq))
 
     @cached_property
     def _minleft(self) -> list[int]:
@@ -353,43 +373,89 @@ def _recount(state: ExtensionState, full: int) -> tuple[list[int], int]:
     return count, full & ~bitmask(compress(range(len(count)), count))
 
 
-def _assert_bj_cliques(state: ExtensionState, omega: int) -> None:
+def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
     """N(b_j) within H_j is two cliques through b_j, within the counting
     bounds, at every position j from ``state.j`` down to 0: A_j, the
-    A-neighbors of b_j, and B_j, the positions j+1 .. maxright(j).  By
-    interval arithmetic: every interval of A_j contains j, and one of them
-    covers b_j and every position of B_j.  The positions are checked from
-    the highest down, the order Phase II absorbs them in, so a failure
-    names the first position whose claim fails.  O(n_b + m) in all."""
-    ivs = state.layout.intervals
-    a_at, maxright = state._a_at, state._maxright
-    for j in range(state.j, -1, -1):
-        a_j = a_at[j]
+    A-vertices whose rows hold b_j, and B_j, the positions j+1 ..
+    maxright(j).  By interval arithmetic: every interval of A_j contains
+    j, and one of them covers b_j and every position of B_j.  Returns
+    |A_p| for every position p (and 0 past the last).
+
+    One pass over the A-rows of G places each row's positions against its
+    interval.  The side-group claim holds at j iff no row that holds b_j
+    has j outside its interval.  A row that fills its interval, the only
+    kind a layout of G's own rows has, adds 1 to |A_p| across the
+    interval (one difference array) and its right end to the furthest
+    right end by left endpoint, whose prefix maximum is the furthest
+    right end of the filling intervals through each position, as for
+    maxright.  Any other row is placed one position at a time.  The
+    cover claim then holds at j iff the furthest right end in A_j
+    reaches maxright(j), the furthest right end of the intervals through
+    j.  The positions are checked from the highest down, the order Phase
+    II absorbs them in, so a failure names the first position whose
+    claim fails.
+
+    A row equal to the B-labels of its interval in position order fills
+    it, which one slice and one comparison show.  Any other row reads its
+    positions, as one slice of ``b_pos`` when it is a run of labels and
+    label by label otherwise.  O(n + m) in all.
+    """
+    top = state.j
+    layout = state.layout
+    b_pos, b_seq, maxright = layout.b_pos, layout.b_seq, state._maxright
+    starts = [0] * (len(b_pos) + 1)  # differences of |A_p|
+    reach = list(range(len(b_pos)))  # filling right ends by left end, or p
+    spot: dict[int, int] = {}  # p -> the furthest other right end at p
+    broken = -1  # the highest position up to top whose side group fails
+    for row, iv in zip(state.graph.adj, layout.intervals):
+        if not row:
+            continue
+        left, right = iv or (top + 1, -1)  # no interval: it misses each p
+        if b_seq[left:right + 1] != row:  # not its interval's labels in order
+            k = len(row)
+            if row[-1] - row[0] == k - 1:
+                ps = b_pos[row[0]:row[-1] + 1]
+            else:
+                ps = [b_pos[b] for b in row]
+            if not (right - left + 1 == k and left <= min(ps)
+                    and max(ps) <= right):
+                for p in ps:
+                    starts[p] += 1
+                    starts[p + 1] -= 1
+                    if p < left or p > right:
+                        if broken < p <= top:
+                            broken = p
+                    elif spot.get(p, p) < right:
+                        spot[p] = right
+                continue
+        starts[left] += 1
+        starts[right + 1] -= 1
+        if reach[left] < right:
+            reach[left] = right
+    size = list(accumulate(starts))
+    reach = list(accumulate(reach, max))
+    for j in range(top, -1, -1):
         hi = maxright[j]  # last position of B_j, or j when it is empty
-        if len(a_j) > omega - 1:
+        if size[j] > omega - 1:
             raise AlgorithmInvariantViolation(
-                f"|A_j| = {len(a_j)} exceeds omega-1 at position {j}"
+                f"|A_j| = {size[j]} exceeds omega-1 at position {j}"
             )
         # the B_j bound presumes b_j has a later B-neighbor at all
         if hi > j and hi - j > omega - 2:
             raise AlgorithmInvariantViolation(
                 f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
             )
-        reach = j  # the furthest right end in A_j, or j when A_j is empty
-        for a in a_j:
-            left, right = ivs[a] or (j + 1, j)  # no interval: it misses j
-            if left > j or right < j:
-                raise AlgorithmInvariantViolation(
-                    f"N(b_j) side group not a clique at position {j}"
-                )
-            if right > reach:
-                reach = right
+        if j == broken:
+            raise AlgorithmInvariantViolation(
+                f"N(b_j) side group not a clique at position {j}"
+            )
         # every interval of A_j contains j, so one covers j..hi iff the
-        # furthest right end reaches hi
-        if hi > reach:
+        # furthest right end in A_j reaches hi
+        if hi > reach[j] and hi > spot.get(j, j):
             raise AlgorithmInvariantViolation(
                 f"no A-neighbor covers B_j + b_j at position {j}"
             )
+    return size
 
 
 def _assert_kempe_shape(state: ExtensionState, pivot: int,
@@ -449,11 +515,15 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     end), and the B-part j+1 .. maxright(j) gains j+1 and loses positions
     from its top only, because maxright is a prefix maximum.  Each vertex
     enters and leaves the window once: O(n_a + n_b) updates, against
-    O(n_b + m) for the clique claims and O(n + m) for the final check.
-    The pivot rounds start only where ``_free_color`` finds no color on
-    the window.  Their state is ``state``: ``find_pivot`` reads the
-    window's counts as ``state.count``, and a round recolors A-vertices,
-    so after one the window is counted again from N(b_j).
+    O(n + m) for the clique claims and for the final check, which both
+    read G through its A-rows.  The window must hold |A_j| A-vertices,
+    as counted by the clique claims, and |A_j| also bounds the pivot
+    rounds.  The pivot rounds start only where ``_free_color`` finds no
+    color on the window.  Their state is ``state``: ``find_pivot`` reads
+    the window's counts as ``state.count``, and a round recolors
+    A-vertices, so after one the window is counted again from N(b_j).
+    Only a pivot round reads A_j as a list, so an input without one
+    never builds ``g.b_adj``.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -465,9 +535,9 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     state = ExtensionState(
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b - 1,
     )
-    _assert_bj_cliques(state, omega)
+    a_size = _assert_bj_cliques(state, omega)
     rank, b_seq, ivs = layout.a_rank, layout.b_seq, layout.intervals
-    a_at, b_glob, maxright = state._a_at, state._b_glob, state._maxright
+    b_glob, maxright = state._b_glob, state._maxright
     color_of = colors.__getitem__
     full = (1 << palette + 1) - 2  # colors 1..palette
     count = state.count = [0] * (palette + 1)  # empty above the top position
@@ -483,7 +553,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     top = g.n_b - 1  # the B-part is j+1 .. top, empty while top <= j
     for j in range(g.n_b - 1, -1, -1):
         # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
-        a_j, hi = a_at[j], maxright[j]
+        hi = maxright[j]
         while enters[entered] >= j:
             c = color_of(by_right[entered])
             entered += 1
@@ -508,16 +578,16 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
             count[c] += 1
         top = hi
         # with the side-group claim, this makes the window's A-part A_j
-        if entered - left != len(a_j):
+        if entered - left != a_size[j]:
             raise AlgorithmInvariantViolation(
                 f"window holds {entered - left} A-vertices, |A_j| = "
-                f"{len(a_j)} at position {j}"
+                f"{a_size[j]} at position {j}"
             )
         c = _free_color(free)
         if c is None:
             state.j = j
             prev_rank: int | None = None
-            for round_ in range(len(a_j) + hi - j + 2):
+            for round_ in range(a_size[j] + hi - j + 2):
                 if round_:  # the first round's lookup is the one above
                     c = _free_color(free)
                     if c is not None:

@@ -558,6 +558,31 @@ def sweep_omega(layout: ConvexLayout) -> int:
     return best
 
 
+def per_position_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
+    """The clique claims position by position, each A_j read off the
+    transpose ``g.b_adj``: the reference for ``coloring._assert_bj_cliques``,
+    which reads the A-rows once.  Same messages, same first failing
+    position, and |A_p| for every position (and 0 past the last)."""
+    layout, maxright = state.layout, state._maxright
+    a_at = [state.graph.b_adj[b] for b in layout.b_seq]
+    for j in range(state.j, -1, -1):
+        a_j, hi = a_at[j], maxright[j]
+        if len(a_j) > omega - 1:
+            raise AlgorithmInvariantViolation(
+                f"|A_j| = {len(a_j)} exceeds omega-1 at position {j}")
+        if hi > j and hi - j > omega - 2:
+            raise AlgorithmInvariantViolation(
+                f"|B_j| = {hi - j} exceeds omega-2 at position {j}")
+        ivs = [layout.intervals[a] for a in a_j]
+        if any(iv is None or not iv[0] <= j <= iv[1] for iv in ivs):
+            raise AlgorithmInvariantViolation(
+                f"N(b_j) side group not a clique at position {j}")
+        if hi > max([j] + [r for _, r in ivs]):
+            raise AlgorithmInvariantViolation(
+                f"no A-neighbor covers B_j + b_j at position {j}")
+    return [len(row) for row in a_at] + [0]
+
+
 def set_color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                             trace: list | None = None) -> Coloring:
     """Phase II with step 1 rebuilding the colors of N(b_j) as a set at

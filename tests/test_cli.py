@@ -162,16 +162,24 @@ def test_package_error_is_one_line(np_file, capsys, monkeypatch):
     assert captured.err == "error: layout sizes disagree with the graph\n"
 
 
+# a cached property that each command computes: color no longer reads the
+# B-neighborhoods without a pivot round, but it orders A by left end
+_ALLOCATED_BY = {"color": (ConvexLayout, "by_left"),
+                 "recognize": (BipartiteGraph, "b_adj"),
+                 "exact": (BipartiteGraph, "b_adj")}
+
+
 @pytest.mark.parametrize("command", ["color", "recognize", "exact"])
 def test_running_out_of_memory_is_one_error_line(np_file, command, capsys,
                                                  monkeypatch):
     # a header within the vertex cap can still ask for more memory than
-    # the process has; each command reads the B-neighborhoods, and a
-    # MemoryError there is one error line, not a traceback
-    def exhausted(g):
+    # the process has; a MemoryError in an array a command builds is one
+    # error line, not a traceback
+    def exhausted(obj):
         raise MemoryError
 
-    monkeypatch.setattr(BipartiteGraph.__dict__["b_adj"], "func", exhausted)
+    owner, name = _ALLOCATED_BY[command]
+    monkeypatch.setattr(owner.__dict__[name], "func", exhausted)
     assert run([command, np_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -392,6 +400,16 @@ def test_verify_roundtrip(np_file, tmp_path, capsys):
     bad_path = tmp_path / "bad.txt"
     bad_path.write_text(bad)
     assert run(["verify", np_file, str(bad_path)]) == 1
+
+
+def test_verify_palette_far_above_the_colors_in_use(tmp_path, capsys):
+    # the check groups the A-rows by the colors in use, so a palette of
+    # 10^9 and a color near it allocate nothing by their value
+    graph, col = tmp_path / "g.bip", tmp_path / "c.txt"
+    graph.write_text("p bip 1 1 1\ne 0 0\n")
+    col.write_text("palette=1000000000\nv A0 999999999\nv B0 7\n")
+    assert run(["verify", str(graph), str(col)]) == 0
+    assert capsys.readouterr() == ("VALID\n", "")
 
 
 def test_verify_json_coloring(np_file, tmp_path, capsys):
@@ -705,6 +723,79 @@ def test_budget_variable_named_in_its_error(np_file, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err == (
         f"error: SQCHROMA_BUDGET must be a decimal integer, got {value!r}\n")
+
+
+# every integer option of the parser, its value marked X
+_INTEGER_OPTIONS = [
+    ["exact", "F", "--budget", "X"],
+    ["experiment", "--family", "complete", "--budget", "X"],
+    ["holes", "F", "--min-len", "X"],
+    ["holes", "F", "--max-len", "X"],
+    ["gen", "random_convex", "X", "3", "2"],
+    ["gen", "random_convex", "3", "X", "2"],
+    ["gen", "random_convex", "3", "3", "X"],
+    ["gen", "random_convex", "3", "3", "2", "--seed", "X"],
+    ["gen", "random_biconvex", "X", "3"],
+    ["gen", "random_biconvex", "3", "X"],
+    ["gen", "random_biconvex", "3", "3", "--seed", "X"],
+    ["gen", "lower_bound_h", "X"],
+    ["gen", "complete", "X"],
+    ["gen", "girth7", "tree", "--n", "X"],
+    ["gen", "girth7", "tree", "--branching", "X"],
+    ["gen", "girth7", "tree", "--depth", "X"],
+    ["gen", "girth7", "tree", "--seed", "X"],
+] + [["experiment", "--family", "complete", option, "X"]
+     for option in ("--trials", "--seed", "--n-a", "--n-b",
+                    "--max-interval-len", "--q", "--n")]
+
+
+def _with_value(argv, value, np_file):
+    return [{"X": value, "F": np_file}.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", _INTEGER_OPTIONS, ids=" ".join)
+@pytest.mark.parametrize("value", ["abc", "1_000", " +5", "+5", "\u0661"])
+def test_integer_options_read_by_the_format_rule(np_file, capsys, argv,
+                                                 value):
+    # read as edge endpoints and SQCHROMA_BUDGET are: -?[0-9]+, else the
+    # usage error that int() gives abc
+    assert run(_with_value(argv, value, np_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sqchroma ")
+    assert captured.err.endswith(f"invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", _INTEGER_OPTIONS, ids=" ".join)
+def test_integer_options_take_negative_decimals(np_file, argv):
+    # -3 parses as it did under int(), and only the marked option differs
+    parse = cli._build_parser().parse_args
+    got = vars(parse(_with_value(argv, "-3", np_file)))
+    base = vars(parse(_with_value(argv, "7", np_file)))
+    assert [(got[k], base[k]) for k in got if got[k] != base[k]] == [(-3, 7)]
+
+
+def test_budget_message_prints_known_bounds(tmp_path, capsys):
+    path = tmp_path / "h4.bip"
+    path.write_text(write_bipartite_text(gen_lower_bound_H(4)))
+    assert run(["exact", str(path), "--budget", "10"]) == 1
+    assert capsys.readouterr() == (
+        "", "budget exceeded after 11 nodes (bounds: 11..14)\n")
+
+
+def test_budget_message_names_an_unknown_bound(np_file, capsys, monkeypatch):
+    # the clique search ran out before any upper bound on chi existed
+    assert run(["exact", np_file, "--budget", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "budget exceeded after 1 nodes (bounds: 5..unknown)\n")
+
+    def nothing_known(h, budget=None):
+        raise BudgetExceeded("budget exceeded", nodes=0)
+
+    monkeypatch.setattr(cli, "exact_stats", nothing_known)
+    assert run(["exact", np_file]) == 1
+    assert capsys.readouterr() == (
+        "", "budget exceeded after 0 nodes (bounds: unknown..unknown)\n")
 
 
 def test_good_call_after_usage_errors(np_file, capsys):

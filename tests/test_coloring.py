@@ -21,7 +21,14 @@ from sqchroma.coloring import (
     verify_square_coloring,
 )
 from sqchroma.convexity import ConvexLayout, layout_from_order, recognize_convex
-from sqchroma.core import SimpleGraph, build_bipartite, half_square, max_degree, square
+from sqchroma.core import (
+    SimpleGraph,
+    build_bipartite,
+    half_square,
+    max_degree,
+    square,
+    write_bipartite_text,
+)
 from sqchroma.errors import AlgorithmInvariantViolation
 from sqchroma.generators import (
     gen_lower_bound_H,
@@ -34,6 +41,7 @@ from sqchroma.rng import SplitMix64
 from helpers import (
     highest_free_color,
     outer_first_nesting,
+    per_position_bj_cliques,
     quadratic_interval_coloring,
     random_bipartite,
     set_color_square_convex,
@@ -235,7 +243,7 @@ def test_color_highest_rule_still_within_bound(seed):
 
 
 # the arrays that only the pivot steps read, built on first use
-_PIVOT_ARRAYS = ("_minleft", "_starts")
+_PIVOT_ARRAYS = ("_a_at", "_minleft", "_starts")
 
 
 def _count_builds(monkeypatch):
@@ -258,7 +266,7 @@ def _count_builds(monkeypatch):
 def test_pivot_path_reached_under_default_rule(monkeypatch):
     # regression: this seeded instance drives the default lowest-free run
     # into the pivot + recolor step (step 1 fails, step 2 succeeds).  The
-    # pivot reads N(b_j) off the position arrays and its recolor reads an
+    # pivot reads A_j off the transpose and its recolor reads an
     # A-vertex's neighbors, so minleft, which only B-neighborhoods need,
     # is never built
     g = gen_random_convex(10, 10, 4, seed=1282)
@@ -270,7 +278,7 @@ def test_pivot_path_reached_under_default_rule(monkeypatch):
     assert verify_coloring(square(g), coloring)
     kinds = [e[0] for e in trace]
     assert "pivot" in kinds and "pivot_recolor" in kinds
-    assert built == {"_minleft": 0, "_starts": 1}
+    assert built == {"_a_at": 1, "_minleft": 0, "_starts": 1}
 
 
 def test_pivot_events_on_instrumented_corpus():
@@ -629,6 +637,47 @@ def test_color_never_builds_the_square(monkeypatch):
         assert verify_coloring(square(g), c)
 
 
+def test_color_and_verify_never_build_the_transpose(monkeypatch, tmp_path):
+    # step 1, the clique claims and the final check read G through its
+    # A-rows, so without a pivot round g.b_adj is never built, in process
+    # or through the CLI's color and verify
+    import sqchroma.core
+    from sqchroma.cli import run
+
+    b_adj = sqchroma.core.BipartiteGraph.__dict__["b_adj"]
+    built = Counter()
+
+    def refuse(g):
+        raise AssertionError("g.b_adj built without a pivot round")
+
+    def counting(g, real=b_adj.func):
+        built[g] += 1
+        return real(g)
+
+    graphs = _corpus()
+    graph_file, coloring_file = tmp_path / "g.bip", tmp_path / "c.txt"
+    graph_file.write_text(write_bipartite_text(gen_lower_bound_H(4)))
+    with monkeypatch.context() as m:
+        m.setattr(b_adj, "func", refuse)
+        colorings = [color_square_convex(g, recognize_convex(g))
+                     for g in graphs]
+        assert run(["color", str(graph_file), "-o", str(coloring_file)]) == 0
+        assert run(["verify", str(graph_file), str(coloring_file)]) == 0
+    for g, c in zip(graphs, colorings):
+        assert verify_coloring(square(g), c)
+    # the staircase still reaches the partner and swap steps, which build
+    # the transpose once
+    g = _staircase(12, 4)
+    trace = []
+    with monkeypatch.context() as m:
+        m.setattr(b_adj, "func", counting)
+        c = color_square_convex(g, recognize_convex(g), trace=trace)
+    kinds = Counter(e[0] for e in trace)
+    assert kinds["partner"] == kinds["swap"] >= 1
+    assert built == {g: 1}
+    assert verify_coloring(square(g), c)
+
+
 def test_color_never_builds_the_pivot_arrays(monkeypatch):
     # with the default rule the corpus never pivots, so the arrays that
     # only steps 2 and 3 read are never built
@@ -749,13 +798,18 @@ def test_clique_claim_no_interval_misses_j():
     assert str(err.value) == "N(b_j) side group not a clique at position 2"
 
 
+def _gadget_without(*edges):
+    # the gadget with edges removed, read against the gadget's own layout
+    return build_bipartite(5, 5, sorted(set(_GADGET.edges()) - set(edges)))
+
+
 def test_clique_claim_no_interval_covers_b_j():
-    # drop a0, the only A-neighbor of b_1 reaching position 4
+    # b_1 loses a0, the only A-neighbor of b_1 reaching position 4; a0's
+    # row still lies inside its interval
     state = _claims_state()
-    state._a_at[1] = [1, 2]
+    state.graph = _gadget_without((0, 1))
     assert _violation(state, 9) == (
         "no A-neighbor covers B_j + b_j at position 1")
-
 
 
 def test_clique_claim_cover_short_by_one():
@@ -763,9 +817,53 @@ def test_clique_claim_cover_short_by_one():
     # maxright(2) = 4
     state = _claims_state()
     state.j = 2
-    state._a_at[2] = [2, 3]
+    state.graph = _gadget_without((0, 2))
     assert _violation(state, 9) == (
         "no A-neighbor covers B_j + b_j at position 2")
+
+
+def _claims_outcome(claims, state, omega):
+    try:
+        return claims(state, omega)
+    except AlgorithmInvariantViolation as exc:
+        return str(exc)
+
+
+@st.composite
+def corrupted_claim_states(draw):
+    """States whose graph and layout may disagree: edges toggled in the
+    graph, intervals redrawn or dropped in its layout, any first position,
+    and an omega up to the layout's plus one or one above every side."""
+    g = draw(convex_graphs().filter(lambda g: g.n_b > 0))
+    good = recognize_convex(g)
+    pairs = [(a, b) for a in range(g.n_a) for b in range(g.n_b)]
+    flips = set(draw(st.lists(st.sampled_from(pairs), max_size=3))
+                if pairs else [])
+    graph = build_bipartite(g.n_a, g.n_b, sorted(set(g.edges()) ^ flips))
+    ivs = list(good.intervals)
+    span = st.tuples(st.integers(0, g.n_b - 1), st.integers(0, g.n_b - 1))
+    for a in draw(st.lists(st.integers(0, g.n_a - 1), max_size=2)
+                  if g.n_a else st.just([])):
+        iv = draw(st.none() | span)
+        ivs[a] = iv and (min(iv), max(iv))
+    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    state = ExtensionState(graph=graph, layout=layout, palette=0, colors={},
+                           j=draw(st.integers(0, g.n_b - 1)))
+    # an omega no side outgrows half the time, so the later claims run
+    return state, draw(st.integers(1, good.omega + 1)
+                       | st.just(g.n_a + g.n_b + 2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(corrupted_claim_states())
+def test_clique_claims_match_the_per_position_reference(case):
+    # one pass over the A-rows names the same first failing claim and
+    # position as reading A_j off the transpose at every position, and
+    # when every claim holds it counts |A_p| as the transpose does
+    state, omega = case
+    assert (_claims_outcome(coloring_module._assert_bj_cliques, state, omega)
+            == _claims_outcome(per_position_bj_cliques, state, omega))
+
 
 def _color_violation(layout):
     with pytest.raises(AlgorithmInvariantViolation) as err:
@@ -952,13 +1050,17 @@ def _square_greedy(g):
 
 
 def _corruptions(g, c):
-    """Proper ``c`` and copies with a recolored conflict, a missing vertex,
-    a color above the palette and the color 0 below it."""
+    """Proper ``c`` and copies with a recolored conflict, two A-vertices of
+    one color sharing a B-neighbor, a missing vertex, a color above the
+    palette and the color 0 below it."""
     yield c
     n = g.n_a + g.n_b
     for u, v in square(g).edges():
         yield Coloring({**c.colors, v: c.colors[u]}, c.palette)
         break
+    for a_b in g.b_adj:
+        for u, v in zip(a_b, a_b[1:]):
+            yield Coloring({**c.colors, v: c.colors[u]}, c.palette)
     for v in range(n):
         yield Coloring({w: col for w, col in c.colors.items() if w != v},
                        c.palette)
