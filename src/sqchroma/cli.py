@@ -17,7 +17,9 @@ check, ``internal error: ...``) line on stderr.  Only the exact oracles of
 ``exact`` and ``experiment --with-exact`` take a node budget, from
 --budget or SQCHROMA_BUDGET.  Every integer option is read as the text
 format reads its integers (``-?[0-9]+``); any other token is a usage
-error.
+error.  A negative ``--budget``, ``holes --min-len`` or ``experiment
+--trials`` means nothing, and is a usage error too, found once the
+command line has parsed.
 
 ``run(argv)`` may be called any number of times in one process, as tests
 and the benchmark do.  It builds the argument parser on its first call,
@@ -434,6 +436,17 @@ def _int_option(token: str) -> int:
             f"invalid int value: {token!r}") from None
 
 
+def _check_non_negative(args: argparse.Namespace) -> None:
+    """A usage error, from the subcommand's parser, for the first option
+    marked non-negative that holds a negative value.  The range is
+    checked after parsing, so every integer option parses alike."""
+    parser, flags = getattr(args, "non_negative", (None, ()))
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 0:
+            parser.error(f"argument {flag}: must be 0 or more, not {value}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -453,6 +466,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="oracle node budget (default from "
                             "SQCHROMA_BUDGET or 10^7)")
 
+    def non_negative(p, *flags):
+        # checked by ``run`` once parsing is done
+        p.set_defaults(non_negative=(p, flags))
+
     p = sub.add_parser("recognize", help="convexity recognition")
     p.add_argument("file")
     p.set_defaults(func=_cmd_recognize)
@@ -469,6 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="treat the input graph as-is (no squaring)")
     add_budget(p)
+    non_negative(p, "--budget")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("holes", help="induced cycles of the square")
@@ -476,6 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.add_argument("--min-len", type=_int_option, default=4)
     p.add_argument("--max-len", type=_int_option, default=None)
+    non_negative(p, "--min-len")
     p.set_defaults(func=_cmd_holes)
 
     p = sub.add_parser("structure", help="cycle structure reports")
@@ -536,6 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     add_budget(p)
+    non_negative(p, "--trials", "--budget")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="verify a coloring file")
@@ -550,6 +570,7 @@ def run(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
+        _check_non_negative(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -37,7 +37,9 @@ checks.
 
 Phase I greedily colors the interval graph on the A side (left-endpoint
 order, lowest free color), which uses exactly as many colors as its
-largest clique, hence at most omega(G^2).
+largest clique, hence at most omega(G^2).  The colors of the intervals
+that have ended are released from a bucket per position into a bitmask,
+whose lowest set bit is the lowest free color.
 
 Phase II absorbs the B-vertices one position at a time, from the highest
 position down.  With palette floor(3*omega/2), the vertex b_j at position
@@ -77,7 +79,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import accumulate, chain, compress
 from typing import Sequence
 
@@ -153,38 +154,53 @@ def verify_square_coloring(g: BipartiteGraph, c: Coloring) -> bool:
 def greedy_interval_coloring(
     intervals: Sequence[tuple[int, int] | None],
 ) -> Coloring:
-    """Color the interval graph greedily in left-endpoint order.
+    """Color the interval graph greedily in left-endpoint order, ties by
+    right end and then index, each interval the lowest free color.
 
     ``None`` entries (isolated vertices) take color 1.  Uses exactly as
     many colors as the deepest point coverage, the interval graph's
-    clique number, in O(n log n) time.
+    clique number.  The intervals are sorted once, stably, by one
+    integer per interval that packs (left, right), so ties fall to the
+    index: O(n log n).  The colors of the intervals that end at a
+    position wait in that position's bucket, and a bucket is released
+    into ``free`` once the left ends pass its position, so ``free`` is a
+    bitmask of the colors used so far that no interval through the
+    current left end holds.  The lowest free color is its lowest set
+    bit, or a new color when it is 0.  The buckets cost one pass over
+    the positions from the least left end to the greatest right end.
     """
     colors: dict[int, int] = {}
-    order = sorted((*iv, i) for i, iv in enumerate(intervals)
-                   if iv is not None)
-    # The intervals colored so far that meet the current one are those
-    # whose right end reaches its left end: ``active``, by right end.
-    # Every color up to ``top`` is either held by one active interval or
-    # waits in ``freed``, so the lowest free color is freed's least, or
-    # top + 1 when nothing waits.
-    active: list[tuple[int, int]] = []  # (right end, color)
-    freed: list[int] = []
+    live = list(compress(range(len(intervals)), intervals))
     top = 0
-    for li, ri, i in order:
-        while active and active[0][0] < li:
-            heappush(freed, heappop(active)[1])
-        if freed:
-            c = heappop(freed)
-        else:
-            top += 1
-            c = top
-        colors[i] = c
-        heappush(active, (ri, c))
-    for i, iv in enumerate(intervals):
-        if iv is None:
-            colors[i] = 1
-    palette = max(colors.values(), default=0)
-    return Coloring(colors, palette)
+    if live:
+        lo = min([intervals[i][0] for i in live])
+        hi = max([intervals[i][1] for i in live])
+        if lo < 0:  # shifting every position changes no color
+            intervals = [iv and (iv[0] - lo, iv[1] - lo) for iv in intervals]
+            lo, hi = 0, hi - lo
+        key = [iv and iv[0] * (hi + 1) + iv[1] for iv in intervals]
+        live.sort(key=key.__getitem__)  # stable: by index on ties
+        ending = [0] * (hi + 1)  # per position, the colors ending there
+        free = 0
+        p = lo
+        for i in live:
+            left, right = intervals[i]
+            while p < left:
+                free |= ending[p]
+                p += 1
+            if free:
+                low = free & -free
+                free ^= low
+                c = low.bit_length() - 1
+            else:
+                top += 1
+                c = top
+            colors[i] = c
+            ending[right] |= 1 << c
+    if len(live) < len(intervals):
+        colors.update((i, 1) for i, iv in enumerate(intervals) if iv is None)
+        top = max(top, 1)
+    return Coloring(colors, top)
 
 
 def clique_number_square(g: BipartiteGraph, layout: ConvexLayout) -> int:

@@ -41,7 +41,11 @@ row that strictly overlaps it.  With step 3 on top, the engine's whole
 order is the labels' order, except that each class it reverses lists
 its cells from the last to the first, each cell in the same order
 inside; one walk over the nested spans of the reversed classes writes
-it.  The final check is shared, so both paths give the same order.
+it.  The final check is shared, so both paths give the same order.  On
+runs the order written is the labels' own unless some class is
+reversed, and then the check reads each row's interval off its ends:
+the run test has shown every row to be a run of labels, hence of
+positions.
 
 Cost, for m rows, k <= m distinct rows of size >= 2 and N = the sum of
 row sizes.  Rows arrive as the sorted tuples ``BipartiteGraph.adj``
@@ -50,12 +54,14 @@ apart: O(m) tests.  On consecutive labels the rows are ranked by (size,
 left end) and their 2k endpoints sorted, O(k log k); the sweep and its
 union-find, and collecting the endpoints of the reversed classes, are
 O(k log k) too, and the walk writes the order in O(n_cols + k log k)
-without a set or dict per column.  Checking the result costs O(N).
-Otherwise the engine deduplicates and sorts the rows as tuples, and
-placing rows, assembling and checking cost O(N) dictionary and set
-operations, and the classes cost O(N) bit-set operations on m-bit
-integers plus one subset test per unqueued row that meets a placed row
-without containing it.  That column index is a list by column, and a
+without a set or dict per column.  When that order is the identity, one
+list comparison shows it, and each row's interval is its first and last
+label: O(m), with no slice of positions.  Under any other order checking
+the result costs O(N).  On any other rows the engine deduplicates and
+sorts the rows as tuples, and placing rows, assembling and checking cost
+O(N) dictionary and set operations, and the classes cost O(N) bit-set
+operations on m-bit integers plus one subset test per unqueued row that
+meets a placed row without containing it.  That column index is a list by column, and a
 row's bit sets are OR- and AND-reduced as they are read off it, so it
 takes time about N*m and memory about n_cols*m bits.  Placing a row
 collects the cells its columns lie in as one set and walks its run,
@@ -149,6 +155,11 @@ class ConvexLayout:
         slice deletion of the ended ones (right end below l) at its tail.
         At each left endpoint max(k + r_k) is one pass of C builtins over
         the intervals through it.
+
+        That pass is skipped where it cannot raise the best value: with
+        K intervals through l, k <= K and r_k <= r_1 = -nr[0] for every
+        k, so (k + r_k) - l + 1 <= K + r_1 - l + 1, and a left endpoint
+        whose bound is no more than the best so far is passed over.
         """
         if not self.intervals and not self.b_pos:
             return 0
@@ -159,8 +170,9 @@ class ConvexLayout:
             del nr[bisect_right(nr, -left):]
             for _, r in starting:
                 insort(nr, -r)
-            best = max(best,
-                       max(map(sub, range(1, len(nr) + 1), nr)) - left + 1)
+            if len(nr) - nr[0] - left + 1 > best:  # K + r_1 - l + 1
+                best = max(best, max(map(sub, range(1, len(nr) + 1), nr))
+                           - left + 1)
         return best
 
 
@@ -633,10 +645,22 @@ def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
     off the rows' endpoints (``_reversed_classes``, ``_run_order``);
     otherwise the engine arranges them (``_arrange_engine``).  Both give
     the same result.
+
+    On runs the written order is usually the identity, and then each
+    row's interval is (first label, last label) with no pass over
+    positions.  That is still the check ``_checked`` makes, fail closed:
+    the run test above has shown every row to be consecutive under the
+    labels, and the comparison with ``range(n_cols)`` shows that the
+    order is the labels'.  Any other order, a reversed class's included,
+    goes through ``_checked``.
     """
     if all(len(row) < 2 or row[-1] - row[0] + 1 == len(row) for row in rows):
-        return _checked(rows, _run_order(n_cols,
-                                         _reversed_classes(n_cols, rows)))
+        order = _run_order(n_cols, _reversed_classes(n_cols, rows))
+        identity = list(range(n_cols))
+        if order == identity:  # every row is a run of positions
+            return order, identity, tuple([(row[0], row[-1]) if row else None
+                                           for row in rows])
+        return _checked(rows, order)
     return _arrange_engine(n_cols, rows, _ranked(n_cols, rows))
 
 
@@ -685,7 +709,10 @@ def _checked(rows: Sequence[tuple[int, ...]],
     """``order``, the position of each column under it, and the
     ``_intervals`` of ``rows``.  The same pass that finds a row's interval
     checks the row against the order (fail closed), so callers need not
-    check it again."""
+    check it again.  Every order the engine assembles, and every order of
+    runs but the identity, comes through here; ``_arrange`` reads the
+    identity's intervals off the rows' ends, having shown each row to be
+    a run of labels and so of positions."""
     pos = inverse(order)
     try:
         return order, pos, _intervals(rows, pos)

@@ -7,10 +7,12 @@ free of the code paths it checks.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations, groupby, permutations
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Sequence
 from unittest import mock
 
@@ -276,7 +278,7 @@ def is_proper(g: SimpleGraph, colors: dict[int, int]) -> bool:
 def quadratic_interval_coloring(intervals) -> dict[int, int]:
     """Greedy interval coloring by rescanning every colored interval: left
     endpoint order, lowest color no meeting interval holds, color 1 for
-    ``None``.  The reference for the heap version in ``coloring``."""
+    ``None``.  The reference for ``coloring.greedy_interval_coloring``."""
     colors: dict[int, int] = {}
     order = sorted(
         (i for i, iv in enumerate(intervals) if iv is not None),
@@ -556,6 +558,52 @@ def sweep_omega(layout: ConvexLayout) -> int:
         best = max(best,
                    max(k + r for k, r in enumerate(rights, 1)) - left + 1)
     return best
+
+
+def unpruned_omega(layout: ConvexLayout) -> int:
+    """omega(G^2) by the sorted-list sweep that takes max(k + r_k) at
+    every left endpoint: the reference for ``ConvexLayout.omega``, which
+    skips a left endpoint whose bound cannot beat the best so far."""
+    if not layout.intervals and not layout.b_pos:
+        return 0
+    best = 1
+    nr: list[int] = []  # negated right ends of the intervals through l
+    for left, starting in groupby(map(layout.intervals.__getitem__,
+                                      layout.by_left), key=itemgetter(0)):
+        del nr[bisect_right(nr, -left):]
+        for _, r in starting:
+            insort(nr, -r)
+        best = max(best,
+                   max(map(sub, range(1, len(nr) + 1), nr)) - left + 1)
+    return best
+
+
+def heap_interval_coloring(intervals) -> Coloring:
+    """Greedy interval coloring with the intervals through the current
+    left end in a heap by right end and the released colors in a heap of
+    their own: the reference for ``coloring.greedy_interval_coloring``,
+    which releases colors from buckets into a bitmask.  Same colors, in
+    the same insertion order, and the same palette."""
+    colors: dict[int, int] = {}
+    order = sorted((*iv, i) for i, iv in enumerate(intervals)
+                   if iv is not None)
+    active: list[tuple[int, int]] = []  # (right end, color)
+    freed: list[int] = []
+    top = 0
+    for li, ri, i in order:
+        while active and active[0][0] < li:
+            heappush(freed, heappop(active)[1])
+        if freed:
+            c = heappop(freed)
+        else:
+            top += 1
+            c = top
+        colors[i] = c
+        heappush(active, (ri, c))
+    for i, iv in enumerate(intervals):
+        if iv is None:
+            colors[i] = 1
+    return Coloring(colors, max(colors.values(), default=0))
 
 
 def per_position_bj_cliques(state: ExtensionState, omega: int) -> list[int]:

@@ -775,6 +775,38 @@ def test_integer_options_take_negative_decimals(np_file, argv):
     assert [(got[k], base[k]) for k in got if got[k] != base[k]] == [(-3, 7)]
 
 
+# the integer options whose negative values mean nothing
+_NON_NEGATIVE_OPTIONS = [
+    ["exact", "F", "--budget", "X"],
+    ["experiment", "--family", "complete", "--budget", "X"],
+    ["holes", "F", "--min-len", "X"],
+    ["experiment", "--family", "complete", "--trials", "X"],
+]
+
+
+@pytest.mark.parametrize("argv", _NON_NEGATIVE_OPTIONS, ids=" ".join)
+@pytest.mark.parametrize("value", ["-3", "-1"])
+def test_negative_option_is_a_usage_error(np_file, capsys, argv, value):
+    # checked after parsing: exit 2, nothing on stdout, the subcommand's
+    # usage and one error line naming the option
+    assert run(_with_value(argv, value, np_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: sqchroma {argv[0]} ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"sqchroma {argv[0]}: error: argument {argv[-2]}: "
+                      f"must be 0 or more, not {value}"]
+
+
+@pytest.mark.parametrize("argv", _NON_NEGATIVE_OPTIONS, ids=" ".join)
+def test_non_negative_options_take_zero(np_file, capsys, argv):
+    # 0 is in range: a budget of 0 runs out at once (exit 1), the others
+    # run (exit 0)
+    code = run(_with_value(argv, "0", np_file))
+    assert code == (1 if argv[0] == "exact" else 0)
+    assert "usage:" not in capsys.readouterr().err
+
+
 def test_budget_message_prints_known_bounds(tmp_path, capsys):
     path = tmp_path / "h4.bip"
     path.write_text(write_bipartite_text(gen_lower_bound_H(4)))

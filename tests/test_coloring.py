@@ -39,6 +39,7 @@ from sqchroma.oracle import exact_clique, exact_stats
 from sqchroma.rng import SplitMix64
 
 from helpers import (
+    heap_interval_coloring,
     highest_free_color,
     outer_first_nesting,
     per_position_bj_cliques,
@@ -46,6 +47,7 @@ from helpers import (
     random_bipartite,
     set_color_square_convex,
     sweep_omega,
+    unpruned_omega,
 )
 
 
@@ -89,6 +91,30 @@ def test_greedy_heaps_match_quadratic_reference(intervals):
     want = quadratic_interval_coloring(intervals)
     assert c.colors == want
     assert c.palette == max(want.values(), default=0)
+
+
+# few positions, so that left ends, right ends and whole intervals tie;
+# some lie below 0, which the bucket version shifts away first
+_tied_interval = st.tuples(st.integers(-3, 6), st.integers(0, 3)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.none() | _tied_interval, max_size=30))
+def test_greedy_buckets_match_the_heap_reference(intervals):
+    got = greedy_interval_coloring(intervals)
+    want = heap_interval_coloring(intervals)
+    assert list(got.colors.items()) == list(want.colors.items())
+    assert got.palette == want.palette
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.none() | _tied_interval, max_size=30))
+def test_omega_skip_matches_the_unpruned_sweep(intervals):
+    # the intervals, shifted up by 3, are positions 0 .. 12 of the layout
+    intervals = [iv and (iv[0] + 3, iv[1] + 3) for iv in intervals]
+    layout = ConvexLayout(tuple(range(13)), tuple(intervals), ())
+    assert layout.omega == unpruned_omega(layout) == sweep_omega(layout)
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,6 +17,7 @@ from sqchroma.convexity import (
     _arrange,
     _arrange_engine,
     _ArrangementError,
+    _intervals,
     _normalized,
     _overlap_classes,
     _ranked,
@@ -26,7 +27,7 @@ from sqchroma.convexity import (
     recognize_biconvex,
     recognize_convex,
 )
-from sqchroma.core import build_bipartite, half_square
+from sqchroma.core import build_bipartite, half_square, inverse
 from sqchroma.errors import LayoutMismatch
 from sqchroma.generators import (
     gen_lower_bound_H,
@@ -222,6 +223,42 @@ def _interval_families(draw):
 @given(_interval_families())
 def test_interval_path_matches_the_engine(family):
     _assert_paths_agree(*family)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_interval_families())
+def test_run_path_intervals_are_those_of_its_order(family):
+    # an identity order has its intervals read off the rows' ends, any
+    # other order has them read position by position: either way they
+    # are the rows' first and last positions under the order
+    n_cols, rows = family
+    order, pos, intervals = _arrange(n_cols, rows)
+    assert pos == inverse(order)
+    assert intervals == _intervals(rows, pos)
+
+
+def test_identity_order_reads_the_row_ends_and_no_positions():
+    # rows of size 0 and 1 among runs of their labels: the order is the
+    # identity, so the per-row pass over positions is skipped
+    rows = [(), (3,), (0, 1, 2), (1, 2, 3), (5, 6), (), (4,)]
+    with mock.patch.object(convexity, "_intervals",
+                           side_effect=AssertionError("positions read")):
+        order, pos, intervals = _arrange(8, rows)
+    assert order == pos == list(range(8))
+    assert intervals == (None, (3, 3), (0, 2), (1, 3), (5, 6), None, (4, 4))
+
+
+def test_reversed_class_order_is_read_position_by_position():
+    # the class of (2, 3, 4) and (0, 1, 2, 3) is reversed: its smallest
+    # row lies right of the next, so its cells [0, 1], [2, 3], [4] are
+    # listed backwards, and every row is checked against that order
+    rows = [(2, 3, 4), (0, 1, 2, 3), (5,), ()]
+    with mock.patch.object(convexity, "_intervals",
+                           wraps=_intervals) as read:
+        order, pos, intervals = _arrange(6, rows)
+    assert read.call_count == 1
+    assert order == [4, 2, 3, 0, 1, 5]
+    assert intervals == ((0, 2), (1, 4), (5, 5), None)
 
 
 def test_interval_path_matches_the_engine_on_towers_and_staircases():
