@@ -152,10 +152,12 @@ def _coloring_json(g: BipartiteGraph, coloring: Coloring, omega: int) -> str:
     """``json.dumps(..., sort_keys=True)`` of the palette, omega, bound and
     colors, as one join.  The colors are sorted as their ``"name": color``
     items: a name is letters and digits, all above the closing quote, so
-    the items sort as their names do."""
-    colors = coloring.colors
-    items = sorted([f'"{name}": {colors[v]}'
-                    for v, name in enumerate(vertex_names(g.n_a, g.n_b))])
+    the items sort as their names do.  Every ``"A..."`` item sorts before
+    every ``"B..."`` item, so each side is sorted on its own."""
+    colors, n_a = coloring.colors, g.n_a
+    items = sorted([f'"A{a}": {colors[a]}' for a in range(n_a)])
+    items += sorted([f'"B{b}": {colors[v]}'
+                     for b, v in enumerate(range(n_a, n_a + g.n_b))])
     return (f'{{"bound": {(3 * omega) // 2}, "colors": {{{", ".join(items)}}}, '
             f'"omega": {omega}, "palette": {coloring.palette}}}\n')
 

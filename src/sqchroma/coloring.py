@@ -11,15 +11,20 @@ N(b_j) within H_j is A_j, the A-vertices whose rows of G hold b_j, plus
 the positions j+1 .. maxright(j).  G is read through its A-rows only;
 the transpose, A_j as a list for every position, is built the first
 time a pivot round needs it.  Step 1 reads N(b_j) off a window that
-slides down with j: a count per color over it, which the pivot is also
-read off, and a bitmask of the colors 1..palette at count 0.  An
-A-vertex enters the window at its right end and leaves it below its
-left end; the B-part gains j+1 and loses positions from its top only,
-because maxright is a prefix maximum.  Each vertex enters and leaves
-once, so step 1 costs O(n_a + n_b) window updates in all, plus a lowest
-set bit per position, in one flat loop.  The pivot steps start only at
-a position whose window leaves no color free.  A pivot round recolors
-A-vertices, and after one the window is counted again from N(b_j).
+slides down with j, kept as two bitmasks of colors: ``on_a`` over A_j
+and ``on_b`` over the positions j+1 .. maxright(j).  Each part is a
+clique of the square, by the clique claims, so a color occurs at most
+once in it, and XOR-ing a vertex's color bit in as it enters and out as
+it leaves keeps each mask exact.  An A-vertex enters the window at its
+right end and leaves it below its left end; the B-part gains j+1 and
+loses positions from its top only, because maxright is a prefix
+maximum.  Each vertex enters and leaves once, so step 1 costs
+O(n_a + n_b) window updates in all, plus a lowest set bit per position,
+in one flat loop.  The pivot steps start only at a position whose
+window leaves no color free; only they count how often each color
+occurs on N(b_j), afresh in every round.  A pivot round recolors
+A-vertices, never B-vertices, so after one ``on_a`` is rebuilt from A_j
+and ``on_b`` stands.
 The clique claims are checked for all positions before the first, from
 one pass over the A-rows that places each row's positions against its
 interval, O(n + m); the same pass counts |A_j| for step 1.  The final
@@ -281,7 +286,8 @@ class ExtensionState:
     @cached_property
     def count(self) -> list[int]:
         """How often each color 0..palette occurs on N(b_j) within H_j,
-        counted when first read.  Phase II keeps it as its window."""
+        counted when first read.  Only the pivot rounds read it, and they
+        drop it before each round, so each round counts afresh."""
         j, count = self.j, [0] * (self.palette + 1)
         for c in map(self.colors.__getitem__, chain(
                 self._a_at[j], self._b_glob[j + 1:self._maxright[j] + 1])):
@@ -380,13 +386,56 @@ def _free_color(free: int) -> int | None:
     return (free & -free).bit_length() - 1 if free else None
 
 
-def _recount(state: ExtensionState, full: int) -> tuple[list[int], int]:
-    """Count the window over N(b_j) again after a pivot round recolored
-    A-vertices: the counts, and the mask of the colors in ``full`` that
-    are at count 0."""
-    del state.count  # counted again on the next read
-    count = state.count
-    return count, full & ~bitmask(compress(range(len(count)), count))
+def _pivot_rounds(state: ExtensionState, rounds: int, on_b: int, full: int,
+                  trace: list[TraceEvent] | None) -> tuple[int, int]:
+    """Steps 2 and 3 at position ``state.j``, where step 1 found no color
+    free on N(b_j): at most ``rounds`` pivot rounds, each after the first
+    preceded by the free-color lookup.  ``on_b`` is the mask of the
+    colors on the B-part, which no round recolors.  Returns the color b_j
+    takes and the mask of the colors on A_j after the rounds, rebuilt
+    from A_j.  ``find_pivot`` reads ``state.count``, counted afresh for
+    every round."""
+    j, colors = state.j, state.colors
+    rank = state.layout.a_rank
+    a_j = state._a_at[j]
+    prev_rank: int | None = None
+    for round_ in range(rounds):
+        if round_:  # the first round's lookup is the caller's
+            on_a = bitmask(map(colors.__getitem__, a_j))
+            c = _free_color(full & ~(on_a | on_b))
+            if c is not None:
+                return c, on_a
+        vars(state).pop("count", None)  # counted on the next read
+        a_c = find_pivot(state)
+        if prev_rank is not None and rank[a_c] >= prev_rank:
+            raise AlgorithmInvariantViolation(
+                f"pivot rank failed to decrease at position {j}"
+            )
+        prev_rank = rank[a_c]
+        x = colors[a_c]
+        if trace is not None:
+            trace.append(("pivot", j, a_c, x))
+        closed_used = {colors[w] for w in state._filtered_neighbors(a_c, j + 1)}
+        closed_used.add(x)
+        z = _free_color(full & ~bitmask(closed_used))
+        if z is not None:
+            colors[a_c] = z
+            if trace is not None:
+                trace.append(("pivot_recolor", j, a_c, z))
+            return x, bitmask(map(colors.__getitem__, a_j))
+        y, a_prime, shielded = partner_color(state, a_c)
+        if trace is not None:
+            trace.append(("partner", j, y, a_prime, shielded))
+        comp = kempe_swap(state, a_c, y)
+        _assert_kempe_shape(state, a_c, comp)
+        if trace is not None:
+            trace.append(("swap", j, x, y, len(comp)))
+        # loop: if x is now free around b_j the next round assigns it (the
+        # swap cannot free any other color); otherwise a strictly smaller
+        # pivot takes over
+    raise AlgorithmInvariantViolation(
+        f"pivot loop failed to terminate at position {j}"
+    )
 
 
 def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
@@ -524,22 +573,26 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     partner / swap steps.  Steps 1 and 2 take the lowest free color.
 
     Step 1 is one flat loop over the positions, falling, on a window over
-    N(b_j) within H_j: ``count[c]`` holds how often color c occurs on it,
-    and ``free`` has bit c set exactly for the colors 1..palette at count
-    0.  As j falls, an A-vertex enters at its right end and leaves below
-    its left end (two pointers over the A-vertices by right and by left
-    end), and the B-part j+1 .. maxright(j) gains j+1 and loses positions
-    from its top only, because maxright is a prefix maximum.  Each vertex
-    enters and leaves the window once: O(n_a + n_b) updates, against
-    O(n + m) for the clique claims and for the final check, which both
-    read G through its A-rows.  The window must hold |A_j| A-vertices,
-    as counted by the clique claims, and |A_j| also bounds the pivot
-    rounds.  The pivot rounds start only where ``_free_color`` finds no
-    color on the window.  Their state is ``state``: ``find_pivot`` reads
-    the window's counts as ``state.count``, and a round recolors
-    A-vertices, so after one the window is counted again from N(b_j).
-    Only a pivot round reads A_j as a list, so an input without one
-    never builds ``g.b_adj``.
+    N(b_j) within H_j, kept as two masks of colors: ``on_a`` has bit c
+    set iff color c occurs on A_j, and ``on_b`` iff it occurs on the
+    B-part j+1 .. maxright(j).  The clique claims, asserted before the
+    loop, make each part a clique, so a color occurs at most once in it
+    and one XOR adds a color as its vertex enters and removes it as the
+    vertex leaves; the free colors are ``full & ~(on_a | on_b)``.  As j
+    falls, an A-vertex enters at its right end and leaves below its left
+    end (two pointers over the A-vertices by right and by left end), and
+    the B-part gains j+1 and loses positions from its top only, because
+    maxright is a prefix maximum.  Each vertex enters and leaves the
+    window once: O(n_a + n_b) updates, against O(n + m) for the clique
+    claims and for the final check, which both read G through its
+    A-rows.  The window must hold |A_j| A-vertices, as counted by the
+    clique claims, and |A_j| also bounds the pivot rounds.  The pivot
+    rounds (``_pivot_rounds``) start only where ``_free_color`` finds no
+    color free.  They alone count colors on N(b_j), as ``state.count``
+    for ``find_pivot``, and read ``layout.a_rank`` and A_j as a list, so
+    an input without a pivot round builds none of these nor ``g.b_adj``.
+    A round recolors A-vertices only, so ``on_a`` is rebuilt from A_j
+    after the rounds and ``on_b`` stands.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -552,12 +605,11 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b - 1,
     )
     a_size = _assert_bj_cliques(state, omega)
-    rank, b_seq, ivs = layout.a_rank, layout.b_seq, layout.intervals
+    b_seq, ivs = layout.b_seq, layout.intervals
     b_glob, maxright = state._b_glob, state._maxright
     color_of = colors.__getitem__
     full = (1 << palette + 1) - 2  # colors 1..palette
-    count = state.count = [0] * (palette + 1)  # empty above the top position
-    free = full
+    on_a = on_b = 0  # the colors on A_j and on the positions j+1 .. top
 
     # the orders of entry and of leaving: by right end (<_A) and left,
     # falling, each with its ends and a sentinel no position passes
@@ -568,30 +620,19 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     entered = left = 0
     top = g.n_b - 1  # the B-part is j+1 .. top, empty while top <= j
     for j in range(g.n_b - 1, -1, -1):
-        # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j)
+        # N(b_j) within H_j is A_j plus the positions j+1 .. maxright(j);
+        # each part is a clique, so a color enters and leaves it once
         hi = maxright[j]
         while enters[entered] >= j:
-            c = color_of(by_right[entered])
+            on_a ^= 1 << color_of(by_right[entered])
             entered += 1
-            if not count[c]:
-                free ^= 1 << c
-            count[c] += 1
         while leaves[left] > j:
-            c = color_of(by_left[left])
+            on_a ^= 1 << color_of(by_left[left])
             left += 1
-            count[c] -= 1
-            if not count[c]:
-                free |= 1 << c
         for p in range(max(hi, j + 1) + 1, top + 1):
-            c = color_of(b_glob[p])
-            count[c] -= 1
-            if not count[c]:
-                free |= 1 << c
+            on_b ^= 1 << color_of(b_glob[p])
         if hi > j:
-            c = color_of(b_glob[j + 1])
-            if not count[c]:
-                free ^= 1 << c
-            count[c] += 1
+            on_b ^= 1 << color_of(b_glob[j + 1])
         top = hi
         # with the side-group claim, this makes the window's A-part A_j
         if entered - left != a_size[j]:
@@ -599,50 +640,11 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 f"window holds {entered - left} A-vertices, |A_j| = "
                 f"{a_size[j]} at position {j}"
             )
-        c = _free_color(free)
+        c = _free_color(full & ~(on_a | on_b))
         if c is None:
             state.j = j
-            prev_rank: int | None = None
-            for round_ in range(a_size[j] + hi - j + 2):
-                if round_:  # the first round's lookup is the one above
-                    c = _free_color(free)
-                    if c is not None:
-                        break
-                a_c = find_pivot(state)
-                if prev_rank is not None and rank[a_c] >= prev_rank:
-                    raise AlgorithmInvariantViolation(
-                        f"pivot rank failed to decrease at position {j}"
-                    )
-                prev_rank = rank[a_c]
-                x = colors[a_c]
-                if trace is not None:
-                    trace.append(("pivot", j, a_c, x))
-                closed_used = {colors[w] for w
-                               in state._filtered_neighbors(a_c, j + 1)}
-                closed_used.add(x)
-                z = _free_color(full & ~bitmask(closed_used))
-                if z is not None:
-                    colors[a_c] = z
-                    count, free = _recount(state, full)
-                    if trace is not None:
-                        trace.append(("pivot_recolor", j, a_c, z))
-                    c = x
-                    break
-                y, a_prime, shielded = partner_color(state, a_c)
-                if trace is not None:
-                    trace.append(("partner", j, y, a_prime, shielded))
-                comp = kempe_swap(state, a_c, y)
-                _assert_kempe_shape(state, a_c, comp)
-                if trace is not None:
-                    trace.append(("swap", j, x, y, len(comp)))
-                count, free = _recount(state, full)
-                # loop: if x is now free around b_j the next round assigns
-                # it (the swap cannot free any other color); otherwise a
-                # strictly smaller pivot takes over
-            else:
-                raise AlgorithmInvariantViolation(
-                    f"pivot loop failed to terminate at position {j}"
-                )
+            c, on_a = _pivot_rounds(state, a_size[j] + hi - j + 2, on_b,
+                                    full, trace)
         colors[b_glob[j]] = c
         if trace is not None:
             trace.append(("assign", j, b_seq[j], c))

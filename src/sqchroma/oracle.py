@@ -66,15 +66,19 @@ DEFAULT_BUDGET = 10_000_000
 
 def _budget() -> int:
     """The node budget SQCHROMA_BUDGET gives, read as the text format reads
-    an integer, or DEFAULT_BUDGET when it is unset or empty."""
+    an integer, or DEFAULT_BUDGET when it is unset or empty.  A negative
+    value is refused, as ``--budget`` refuses one."""
     env = os.environ.get("SQCHROMA_BUDGET")
     if not env:
         return DEFAULT_BUDGET
     try:
-        return _decimal(env)
+        budget = _decimal(env)
     except ValueError:
         raise ValueError("SQCHROMA_BUDGET must be a decimal integer, "
                          f"got {env!r}") from None
+    if budget < 0:
+        raise ValueError(f"SQCHROMA_BUDGET must be 0 or more, got {env!r}")
+    return budget
 
 
 @dataclass(frozen=True)

@@ -511,7 +511,7 @@ class CountingCells(_Cells):
         return False
 
 
-def _highest_free_color(free: int) -> int | None:
+def pick_highest_free(free: int) -> int | None:
     """The highest color whose bit is set in ``free``, or None."""
     return free.bit_length() - 1 if free else None
 
@@ -521,7 +521,7 @@ def highest_free_color():
     instead of the lowest.  The palette bound holds for any choice, and
     this order reaches the pivot steps far more often, so tests use it to
     drive them on real inputs."""
-    return mock.patch.object(coloring, "_free_color", _highest_free_color)
+    return mock.patch.object(coloring, "_free_color", pick_highest_free)
 
 
 def outer_first_nesting(width: int) -> list:

@@ -725,6 +725,17 @@ def test_budget_variable_named_in_its_error(np_file, monkeypatch, capsys,
         f"error: SQCHROMA_BUDGET must be a decimal integer, got {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["-3", "-1"])
+def test_negative_budget_variable_is_one_error_line(np_file, monkeypatch,
+                                                    capsys, value):
+    monkeypatch.setenv("SQCHROMA_BUDGET", value)
+    assert run(["exact", np_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: SQCHROMA_BUDGET must be 0 or more, got {value!r}\n")
+
+
 # every integer option of the parser, its value marked X
 _INTEGER_OPTIONS = [
     ["exact", "F", "--budget", "X"],

@@ -43,6 +43,7 @@ from helpers import (
     highest_free_color,
     outer_first_nesting,
     per_position_bj_cliques,
+    pick_highest_free,
     quadratic_interval_coloring,
     random_bipartite,
     set_color_square_convex,
@@ -706,7 +707,7 @@ def test_color_and_verify_never_build_the_transpose(monkeypatch, tmp_path):
 
 def test_color_never_builds_the_pivot_arrays(monkeypatch):
     # with the default rule the corpus never pivots, so the arrays that
-    # only steps 2 and 3 read are never built
+    # only steps 2 and 3 read are never built, nor the ranks of <_A
     def refuse(state):
         raise AssertionError("pivot array built without a pivot")
 
@@ -714,6 +715,7 @@ def test_color_never_builds_the_pivot_arrays(monkeypatch):
     with monkeypatch.context() as m:
         for name in _PIVOT_ARRAYS:
             m.setattr(ExtensionState.__dict__[name], "func", refuse)
+        m.setattr(ConvexLayout.__dict__["a_rank"], "func", refuse)
         colorings = [color_square_convex(g, recognize_convex(g))
                      for g in graphs]
     for g, c in zip(graphs, colorings):
@@ -1007,6 +1009,41 @@ def test_window_matches_set_reference_on_families():
     for order in ("nullcontext", "highest_free_color"):
         assert all(events[order][kind] > 0 for kind in (
             "pivot", "pivot_recolor", "partner", "swap")), order
+
+
+def _free_color_masks(monkeypatch, color, g, layout, pick):
+    """The masks ``color`` hands to ``coloring._free_color``, in order, with
+    ``pick`` taking the free color, and the trace of the run."""
+    masks, trace = [], []
+
+    def record(free):
+        masks.append(free)
+        return pick(free)
+
+    with monkeypatch.context() as m:
+        m.setattr(coloring_module, "_free_color", record)
+        color(g, layout, trace=trace)
+    return masks, trace
+
+
+@pytest.mark.parametrize("g", [_staircase(12, 4),
+                               gen_random_convex(10, 10, 4, seed=1282)],
+                         ids=["staircase-12-4", "seed-1282"])
+def test_window_masks_are_the_colors_of_n_bj(monkeypatch, g):
+    # step 1 looks up full & ~(on_a | on_b) at every position and again
+    # after each pivot round; the set reference builds the colors of
+    # N(b_j) as a set at the same points, so the two must hand over the
+    # same masks.  Both inputs take pivot rounds under either free color
+    layout = recognize_convex(g)
+    for pick in (coloring_module._free_color, pick_highest_free):
+        got, trace = _free_color_masks(monkeypatch, color_square_convex, g,
+                                       layout, pick)
+        want, _ = _free_color_masks(monkeypatch, set_color_square_convex, g,
+                                    layout, pick)
+        assert got == want
+        kinds = Counter(e[0] for e in trace)
+        assert kinds["pivot"] > 0 and kinds["assign"] == g.n_b
+        assert len(got) >= g.n_b + kinds["pivot"]
 
 
 def test_staircase_reaches_step3_unpatched():

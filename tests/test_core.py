@@ -605,6 +605,76 @@ def test_bulk_reader_agrees_with_the_line_reader_in_tiny_chunks(text, size):
         _assert_readers_agree(text)
 
 
+@st.composite
+def row_texts(draw):
+    """``p bip`` texts in canonical row order whose rows mix runs of labels,
+    runs with one label left out, other sorted rows and rows out of order,
+    of 1 to 12 labels, some B-tokens spelt with a leading zero."""
+    n_a, n_b = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    # short rows, long rows, or both
+    sizes = draw(st.sampled_from([[1, 2, 3], [4, 5, 7, 9, 12],
+                                  [1, 2, 3, 4, 5, 7, 9, 12]]))
+    lines = []
+    for a in sorted(draw(st.sets(st.integers(0, n_a - 1), min_size=1))):
+        k = draw(st.sampled_from(sizes))
+        # now and then a label reaches n_b
+        top = max(n_b - k, 0) + (draw(st.integers(0, 3)) == 0)
+        lo = draw(st.integers(0, top))
+        kind = draw(st.sampled_from(["run", "run", "gap", "any"]))
+        if kind == "run":
+            labels = list(range(lo, lo + k))
+        elif kind == "gap":
+            labels = list(range(lo, lo + k + 1))
+            del labels[draw(st.integers(1, k - 1)) if k > 1 else 1]
+        else:
+            labels = draw(st.lists(st.integers(0, n_b), min_size=1,
+                                   max_size=k))
+            if draw(st.booleans()):
+                labels = sorted(set(labels))
+        for b in labels:
+            zero = "0" * (draw(st.integers(0, 7)) == 0)
+            lines.append(f"e {a} {zero}{b}\n")
+    return f"p bip {n_a} {n_b} {len(lines)}\n" + "".join(lines)
+
+
+@settings(max_examples=800, deadline=None)
+@given(row_texts(), st.sampled_from([1, 20, 60, 120, 250, 1 << 18]))
+def test_bulk_reader_reads_run_rows_as_the_line_reader(text, size):
+    # the chunks cut rows at their seams and hold short and long rows, so
+    # both ways of reading a chunk meet every kind of row
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_module, "_CHUNK", size)
+        _assert_readers_agree(text)
+
+
+def test_chunk_of_long_run_rows_converts_no_token(monkeypatch):
+    # rows of _RUN_ROWS labels or more on average are compared with the
+    # table's names, so a text of runs never reaches _converted; a row out
+    # of place is converted on its own, and a chunk of shorter rows is
+    # converted whole
+    calls = []
+    real = core_module._converted
+
+    def converted(tokens, table, n_b):
+        calls.append(list(tokens))
+        return real(tokens, table, n_b)
+
+    monkeypatch.setattr(core_module, "_converted", converted)
+    runs = gen_random_convex(60, 50, 12, seed=5)
+    assert runs.m >= core_module._RUN_ROWS * sum(map(bool, runs.adj))
+    assert _read_canonical_bipartite(write_bipartite_text(runs)) == runs
+    assert calls == []
+    rows = ["e 0 3\ne 0 4\ne 0 5\ne 0 6\n", "e 1 2\ne 1 4\ne 1 5\ne 1 6\n",
+            "e 2 0\ne 2 1\ne 2 2\ne 2 3\n"]
+    g = _read_canonical_bipartite("p bip 3 7 12\n" + "".join(rows))
+    assert g.adj == ((3, 4, 5, 6), (2, 4, 5, 6), (0, 1, 2, 3))
+    assert calls == [["2", "4", "5", "6"]]
+    calls.clear()
+    g = _read_canonical_bipartite("p bip 3 7 4\ne 0 1\ne 1 2\ne 2 3\ne 2 4\n")
+    assert g.adj == ((1,), (2,), (3, 4))
+    assert calls == [["1", "2", "3", "4"]]
+
+
 def test_bulk_reader_peak_is_a_small_multiple_of_the_graph():
     # the text of random_convex(10^5, 10^5, 30) at seed 0, written with
     # string operations from the same draws: 1.55 M edge lines, 21 MB

@@ -148,6 +148,22 @@ def test_budget_env_var_is_a_decimal_integer(monkeypatch, value):
         f"SQCHROMA_BUDGET must be a decimal integer, got {value!r}")
 
 
+@pytest.mark.parametrize("value", ["-3", "-1"])
+def test_budget_env_var_must_not_be_negative(monkeypatch, value):
+    # refused as --budget refuses it, not run as a budget of 0
+    monkeypatch.setenv("SQCHROMA_BUDGET", value)
+    with pytest.raises(ValueError) as err:
+        exact_clique(random_simple(7, max_n=9, p=0.5))
+    assert str(err.value) == f"SQCHROMA_BUDGET must be 0 or more, got {value!r}"
+
+
+def test_budget_env_var_takes_zero_and_minus_zero(monkeypatch):
+    for value in ("0", "-0"):
+        monkeypatch.setenv("SQCHROMA_BUDGET", value)
+        with pytest.raises(BudgetExceeded):
+            exact_clique(random_simple(7, max_n=9, p=0.5))
+
+
 def test_perfect_graphs_have_chi_equal_omega():
     for seed in range(40):
         g = random_simple(seed, max_n=8)
