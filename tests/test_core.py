@@ -624,8 +624,9 @@ def row_texts(draw):
         if kind == "run":
             labels = list(range(lo, lo + k))
         elif kind == "gap":
+            # an interior label goes, when there is one
             labels = list(range(lo, lo + k + 1))
-            del labels[draw(st.integers(1, k - 1)) if k > 1 else 1]
+            del labels[draw(st.integers(1, max(k - 1, 1)))]
         else:
             labels = draw(st.lists(st.integers(0, n_b), min_size=1,
                                    max_size=k))
