@@ -12,8 +12,9 @@
 
 File arguments accept ``-`` for standard input.  Exit codes: 0 success,
 1 domain failure (for instance NOT CONVEX under ``color``), 2 usage
-error; failures print one ``error: ...`` (or, for a failed proof-backed
-check, ``internal error: ...``) line on stderr.  Only the exact oracles of
+error; failures print one ``error: ...`` line on stderr, or
+``internal error: ...`` for a failed proof-backed check, in the
+recognizer's arrangement or in the coloring.  Only the exact oracles of
 ``exact`` and ``experiment --with-exact`` take a node budget, from
 --budget or SQCHROMA_BUDGET.  Every integer option is read as the text
 format reads its integers (``-?[0-9]+``); any other token is a usage

@@ -25,9 +25,10 @@ window leaves no color free; only they count how often each color
 occurs on N(b_j), afresh in every round.  A pivot round recolors
 A-vertices, never B-vertices, so after one ``on_a`` is rebuilt from A_j
 and ``on_b`` stands.
-The clique claims are checked for all positions before the first, from
-one pass over the A-rows that places each row's positions against its
-interval, O(n + m); the same pass counts |A_j| for step 1.  The final
+One pass over the A-rows checks that the layout describes G, each row
+filling its interval, O(n + m); the clique claims are then interval
+arithmetic, and only their size bounds are checked per position.  The
+same pass counts |A_j| for step 1.  The final
 check reads each A-row that is a run of its labels as one slice of the
 color list, and the closed neighborhoods of B through the color classes
 of A: the A-vertices of one color must have disjoint rows, O(n + m).
@@ -73,7 +74,8 @@ uniqueness, partner existence, strict pivot descent).  Those claims are
 always asserted at runtime, the clique claims on N(b_j) for every
 position before Phase II starts and the others in each pivot round; a
 failure raises AlgorithmInvariantViolation and would indicate an
-implementation bug, never bad input.  The finished coloring is always
+implementation bug, never bad input; a layout of another graph raises
+LayoutMismatch.  The finished coloring is always
 checked, independently of the layout, on the closed neighborhoods of G
 (``verify_square_coloring``, on a list of the colors by vertex) and
 raises the same error if it fails.
@@ -91,7 +93,7 @@ from .convexity import ConvexLayout
 # ``square`` is not called here.  bench/spans.py wraps ``coloring.square``
 # by name when it traces a run, so the name stays importable.
 from .core import BipartiteGraph, SimpleGraph, bitmask, square  # noqa: F401
-from .errors import AlgorithmInvariantViolation
+from .errors import AlgorithmInvariantViolation, LayoutMismatch
 
 TraceEvent = tuple
 
@@ -223,12 +225,12 @@ class ExtensionState:
 
     ``colors`` is a proper coloring of H_{j+1} (all of A plus B-positions
     above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
-    in the square are read off arrays by B-position.  maxright is built
-    with the state; with the A-rows of G it is all that step 1 and the
-    clique claims read.  The A-neighbors of each position, the rows of
-    ``g.b_adj`` and so the transpose of G, are built on first use, as
-    minleft is: only a pivot round reads them.  ``count`` holds how often
-    each color occurs on N(b_j).
+    in the square are read off arrays by B-position, each built on first
+    read, so that ``_assert_bj_cliques`` checks the layout before any of
+    them indexes it.  maxright, with the A-rows of G, is all that step 1
+    and the clique claims read.  The A-neighbors of each position, the rows of
+    ``g.b_adj`` and so the transpose of G, and minleft are read only in
+    a pivot round.
     """
 
     graph: BipartiteGraph
@@ -237,22 +239,24 @@ class ExtensionState:
     colors: dict[int, int]
     j: int
 
-    def __post_init__(self) -> None:
-        g = self.graph
-        b_seq = self.layout.b_seq
-        # square-global index of the B-vertex at each position
-        self._b_glob = [g.n_a + b for b in b_seq]
+    @cached_property
+    def _b_glob(self) -> list[int]:
+        """The square-global index of the B-vertex at each position."""
+        return [self.graph.n_a + b for b in self.layout.b_seq]
+
+    @cached_property
+    def _maxright(self) -> list[int]:
         # maxright(p) bounds the intervals through p, and is p itself where
         # none passes.  An interval starting at or before p that reaches p
         # passes through it, so maxright is a prefix maximum of right ends
         # by left endpoint.
-        maxright = list(range(len(b_seq)))
+        maxright = list(range(len(self._b_glob)))
         for iv in self.layout.intervals:
             if iv is not None:
                 l, r = iv
                 if maxright[l] < r:
                     maxright[l] = r
-        self._maxright = list(accumulate(maxright, max))
+        return list(accumulate(maxright, max))
 
     @cached_property
     def _a_at(self) -> list[tuple[int, ...]]:
@@ -283,17 +287,6 @@ class ExtensionState:
                 starts[iv[0] + 1] += 1
         return list(accumulate(starts))
 
-    @cached_property
-    def count(self) -> list[int]:
-        """How often each color 0..palette occurs on N(b_j) within H_j,
-        counted when first read.  Only the pivot rounds read it, and they
-        drop it before each round, so each round counts afresh."""
-        j, count = self.j, [0] * (self.palette + 1)
-        for c in map(self.colors.__getitem__, chain(
-                self._a_at[j], self._b_glob[j + 1:self._maxright[j] + 1])):
-            count[c] += 1
-        return count
-
     def _filtered_neighbors(self, v: int, min_pos: int) -> list[int]:
         """Neighbors of ``v`` in the square, B-vertices only at positions
         ``min_pos`` and above."""
@@ -318,12 +311,17 @@ class ExtensionState:
 def find_pivot(state: ExtensionState) -> int:
     """<_A-least A-neighbor of b_j whose color is unique in N(b_j).
 
-    Read off ``state.count``.  Defined whenever the coloring is
-    non-extendable; its absence would contradict the counting claim and
-    raises AlgorithmInvariantViolation.
+    The colors of N(b_j) within H_j are counted afresh on every call.
+    Defined whenever the coloring is non-extendable; its absence would
+    contradict the counting claim and raises AlgorithmInvariantViolation.
     """
-    j, colors, count = state.j, state.colors, state.count
-    candidates = [v for v in state._a_at[j] if count[colors[v]] == 1]
+    j, colors = state.j, state.colors
+    a_j = state._a_at[j]
+    count = [0] * (state.palette + 1)
+    for c in map(colors.__getitem__, chain(
+            a_j, state._b_glob[j + 1:state._maxright[j] + 1])):
+        count[c] += 1
+    candidates = [v for v in a_j if count[colors[v]] == 1]
     if not candidates:
         raise AlgorithmInvariantViolation(
             f"pivot not found at position {j}: no uniquely colored "
@@ -393,8 +391,8 @@ def _pivot_rounds(state: ExtensionState, rounds: int, on_b: int, full: int,
     preceded by the free-color lookup.  ``on_b`` is the mask of the
     colors on the B-part, which no round recolors.  Returns the color b_j
     takes and the mask of the colors on A_j after the rounds, rebuilt
-    from A_j.  ``find_pivot`` reads ``state.count``, counted afresh for
-    every round."""
+    from A_j.  ``find_pivot`` counts the colors of N(b_j) afresh in every
+    round."""
     j, colors = state.j, state.colors
     rank = state.layout.a_rank
     a_j = state._a_at[j]
@@ -405,7 +403,6 @@ def _pivot_rounds(state: ExtensionState, rounds: int, on_b: int, full: int,
             c = _free_color(full & ~(on_a | on_b))
             if c is not None:
                 return c, on_a
-        vars(state).pop("count", None)  # counted on the next read
         a_c = find_pivot(state)
         if prev_rank is not None and rank[a_c] >= prev_rank:
             raise AlgorithmInvariantViolation(
@@ -442,83 +439,59 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
     """N(b_j) within H_j is two cliques through b_j, within the counting
     bounds, at every position j from ``state.j`` down to 0: A_j, the
     A-vertices whose rows hold b_j, and B_j, the positions j+1 ..
-    maxright(j).  By interval arithmetic: every interval of A_j contains
-    j, and one of them covers b_j and every position of B_j.  Returns
-    |A_p| for every position p (and 0 past the last).
+    maxright(j).  Returns |A_p| for every position p (and 0 past the
+    last).
 
-    One pass over the A-rows of G places each row's positions against its
-    interval.  The side-group claim holds at j iff no row that holds b_j
-    has j outside its interval.  A row that fills its interval, the only
-    kind a layout of G's own rows has, adds 1 to |A_p| across the
-    interval (one difference array) and its right end to the furthest
-    right end by left endpoint, whose prefix maximum is the furthest
-    right end of the filling intervals through each position, as for
-    maxright.  Any other row is placed one position at a time.  The
-    cover claim then holds at j iff the furthest right end in A_j
-    reaches maxright(j), the furthest right end of the intervals through
-    j.  The positions are checked from the highest down, the order Phase
-    II absorbs them in, so a failure names the first position whose
-    claim fails.
-
-    A row equal to the B-labels of its interval in position order fills
-    it, which one slice and one comparison show.  Any other row reads its
-    positions, as one slice of ``b_pos`` when it is a run of labels and
-    label by label otherwise.  O(n + m) in all.
+    One pass over the A-rows first checks that the layout describes G:
+    one interval per A-vertex, ``b_pos`` a permutation of the B side, a
+    row empty exactly when its interval is None, and every other row
+    filling its interval exactly, shown by one slice and one comparison
+    when the row is its interval's B-labels in position order, else by
+    the min, max and count of its positions.  The first A-vertex that
+    fails raises LayoutMismatch.  On such a layout A_j is the intervals through j,
+    which meet at j, and the one reaching maxright(j) covers b_j and
+    B_j, so both clique claims hold and only the size bounds, which
+    depend on omega, are checked, from the highest position down.
     """
-    top = state.j
-    layout = state.layout
-    b_pos, b_seq, maxright = layout.b_pos, layout.b_seq, state._maxright
-    starts = [0] * (len(b_pos) + 1)  # differences of |A_p|
-    reach = list(range(len(b_pos)))  # filling right ends by left end, or p
-    spot: dict[int, int] = {}  # p -> the furthest other right end at p
-    broken = -1  # the highest position up to top whose side group fails
-    for row, iv in zip(state.graph.adj, layout.intervals):
-        if not row:
+    g, layout = state.graph, state.layout
+    b_pos = layout.b_pos
+    if len(layout.intervals) != g.n_a:
+        raise LayoutMismatch("layout sizes disagree with the graph")
+    if sorted(b_pos) != list(range(g.n_b)):
+        raise LayoutMismatch("b_pos is not a permutation of the B side")
+    b_seq = layout.b_seq
+    starts = [0] * (g.n_b + 1)  # differences of |A_p|
+    for a, (row, iv) in enumerate(zip(g.adj, layout.intervals)):
+        if not row and iv is None:
             continue
-        left, right = iv or (top + 1, -1)  # no interval: it misses each p
-        if b_seq[left:right + 1] != row:  # not its interval's labels in order
-            k = len(row)
+        if not row or iv is None:
+            raise LayoutMismatch(
+                f"neighborhood of A{a} does not fill its interval")
+        left, right = iv
+        k = len(row)
+        if not (0 <= left and right - left + 1 == k
+                and b_seq[left:right + 1] == row):
             if row[-1] - row[0] == k - 1:
                 ps = b_pos[row[0]:row[-1] + 1]
             else:
                 ps = [b_pos[b] for b in row]
-            if not (right - left + 1 == k and left <= min(ps)
-                    and max(ps) <= right):
-                for p in ps:
-                    starts[p] += 1
-                    starts[p + 1] -= 1
-                    if p < left or p > right:
-                        if broken < p <= top:
-                            broken = p
-                    elif spot.get(p, p) < right:
-                        spot[p] = right
-                continue
+            if not (min(ps) == left and max(ps) == right == left + k - 1):
+                raise LayoutMismatch(
+                    f"neighborhood of A{a} does not fill its interval")
         starts[left] += 1
         starts[right + 1] -= 1
-        if reach[left] < right:
-            reach[left] = right
     size = list(accumulate(starts))
-    reach = list(accumulate(reach, max))
-    for j in range(top, -1, -1):
-        hi = maxright[j]  # last position of B_j, or j when it is empty
+    maxright = state._maxright
+    for j in range(state.j, -1, -1):
         if size[j] > omega - 1:
             raise AlgorithmInvariantViolation(
                 f"|A_j| = {size[j]} exceeds omega-1 at position {j}"
             )
         # the B_j bound presumes b_j has a later B-neighbor at all
+        hi = maxright[j]  # last position of B_j, or j when it is empty
         if hi > j and hi - j > omega - 2:
             raise AlgorithmInvariantViolation(
                 f"|B_j| = {hi - j} exceeds omega-2 at position {j}"
-            )
-        if j == broken:
-            raise AlgorithmInvariantViolation(
-                f"N(b_j) side group not a clique at position {j}"
-            )
-        # every interval of A_j contains j, so one covers j..hi iff the
-        # furthest right end in A_j reaches hi
-        if hi > reach[j] and hi > spot.get(j, j):
-            raise AlgorithmInvariantViolation(
-                f"no A-neighbor covers B_j + b_j at position {j}"
             )
     return size
 
@@ -566,7 +539,8 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                         trace: list[TraceEvent] | None = None) -> Coloring:
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
-    omega is ``layout.omega``.  The claims of Phase II are asserted as it
+    omega is ``layout.omega``.  The layout is checked against ``g`` before
+    any color is assigned, and the claims of Phase II are asserted as it
     runs: the clique claims on N(b_j) once for the layout, before the
     first position, and the pivot claims in every pivot round.  ``trace``,
     when given, collects (event, position, ...) tuples for the pivot /
@@ -586,25 +560,27 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     window once: O(n_a + n_b) updates, against O(n + m) for the clique
     claims and for the final check, which both read G through its
     A-rows.  The window must hold |A_j| A-vertices, as counted by the
-    clique claims, and |A_j| also bounds the pivot rounds.  The pivot
-    rounds (``_pivot_rounds``) start only where ``_free_color`` finds no
-    color free.  They alone count colors on N(b_j), as ``state.count``
-    for ``find_pivot``, and read ``layout.a_rank`` and A_j as a list, so
-    an input without a pivot round builds none of these nor ``g.b_adj``.
+    clique claims, which guards ``layout.a_order``; |A_j| also bounds
+    the pivot rounds.  The pivot rounds (``_pivot_rounds``) start only
+    where ``_free_color`` finds no color free.  They alone count colors
+    on N(b_j), in ``find_pivot``, and read ``layout.a_rank`` and A_j as a
+    list, so an input without a pivot round builds none of these nor
+    ``g.b_adj``.
     A round recolors A-vertices only, so ``on_a`` is rebuilt from A_j
     after the rounds and ``on_b`` stands.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
+    state = ExtensionState(
+        graph=g, layout=layout, palette=palette, colors={}, j=g.n_b - 1,
+    )
+    a_size = _assert_bj_cliques(state, omega)
     phase1 = greedy_interval_coloring(layout.intervals)
-    colors: dict[int, int] = dict(phase1.colors)
+    colors = state.colors
+    colors.update(phase1.colors)
     if trace is not None:
         trace.append(("phase1", None, phase1.palette))
 
-    state = ExtensionState(
-        graph=g, layout=layout, palette=palette, colors=colors, j=g.n_b - 1,
-    )
-    a_size = _assert_bj_cliques(state, omega)
     b_seq, ivs = layout.b_seq, layout.intervals
     b_glob, maxright = state._b_glob, state._maxright
     color_of = colors.__getitem__
@@ -634,7 +610,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         if hi > j:
             on_b ^= 1 << color_of(b_glob[j + 1])
         top = hi
-        # with the side-group claim, this makes the window's A-part A_j
+        # with the layout check, this makes the window's A-part A_j
         if entered - left != a_size[j]:
             raise AlgorithmInvariantViolation(
                 f"window holds {entered - left} A-vertices, |A_j| = "

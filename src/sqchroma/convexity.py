@@ -103,7 +103,7 @@ from operator import and_, itemgetter, or_, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import BipartiteGraph, SimpleGraph, inverse
-from .errors import LayoutMismatch, SqchromaError
+from .errors import AlgorithmInvariantViolation, LayoutMismatch
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class NonConvexWitness:
             r = next(p for p in ps if p > q)
             p0 = max(p for p in ps if p < q)
             return a, (attempt[p0], attempt[q], attempt[r])
-        raise _ArrangementError(  # pragma: no cover
+        raise AlgorithmInvariantViolation(  # pragma: no cover
             "arrangement failed but every neighborhood fits the attempt"
         )
 
@@ -242,10 +242,6 @@ class NonConvexWitness:
     def __repr__(self) -> str:
         return (f"NonConvexWitness(b_order_attempted={self.b_order_attempted}"
                 f", violating_a={self.violating_a}, gap={self.gap})")
-
-
-class _ArrangementError(SqchromaError):
-    """Internal: the arrangement contradicts its own theory (fail closed)."""
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +428,8 @@ def _check_failure(sets: list[frozenset], cls: _OverlapClass) -> None:
     its own: in a cell its run skips, in an inner cell of its run, or,
     when it has new columns, in a cell after its run or in the part of
     its last cell it lacks.  So the failed row has a gap, and the check
-    cannot fire on a correct engine.  Raises _ArrangementError otherwise.
+    cannot fire on a correct engine.  Raises AlgorithmInvariantViolation
+    otherwise.
     """
     cells = cls.cells
     failed = sets[cls.failed]
@@ -443,8 +440,8 @@ def _check_failure(sets: list[frozenset], cls: _OverlapClass) -> None:
         ps = list(map(pos.__getitem__, sets[i]))
         if max(ps) - min(ps) + 1 != len(ps):
             return
-    raise _ArrangementError("a row failed to place, but every row of its "
-                            "class fits the cells")
+    raise AlgorithmInvariantViolation("a row failed to place, but every "
+                                      "row of its class fits the cells")
 
 
 def _reversed_classes(n_cols: int, rows: Sequence[tuple[int, ...]]
@@ -717,7 +714,8 @@ def _checked(rows: Sequence[tuple[int, ...]],
     try:
         return order, pos, _intervals(rows, pos)
     except LayoutMismatch as exc:
-        raise _ArrangementError("assembled order violates a row") from exc
+        raise AlgorithmInvariantViolation(
+            "assembled order violates a row") from exc
 
 
 def _normalized(rows: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

@@ -638,7 +638,7 @@ def set_color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     ``coloring.color_square_convex``, which must give the same colors and
     trace.  The free color goes through ``coloring._free_color`` as a
     mask, so ``highest_free_color`` steers both; steps 2 and 3 are the
-    module's own, and ``find_pivot`` reads counts filled in here."""
+    module's own."""
     omega = layout.omega
     palette = (3 * omega) // 2
     full = (1 << palette + 1) - 2
@@ -664,9 +664,6 @@ def set_color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                 if trace is not None:
                     trace.append(("assign", j, b_seq[j], free))
                 break
-            # find_pivot reads the counts Phase II's window keeps
-            counts = Counter(colors[v] for v in [*a_j, *b_glob[j + 1:hi + 1]])
-            state.count = [counts[c] for c in range(palette + 1)]
             a_c = coloring.find_pivot(state)
             if prev_rank is not None and rank[a_c] >= prev_rank:
                 raise AlgorithmInvariantViolation(

@@ -190,7 +190,7 @@ def test_color_fails_closed_when_a_placeable_row_is_refused(
         tmp_path, capsys, monkeypatch):
     # the staircase on labels 0, 2, 1, 3, that is {0,2}, {1,2}, {1,3}, has
     # a consecutive order: an engine that refuses its second row is at
-    # fault, and must not print NOT CONVEX
+    # fault, so color reports a failed proof-backed check, not NOT CONVEX
     real = convexity._Cells.place
     monkeypatch.setattr(convexity._Cells, "place",
                         lambda cells, row: row != {1, 2} and real(cells, row))
@@ -199,8 +199,8 @@ def test_color_fails_closed_when_a_placeable_row_is_refused(
     assert run(["color", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a row failed to place, but every row of "
-                            "its class fits the cells\n")
+    assert captured.err == ("internal error: a row failed to place, but every "
+                            "row of its class fits the cells\n")
 
 
 # files of at most 20 bytes whose problem line asks for 10^8 vertices

@@ -29,7 +29,7 @@ from sqchroma.core import (
     square,
     write_bipartite_text,
 )
-from sqchroma.errors import AlgorithmInvariantViolation
+from sqchroma.errors import AlgorithmInvariantViolation, LayoutMismatch
 from sqchroma.generators import (
     gen_lower_bound_H,
     gen_named,
@@ -796,6 +796,12 @@ def test_clique_claim_b_side_bound():
         "|B_j| = 3 exceeds omega-2 at position 1")
 
 
+def _mismatch(state):
+    with pytest.raises(LayoutMismatch) as err:
+        coloring_module._assert_bj_cliques(state, 9)
+    return str(err.value)
+
+
 def _a1_at_zero_layout():
     # a layout that puts a1 at [0, 0], although b_1 is its neighbor
     good = recognize_convex(_GADGET)
@@ -805,8 +811,8 @@ def _a1_at_zero_layout():
 
 
 def test_clique_claim_interval_misses_j():
-    assert _violation(_claims_state(_a1_at_zero_layout()), 9) == (
-        "N(b_j) side group not a clique at position 1")
+    assert _mismatch(_claims_state(_a1_at_zero_layout())) == (
+        "neighborhood of A1 does not fill its interval")
 
 
 def _dropped_a1_layout(g):
@@ -818,12 +824,12 @@ def _dropped_a1_layout(g):
 
 
 def test_clique_claim_no_interval_misses_j():
-    assert _violation(_claims_state(_dropped_a1_layout(_GADGET)), 9) == (
-        "N(b_j) side group not a clique at position 1")
+    assert _mismatch(_claims_state(_dropped_a1_layout(_GADGET))) == (
+        "neighborhood of A1 does not fill its interval")
     g = build_bipartite(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
-    with pytest.raises(AlgorithmInvariantViolation) as err:
+    with pytest.raises(LayoutMismatch) as err:
         color_square_convex(g, _dropped_a1_layout(g))
-    assert str(err.value) == "N(b_j) side group not a clique at position 2"
+    assert str(err.value) == "neighborhood of A1 does not fill its interval"
 
 
 def _gadget_without(*edges):
@@ -832,22 +838,20 @@ def _gadget_without(*edges):
 
 
 def test_clique_claim_no_interval_covers_b_j():
-    # b_1 loses a0, the only A-neighbor of b_1 reaching position 4; a0's
-    # row still lies inside its interval
+    # b_1 loses a0, the only A-neighbor of b_1 reaching position 4: a0's
+    # row lies inside its interval but no longer fills it
     state = _claims_state()
     state.graph = _gadget_without((0, 1))
-    assert _violation(state, 9) == (
-        "no A-neighbor covers B_j + b_j at position 1")
+    assert _mismatch(state) == "neighborhood of A0 does not fill its interval"
 
 
 def test_clique_claim_cover_short_by_one():
-    # at j = 2, without a0 the furthest right end is a3's 3, one short of
-    # maxright(2) = 4
+    # b_2 loses a0, the only A-neighbor of b_2 reaching position 4: a0's
+    # row no longer fills [0, 4]
     state = _claims_state()
     state.j = 2
     state.graph = _gadget_without((0, 2))
-    assert _violation(state, 9) == (
-        "no A-neighbor covers B_j + b_j at position 2")
+    assert _mismatch(state) == "neighborhood of A0 does not fill its interval"
 
 
 def _claims_outcome(claims, state, omega):
@@ -882,13 +886,29 @@ def corrupted_claim_states(draw):
                        | st.just(g.n_a + g.n_b + 2))
 
 
+def _describes(graph, layout):
+    """Whether the layout's intervals are those its B-order gives the
+    graph, by ``layout_from_order``."""
+    try:
+        return layout_from_order(graph, layout.b_seq).intervals == (
+            layout.intervals)
+    except LayoutMismatch:
+        return False
+
+
 @settings(max_examples=1000, deadline=None)
 @given(corrupted_claim_states())
 def test_clique_claims_match_the_per_position_reference(case):
-    # one pass over the A-rows names the same first failing claim and
-    # position as reading A_j off the transpose at every position, and
-    # when every claim holds it counts |A_p| as the transpose does
+    # a layout whose intervals are not the ones its B-order gives the
+    # graph raises LayoutMismatch; on any other, one pass over the A-rows
+    # names the same first failing bound and position as reading A_j off
+    # the transpose at every position, and when every claim holds it
+    # counts |A_p| as the transpose does
     state, omega = case
+    if not _describes(state.graph, state.layout):
+        with pytest.raises(LayoutMismatch):
+            coloring_module._assert_bj_cliques(state, omega)
+        return
     assert (_claims_outcome(coloring_module._assert_bj_cliques, state, omega)
             == _claims_outcome(per_position_bj_cliques, state, omega))
 
@@ -896,6 +916,15 @@ def test_clique_claims_match_the_per_position_reference(case):
 def _color_violation(layout):
     with pytest.raises(AlgorithmInvariantViolation) as err:
         color_square_convex(_GADGET, layout)
+    return str(err.value)
+
+
+def _color_mismatch(g, layout):
+    # the layout is refused before any color is assigned
+    trace = []
+    with pytest.raises(LayoutMismatch) as err:
+        color_square_convex(g, layout, trace=trace)
+    assert trace == []
     return str(err.value)
 
 
@@ -921,16 +950,17 @@ def _a0_reaching_2_layout():
 
 
 def test_clique_claims_fail_closed_on_a_corrupted_layout():
-    # each of the four claims, raised through color_square_convex
+    # the two bounds, raised through color_square_convex; an interval that
+    # misses a neighbor or one that outgrows its row is the caller's
+    # mismatched layout, named by its A-vertex
     assert _color_violation(_cached_omega_layout(3)) == (
         "|A_j| = 3 exceeds omega-1 at position 3")
     assert _color_violation(_cached_omega_layout(4)) == (
         "|B_j| = 3 exceeds omega-2 at position 1")
-    assert _color_violation(_a1_at_zero_layout()) == (
-        "N(b_j) side group not a clique at position 1")
-    with pytest.raises(AlgorithmInvariantViolation) as err:
-        color_square_convex(_SPOKES, _a0_reaching_2_layout())
-    assert str(err.value) == "no A-neighbor covers B_j + b_j at position 1"
+    assert _color_mismatch(_GADGET, _a1_at_zero_layout()) == (
+        "neighborhood of A1 does not fill its interval")
+    assert _color_mismatch(_SPOKES, _a0_reaching_2_layout()) == (
+        "neighborhood of A0 does not fill its interval")
 
 
 @pytest.mark.parametrize("omega, message", [
@@ -944,14 +974,64 @@ def test_clique_claims_fail_closed_on_a_small_cached_omega(omega, message):
 
 
 def test_window_fails_closed_on_an_interval_b_j_does_not_see():
-    # a1 widened to [0, 2]: at j = 2 the window holds a0..a3, while b_2's
-    # A-neighbors in G are a0, a2, a3, each of whose intervals holds 2
+    # a1 widened to [0, 2], although b_2 is not its neighbor: the layout
+    # check refuses it before the window could count a0..a3 at j = 2
     good = layout_from_order(_GADGET, range(_GADGET.n_b))
     ivs = list(good.intervals)
     ivs[1] = (0, 2)
     layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    assert _color_mismatch(_GADGET, layout) == (
+        "neighborhood of A1 does not fill its interval")
+
+
+def test_layout_check_refuses_a_missing_interval():
+    # one interval too few, whether or not <_A lists the last A-vertex
+    good = recognize_convex(_GADGET)
+    for a_order in (good.a_order, good.a_order[:-1]):
+        layout = ConvexLayout(good.b_pos, good.intervals[:-1], a_order)
+        assert _color_mismatch(_GADGET, layout) == (
+            "layout sizes disagree with the graph")
+
+
+@pytest.mark.parametrize("a, iv", [(1, (-5, -4)), (0, (0, 5)), (4, (5, 6))])
+def test_layout_check_refuses_an_interval_off_the_positions(a, iv):
+    # b_seq[-5:-3] holds a1's labels 0, 1, and b_seq[0:6] a0's: a slice
+    # that equals the row is not enough.  A left end past the last
+    # position is refused before maxright is built
+    good = recognize_convex(_GADGET)
+    ivs = list(good.intervals)
+    ivs[a] = iv
+    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    assert _color_mismatch(_GADGET, layout) == (
+        f"neighborhood of A{a} does not fill its interval")
+
+
+@pytest.mark.parametrize("b_pos", [(0, 1, 0), (0, 1, 5), (0, 1, -1)])
+def test_layout_check_refuses_a_b_pos_that_is_no_permutation(b_pos):
+    # B0 and B2 both at position 0 pass every row's check, since B2 is
+    # isolated; a position out of range would index past the arrays
+    g = build_bipartite(3, 3, [(0, 0), (1, 0), (2, 1)])
+    good = recognize_convex(g)
+    layout = ConvexLayout(b_pos, good.intervals, good.a_order)
+    assert _color_mismatch(g, layout) == (
+        "b_pos is not a permutation of the B side")
+
+
+def test_layout_check_refuses_a_row_that_lost_an_edge():
+    # the gadget without (0, 2) under the gadget's layout: a0's row no
+    # longer fills [0, 4]
+    assert _color_mismatch(_gadget_without((0, 2)),
+                           recognize_convex(_GADGET)) == (
+        "neighborhood of A0 does not fill its interval")
+
+
+def test_window_fails_closed_on_a_reversed_a_order():
+    # the intervals describe G, so only the window's count guards <_A:
+    # reversed, it lists a4 first, and at j = 4 no A-vertex has entered
+    good = recognize_convex(_GADGET)
+    layout = ConvexLayout(good.b_pos, good.intervals, good.a_order[::-1])
     assert _color_violation(layout) == (
-        "window holds 4 A-vertices, |A_j| = 3 at position 2")
+        "window holds 0 A-vertices, |A_j| = 2 at position 4")
 
 
 # ---------------------------------------------------------------------------
@@ -1070,9 +1150,9 @@ def _counter_pivot(state):
 
 
 def test_find_pivot_matches_counter_reference(monkeypatch):
-    # find_pivot reads the window's counts; at every pivot round of the
-    # seeded pivot instance and of the width-4 staircases, under either
-    # free color, they must give the pivot a fresh count gives
+    # find_pivot counts the colors of N(b_j) itself; at every pivot round
+    # of the seeded pivot instance and of the width-4 staircases, under
+    # either free color, it must give the pivot a Counter gives
     real = coloring_module.find_pivot
     calls = Counter()
 

@@ -16,7 +16,6 @@ from sqchroma.convexity import (
     NonConvexWitness,
     _arrange,
     _arrange_engine,
-    _ArrangementError,
     _intervals,
     _normalized,
     _overlap_classes,
@@ -28,7 +27,7 @@ from sqchroma.convexity import (
     recognize_convex,
 )
 from sqchroma.core import build_bipartite, half_square, inverse
-from sqchroma.errors import LayoutMismatch
+from sqchroma.errors import AlgorithmInvariantViolation, LayoutMismatch
 from sqchroma.generators import (
     gen_lower_bound_H,
     gen_named,
@@ -565,10 +564,10 @@ def test_accepted_order_is_checked_against_every_row():
                                return_value=[1, 0, 2]) as wrong, \
                 mock.patch.object(convexity, "_overlap_classes",
                                   wraps=_overlap_classes) as engine:
-            with pytest.raises(_ArrangementError,
+            with pytest.raises(AlgorithmInvariantViolation,
                                match="assembled order violates a row"):
                 recognize_convex(g)
-            with pytest.raises(_ArrangementError):
+            with pytest.raises(AlgorithmInvariantViolation):
                 consecutive_order(3, g.adj)
         assert wrong.call_count == 2
         assert engine.called == (writer == "_assemble")
@@ -591,7 +590,7 @@ def test_a_refused_placeable_row_fails_closed():
                            row != {1, 2} and real(cells, row)):
         for verdict in (lambda: recognize_convex(_graph_of_rows(rows, 4)),
                         lambda: consecutive_order(4, rows)):
-            with pytest.raises(_ArrangementError,
+            with pytest.raises(AlgorithmInvariantViolation,
                                match="^a row failed to place, but every row "
                                      "of its class fits the cells$"):
                 verdict()
