@@ -26,12 +26,14 @@ occurs on N(b_j), afresh in every round.  A pivot round recolors
 A-vertices, never B-vertices, so after one ``on_a`` is rebuilt from A_j
 and ``on_b`` stands.
 One pass over the A-rows checks that the layout describes G, each row
-filling its interval, O(n + m); the clique claims are then interval
-arithmetic, and only their size bounds are checked per position.  The
-same pass counts |A_j| for step 1.  The final
-check reads each A-row that is a run of its labels as one slice of the
-color list, and the closed neighborhoods of B through the color classes
-of A: the A-vertices of one color must have disjoint rows, O(n + m).
+filling its interval, O(n + m), and one pass over ``a_order`` that it is
+<_A, O(n_a), so a caller's layout of another graph or out-of-order <_A
+raises LayoutMismatch before any color is assigned.  The clique claims
+are then interval arithmetic, and only their size bounds are checked per
+position.  The same pass counts |A_j| for step 1.  The final check
+reads each A-row that is a run of its labels as one slice of the color
+list, and the closed neighborhoods of B through the color classes of A:
+the A-vertices of one color must have disjoint rows, O(n + m).
 Every other neighborhood comes from one routine,
 ``ExtensionState._filtered_neighbors``.  The A-vertices by left end are
 one order, ``ConvexLayout.by_left``: omega, the window and the pivot
@@ -87,6 +89,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
+from operator import lt
 from typing import Sequence
 
 from .convexity import ConvexLayout
@@ -448,7 +451,10 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
     filling its interval exactly, shown by one slice and one comparison
     when the row is its interval's B-labels in position order, else by
     the min, max and count of its positions.  The first A-vertex that
-    fails raises LayoutMismatch.  On such a layout A_j is the intervals through j,
+    fails raises LayoutMismatch, and so does an ``a_order`` that is not
+    <_A of those intervals (isolated A-vertices first, then by right end,
+    left end and index), checked in O(n_a) on its consecutive keys.  On
+    such a layout A_j is the intervals through j,
     which meet at j, and the one reaching maxright(j) covers b_j and
     B_j, so both clique claims hold and only the size bounds, which
     depend on omega, are checked, from the highest position down.
@@ -480,6 +486,15 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
                     f"neighborhood of A{a} does not fill its interval")
         starts[left] += 1
         starts[right + 1] -= 1
+    # <_A: isolated A-vertices first, then by right end, left end and
+    # index; keys that rise and end in the index make a_order a
+    # permutation of the A side
+    ivs, n_a = layout.intervals, g.n_a
+    keys = [(-1, -1, a) if ivs[a] is None else (ivs[a][1], ivs[a][0], a)
+            for a in layout.a_order if 0 <= a < n_a]
+    if not (len(keys) == len(layout.a_order) == n_a
+            and all(map(lt, keys, keys[1:]))):
+        raise LayoutMismatch("a_order is not the <_A order of the intervals")
     size = list(accumulate(starts))
     maxright = state._maxright
     for j in range(state.j, -1, -1):
@@ -559,13 +574,13 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     maxright is a prefix maximum.  Each vertex enters and leaves the
     window once: O(n_a + n_b) updates, against O(n + m) for the clique
     claims and for the final check, which both read G through its
-    A-rows.  The window must hold |A_j| A-vertices, as counted by the
-    clique claims, which guards ``layout.a_order``; |A_j| also bounds
-    the pivot rounds.  The pivot rounds (``_pivot_rounds``) start only
-    where ``_free_color`` finds no color free.  They alone count colors
-    on N(b_j), in ``find_pivot``, and read ``layout.a_rank`` and A_j as a
-    list, so an input without a pivot round builds none of these nor
-    ``g.b_adj``.
+    A-rows.  The window must hold the |A_j| A-vertices the clique claims
+    count; the layout check has checked ``layout.a_order``, so that count
+    is an internal check.  |A_j| also bounds the pivot rounds.  The pivot
+    rounds (``_pivot_rounds``) start only where ``_free_color`` finds no
+    color free.  They alone count colors on N(b_j), in ``find_pivot``,
+    and read ``layout.a_rank`` and A_j as a list, so an input without a
+    pivot round builds none of these nor ``g.b_adj``.
     A round recolors A-vertices only, so ``on_a`` is rebuilt from A_j
     after the rounds and ``on_b`` stands.
     """

@@ -36,20 +36,23 @@ allows and raises every error message.  ``read_bipartite_text`` and
 ``p bip`` file, the one ``write_bipartite_text`` writes: comment lines,
 the problem line, then exactly ``m`` edge lines of plain ASCII decimals,
 sorted by (a, b) without repeats, each line ended by "\\n".  The pass
-screens the comment lines and the problem line with one regex.  It reads
-the edge lines a chunk of about 2**18 characters at a time: one split
-and one deletion of the digits screen a chunk, and a row ends where the
-A-token changes, so the read holds little beyond the graph it returns.
-A chunk whose rows hold four labels or more on average is read row by
-row: a row whose B-tokens are the decimal strings of a run of labels is
-that run, found by one list comparison and taken as one slice, and only
-any other row is converted and checked label by label.  A chunk of
-shorter rows, where the run test costs more per row than it saves per
-label, converts all its B-tokens through one table and checks their
-order edge by edge.  Either way the pass is O(1) per label and per row.
-It returns None for any other text, and for every text the line reader
-would reject, so such text goes to the line reader unchanged and the
-errors all come from there.
+screens the comment lines and the problem line with one regex, and the
+problem line picks how it reads the edge lines.  A text with five edge
+lines or more per A-vertex is read a row at a time, straight from the
+text, with no token per edge: a row ends where the next A-vertex's first
+line starts, sought within 32 times the length of the row's first line,
+in a window that doubles while the row runs past it, and it is the run of
+labels lo .. hi if its characters equal the canonical text of that run,
+built from a table of decimal strings; only a row that fails that test is
+split, screened and converted on its own.  A text of shorter rows, where
+that costs more per row than it saves per label, is read a chunk of about
+2**18 characters at a time: one split and one deletion of the digits
+screen a chunk, every B-token is converted through the table, B must rise
+edge by edge along each row, and a row ends where the A-token changes.
+Either way the pass is O(1) per label and per row, and holds little
+beyond the graph it returns.  It returns None for any other text, and for
+every text the line reader would reject, so such text goes to the line
+reader unchanged and the errors all come from there.
 """
 
 from __future__ import annotations
@@ -385,7 +388,23 @@ _CANONICAL_HEAD = re.compile(
 _NO_DIGITS = dict.fromkeys(map(ord, "0123456789"))
 
 
-# The edge lines of a canonical text are screened, split and converted
+def _edge_tokens(text: str) -> tuple[list[str], list[str]] | None:
+    """The A- and B-tokens of ``text`` if it is lines "e <a> <b>\\n" of
+    ASCII decimals, else None."""
+    tokens = text.split()
+    n = len(tokens) // 3
+    # Without its ASCII digits the text is n lines "e  " and nothing else,
+    # and 3n tokens every third of which is "e" leave two digit runs after
+    # each "e", none empty and none touching it, if no digits follow the
+    # last line break to stand in for an empty run.
+    if (len(tokens) != 3 * n or tokens[0::3].count("e") != n
+            or text.translate(_NO_DIGITS) != "e  \n" * n
+            or text[-1:] != "\n"):
+        return None
+    return tokens[1::3], tokens[2::3]
+
+
+# The edge lines of a text of short rows are screened, split and converted
 # this many characters at a time, cut after a line break.
 _CHUNK = 1 << 18
 
@@ -397,26 +416,19 @@ def _edge_chunks(text: str, start: int
     ASCII decimals."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        tokens = chunk.split()
-        n = len(tokens) // 3
-        # Without its ASCII digits the chunk is n lines "e  " and nothing
-        # else, and 3n tokens every third of which is "e" leave two digit
-        # runs after each "e", none empty and none touching it, if no
-        # digits follow the last line break to stand in for an empty run.
-        if (len(tokens) != 3 * n or tokens[0::3].count("e") != n
-                or chunk.translate(_NO_DIGITS) != "e  \n" * n
-                or chunk[-1] != "\n"):
-            yield None
+        tokens = _edge_tokens(text[start:end])
+        yield tokens
+        if tokens is None:
             return
-        yield tokens[1::3], tokens[2::3]
+        start = end
 
 
-# A chunk whose rows hold this many edge lines or more on average is read
-# row by row, each row tested as a run of labels; a chunk of shorter rows
-# converts and checks every B-token.
-_RUN_ROWS = 4
+# A text with this many edge lines per A-vertex or more, so that its rows
+# hold this many labels or more on average, is read a row at a time, each
+# row tested as a run of labels; a text of shorter rows is read chunk by
+# chunk, converting and checking every B-token.  The two ways break even
+# near this row length (see ``_read_canonical_bipartite``).
+_RUN_ROWS = 5
 
 
 def _converted(tokens: list[str], table: dict[str, int],
@@ -430,35 +442,156 @@ def _converted(tokens: list[str], table: dict[str, int],
         return None if max(values) >= n_b else values
 
 
+def _read_edges(text: str, start: int, rows: list[tuple[int, ...]],
+                n_b: int, table: dict[str, int]) -> int | None:
+    """Fill ``rows`` from the edge lines of ``text`` from ``start`` on,
+    chunk by chunk and edge by edge; the number of edge lines, or None
+    for a text outside the canonical form."""
+    # the row read last may go on in the next chunk: its A-token and vertex
+    last, a = "", -1
+    lines, n_a = 0, len(rows)
+    for chunk in _edge_chunks(text, start):
+        if chunk is None:
+            return None
+        a_tokens, b_tokens = chunk
+        n = len(a_tokens)
+        lines += n
+        # True where a row ends
+        ends = [*map(ne, a_tokens, islice(a_tokens, 1, None)), True]
+        b_list = _converted(b_tokens, table, n_b)
+        # B rises along each row: sorted by (a, b), no edge repeated
+        if b_list is None or not all(map(
+                or_, ends, map(lt, b_list, islice(b_list, 1, None)))):
+            return None
+        s = 0
+        while s < n:
+            e = ends.index(True, s) + 1
+            row = b_list[s:e]
+            if not s and a_tokens[0] == last:  # the open row goes on
+                if rows[a][-1] >= row[0]:
+                    return None
+                rows[a] += row
+            else:
+                h = int(a_tokens[s])
+                if not a < h < n_a:
+                    return None  # rows out of order, or out of range
+                rows[h], a = row, h
+            s = e
+        last = a_tokens[-1]
+    return lines
+
+
+# The first edge line of a row, with its A- and B-token.
+_EDGE_LINE = re.compile("e ([0-9]+) ([0-9]+)\n")
+
+# The end of a row is sought within this many times the length of its
+# first line, a window that doubles while the row runs past it.
+_WINDOW = 32
+
+
+def _row_end(text: str, pos: int, prefix: str, width: int) -> int:
+    """The end of the row of lines that start with ``prefix`` from ``pos``
+    on, in a text whose rows are in order: the end of its last line before
+    the first line start past a window of ``width`` characters, doubled
+    until that line is not in the row."""
+    while True:
+        j = text.rfind("\n", pos, pos + width) + 1
+        if pos + width >= len(text) or not text.startswith(prefix, j):
+            break
+        width *= 2
+    return text.find("\n", text.rfind("\n" + prefix, pos - 1, j) + 1) + 1
+
+
+def _read_rows(text: str, start: int, rows: list[tuple[int, ...]],
+               n_b: int, table: dict[str, int]) -> int | None:
+    """Fill ``rows`` from the edge lines of ``text`` from ``start`` on, a
+    row at a time, straight from the text; the number of edge lines, or
+    None for a text outside the canonical form."""
+    names, ints = list(table), tuple(table.values())
+    k, n_a, size = len(names), len(rows), len(text)
+    first_line, label = _EDGE_LINE.match, table.get
+    find, count = text.find, text.count
+    a, pos, lines = -1, start, 0
+    while pos < size:
+        line = first_line(text, pos)
+        if line is None:
+            return None
+        a_token, b_token = line.groups()
+        h = label(a_token)
+        if h is None:
+            h = int(a_token)  # a leading zero, or past the table
+        if not a < h < n_a:
+            return None  # rows out of order, or out of range
+        a = h
+        prefix = "e " + a_token + " "
+        # The row ends where the next A-vertex's first line starts, if that
+        # is in the window; else that vertex has no edge, or the row is long.
+        width = _WINDOW * (line.end() - pos)
+        end = (find(f"\ne {a + 1} ", pos, pos + width) + 1
+               or _row_end(text, pos, prefix, width))
+        n = count("\n", pos, end)
+        lo = label(b_token, k)  # a miss gives an empty slice
+        # the row is the run lo .. lo + n - 1 if it reads prefix + ("\n" +
+        # prefix).join(names[lo:lo + n]) + "\n"; it starts with prefix and
+        # ends with a line break, so the rest is compared
+        if text[pos + len(prefix):end - 1] == ("\n" + prefix).join(
+                names[lo:lo + n]):
+            rows[a] = ints[lo:lo + n]
+        else:
+            tokens = _edge_tokens(text[pos:end])
+            # n lines, each of this A-token
+            if tokens is None or tokens[0].count(a_token) != n:
+                return None
+            row = _converted(tokens[1], table, n_b)
+            if row is None or not all(map(lt, row, islice(row, 1, None))):
+                return None
+            rows[a] = row
+        lines += n
+        pos = end
+    return lines
+
+
 def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
     """The graph of a ``p bip`` text in canonical form, read in bulk; None
     for any other text, and for every text the line reader would reject.
 
-    The edge lines are read in chunks of about ``_CHUNK`` characters
-    (``_edge_chunks``), so their tokens and the copies that screen them
-    exist for one chunk at a time.  Beyond the graph it returns, the read
-    holds one chunk's worth of those, the list of rows and a ``str -> int``
-    table for the B-tokens whose size is bounded by the input; ``int()``
-    reads a token the table misses (a leading zero, or more B-vertices
-    than tokens).  A row ends where the A-token changes, so only the first
-    A-token of each row is converted.
+    Beyond the graph it returns, the read holds the list of rows and a
+    ``str -> int`` table of the decimal strings of the B-labels, whose
+    size is bounded by the input; ``int()`` reads a token the table misses
+    (a leading zero, or more B-vertices than tokens).
 
-    A chunk is read one of two ways, chosen by its mean row length.  Rows
-    of ``_RUN_ROWS`` labels or more on average are read row by row: a row
-    whose B-tokens equal the table's own decimal strings ``names[lo:lo +
-    k]``, for lo the table's value of its first token, is the run lo ..
-    lo + k - 1 (one list comparison, and one slice of the table's values),
-    with no ``int`` per token and no order check per edge; any other row
-    is converted and checked on its own.  Shorter rows cost more per row
-    that way than the per-edge work they save, so a chunk of them
-    converts all its B-tokens at once and checks that B rises along each
-    row edge by edge.  Both ways cost O(1) per label and O(1) per row.
-    The run test trades a conversion and two comparisons per label for
-    one string comparison per label and a few slices per row.  Timed on
-    CPython 3.11 over 2000 rows, it breaks even near four labels a row
-    and reads rows of 30 labels about a fifth faster than conversion,
-    while rows of one or two labels read that way take a third or more
-    longer; so short rows keep the per-edge way.
+    The problem line picks one of two ways to read the edge lines.  A text
+    with ``_RUN_ROWS`` edge lines or more per A-vertex, so that its rows
+    hold that many labels or more on average, is read a row at a time,
+    straight from the text (``_read_rows``), with no token per edge.  A
+    row starts with a line "e <a> <lo>"; it ends where the next
+    A-vertex's first line starts, found by one search in a window of
+    ``_WINDOW`` times the length of that first line, and else, when that
+    vertex has no edge or the row is longer, after its last line before
+    the first line start past a window that doubles until that line is
+    not in the row (``_row_end``).  The row is the run lo .. hi when its
+    characters equal the canonical text of that run,
+    ``"e a " + "\\ne a ".join(names[lo:hi + 1]) + "\\n"``, built from the
+    table's strings: one comparison, and one slice of the table's values,
+    with no ``int`` and no order check per label.  Only a row that fails
+    the test is split, screened and converted on its own.  A row then
+    costs a fixed number of steps, and its characters are searched,
+    counted, built and compared a few times each, so O(1) per label
+    whatever the labels: the window keeps a missing next A-vertex from
+    sending the search past the row.
+
+    A text of shorter rows is read a chunk of about ``_CHUNK`` characters
+    at a time (``_read_edges``): one split and one deletion of the digits
+    screen a chunk, every B-token is converted through the table, B must
+    rise along each row edge by edge, and a row ends where the A-token
+    changes, so only its first A-token is converted.  The tokens of one
+    chunk are all it holds at a time: O(1) per label and per row.
+
+    The row way's fixed cost per row is what the chunk way saves on short
+    rows.  Timed on CPython 3.11 over 2000 rows of runs, the row way took
+    1.75 microseconds a row at four labels against 1.38 for the chunk way,
+    1.91 against 2.10 at six, and 2.05 against 2.91 at eight: they break
+    even near five labels a row, the value of ``_RUN_ROWS``.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None:
@@ -471,57 +604,9 @@ def _read_canonical_bipartite(text: str) -> BipartiteGraph | None:
         return None
     k = min(n_b, 3 * m)
     table = dict(zip(map(str, range(k)), range(k)))
-    names: list[str] = []  # the table's keys and values, once a chunk
-    ints: tuple[int, ...] = ()  # of long rows needs them
     rows: list[tuple[int, ...]] = [()] * n_a
-    # the row read last may go on in the next chunk: its A-token and vertex
-    last, a = "", -1
-    lines = 0
-    for chunk in _edge_chunks(text, start):
-        if chunk is None:
-            return None
-        a_tokens, b_tokens = chunk
-        n = len(a_tokens)
-        lines += n
-        # True where a row ends
-        ends = [*map(ne, a_tokens, islice(a_tokens, 1, None)), True]
-        runs = n >= _RUN_ROWS * ends.count(True)
-        if runs:
-            if not names:
-                names, ints = list(table), tuple(table.values())
-        else:
-            b_list = _converted(b_tokens, table, n_b)
-            # B rises along each row: sorted by (a, b), no edge repeated
-            if b_list is None or not all(map(
-                    or_, ends, map(lt, b_list, islice(b_list, 1, None)))):
-                return None
-        s = 0
-        while s < n:
-            e = ends.index(True, s) + 1
-            if runs:
-                part = b_tokens[s:e]
-                lo = table.get(part[0], k)  # a miss gives an empty slice
-                if part == names[lo:lo + e - s]:
-                    row = ints[lo:lo + e - s]
-                else:
-                    row = _converted(part, table, n_b)
-                    if row is None or not all(map(
-                            lt, row, islice(row, 1, None))):
-                        return None
-            else:
-                row = b_list[s:e]
-            if not s and a_tokens[0] == last:  # the open row goes on
-                if rows[a][-1] >= row[0]:
-                    return None
-                rows[a] += row
-            else:
-                h = int(a_tokens[s])
-                if not a < h < n_a:
-                    return None  # rows out of order, or out of range
-                rows[h], a = row, h
-            s = e
-        last = a_tokens[-1]
-    if lines != m:
+    read = _read_rows if m >= _RUN_ROWS * n_a else _read_edges
+    if read(text, start, rows, n_b, table) != m:
         return None
     return BipartiteGraph(n_a, n_b, tuple(rows))
 

@@ -887,20 +887,21 @@ def corrupted_claim_states(draw):
 
 
 def _describes(graph, layout):
-    """Whether the layout's intervals are those its B-order gives the
-    graph, by ``layout_from_order``."""
+    """Whether the layout's intervals and <_A are those its B-order gives
+    the graph, by ``layout_from_order``."""
     try:
-        return layout_from_order(graph, layout.b_seq).intervals == (
-            layout.intervals)
+        want = layout_from_order(graph, layout.b_seq)
     except LayoutMismatch:
         return False
+    return (want.intervals, want.a_order) == (layout.intervals,
+                                              layout.a_order)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(corrupted_claim_states())
 def test_clique_claims_match_the_per_position_reference(case):
-    # a layout whose intervals are not the ones its B-order gives the
-    # graph raises LayoutMismatch; on any other, one pass over the A-rows
+    # a layout whose intervals or <_A are not the ones its B-order gives
+    # the graph raises LayoutMismatch; on any other, one pass over the A-rows
     # names the same first failing bound and position as reading A_j off
     # the transpose at every position, and when every claim holds it
     # counts |A_p| as the transpose does
@@ -1026,12 +1027,49 @@ def test_layout_check_refuses_a_row_that_lost_an_edge():
 
 
 def test_window_fails_closed_on_a_reversed_a_order():
-    # the intervals describe G, so only the window's count guards <_A:
-    # reversed, it lists a4 first, and at j = 4 no A-vertex has entered
+    # the intervals describe G, but <_A reversed lists a4 first: the layout
+    # check refuses it before the window could count no A-vertex at j = 4
     good = recognize_convex(_GADGET)
     layout = ConvexLayout(good.b_pos, good.intervals, good.a_order[::-1])
-    assert _color_violation(layout) == (
-        "window holds 0 A-vertices, |A_j| = 2 at position 4")
+    assert _color_mismatch(_GADGET, layout) == (
+        "a_order is not the <_A order of the intervals")
+
+
+@pytest.mark.parametrize("a_order", [
+    (1, 2, 3, 0),           # a4 left out
+    (1, 2, 3, 0, 4, 4),     # a4 twice
+    (1, 2, 3, 0, 5),        # out of range
+    (1, 2, 3, 0, 4, 5),
+    (1, 2, 3, 0, -1),       # a4's interval by index -1, listed in order
+])
+def test_layout_check_refuses_an_a_order_that_is_no_permutation(a_order):
+    # the gadget's <_A with an A-vertex left out, listed twice or out of
+    # range: <_A must list every A-vertex once
+    good = recognize_convex(_GADGET)
+    assert good.a_order == (1, 2, 3, 0, 4)
+    layout = ConvexLayout(good.b_pos, good.intervals, a_order)
+    assert _color_mismatch(_GADGET, layout) == (
+        "a_order is not the <_A order of the intervals")
+
+
+def test_layout_check_refuses_every_adjacent_swap_in_a_order():
+    # the 306 staircase layouts of k = 4..15 rows and width 3..5, each
+    # with two adjacent A-vertices of <_A swapped; without the check all
+    # raised AlgorithmInvariantViolation in the window or a Kempe step
+    swapped = 0
+    for k in range(4, 16):
+        for width in (3, 4, 5):
+            g = _staircase(k, width)
+            good = recognize_convex(g)
+            order = list(good.a_order)
+            for i in range(k - 1):
+                a_order = order[:i] + [order[i + 1], order[i]] + order[i + 2:]
+                layout = ConvexLayout(good.b_pos, good.intervals,
+                                      tuple(a_order))
+                assert _color_mismatch(g, layout) == (
+                    "a_order is not the <_A order of the intervals")
+                swapped += 1
+    assert swapped == 306
 
 
 # ---------------------------------------------------------------------------

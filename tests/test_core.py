@@ -649,10 +649,10 @@ def test_bulk_reader_reads_run_rows_as_the_line_reader(text, size):
 
 
 def test_chunk_of_long_run_rows_converts_no_token(monkeypatch):
-    # rows of _RUN_ROWS labels or more on average are compared with the
-    # table's names, so a text of runs never reaches _converted; a row out
-    # of place is converted on its own, and a chunk of shorter rows is
-    # converted whole
+    # a text of _RUN_ROWS edge lines or more per A-vertex is read row by
+    # row, each row compared with the table's names, so a text of runs
+    # never reaches _converted; a row out of place is converted on its own,
+    # and a text of shorter rows is converted a chunk at a time
     calls = []
     real = core_module._converted
 
@@ -662,18 +662,135 @@ def test_chunk_of_long_run_rows_converts_no_token(monkeypatch):
 
     monkeypatch.setattr(core_module, "_converted", converted)
     runs = gen_random_convex(60, 50, 12, seed=5)
-    assert runs.m >= core_module._RUN_ROWS * sum(map(bool, runs.adj))
+    assert runs.m >= core_module._RUN_ROWS * runs.n_a
     assert _read_canonical_bipartite(write_bipartite_text(runs)) == runs
     assert calls == []
-    rows = ["e 0 3\ne 0 4\ne 0 5\ne 0 6\n", "e 1 2\ne 1 4\ne 1 5\ne 1 6\n",
-            "e 2 0\ne 2 1\ne 2 2\ne 2 3\n"]
-    g = _read_canonical_bipartite("p bip 3 7 12\n" + "".join(rows))
-    assert g.adj == ((3, 4, 5, 6), (2, 4, 5, 6), (0, 1, 2, 3))
-    assert calls == [["2", "4", "5", "6"]]
+    rows = ["e 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\n",
+            "e 1 2\ne 1 4\ne 1 5\ne 1 6\ne 1 7\n",
+            "e 2 0\ne 2 1\ne 2 2\ne 2 3\ne 2 4\n"]
+    assert 15 >= core_module._RUN_ROWS * 3
+    g = _read_canonical_bipartite("p bip 3 8 15\n" + "".join(rows))
+    assert g.adj == ((3, 4, 5, 6, 7), (2, 4, 5, 6, 7), (0, 1, 2, 3, 4))
+    assert calls == [["2", "4", "5", "6", "7"]]
     calls.clear()
     g = _read_canonical_bipartite("p bip 3 7 4\ne 0 1\ne 1 2\ne 2 3\ne 2 4\n")
     assert g.adj == ((1,), (2,), (3, 4))
     assert calls == [["1", "2", "3", "4"]]
+
+
+@st.composite
+def long_row_texts(draw):
+    """``p bip`` texts of rows, with edge lines per A-vertex on either side
+    of ``_RUN_ROWS``, and whether the text is in the writer's form.  Rows
+    of up to 80 labels mix runs, runs with a label left out, and rows
+    shuffled, some with a label repeated; A-vertices go missing among and
+    after the rows; now and then a line moves elsewhere, so rows come out
+    of A-order or split; some texts spell B- and A-tokens with a leading
+    zero; m may be off by one and the final line break missing."""
+    row_way = draw(st.booleans())
+    sizes = draw(st.lists(st.sampled_from(
+        [1, 2, 4, 5, 6, 9, 15, 33, 80] if row_way else [1, 2, 3, 4, 5, 6, 9]),
+        min_size=1, max_size=10))
+    # as many A-vertices as that side of the threshold allows, or more
+    n_a = sum(sizes) // core_module._RUN_ROWS + (not row_way)
+    n_a = max(n_a, len(sizes)) + draw(st.sampled_from([0, 0, 1, 3]))
+    present = sorted(draw(st.lists(st.integers(0, n_a - 1), unique=True,
+                                   min_size=len(sizes),
+                                   max_size=len(sizes))))
+    n_b = max(sizes) + draw(st.integers(0, 60))
+    zeros = draw(st.sampled_from([0, 0, 0, 10]))  # one token in ten
+    lines, canonical = [], True
+    for a, k in zip(present, sizes):
+        lo = draw(st.integers(0, max(n_b - k, 0) + 1))  # now and then past
+        kind = draw(st.sampled_from(["run", "run", "run", "gap", "shuffled"]))
+        labels = list(range(lo, lo + k + (kind == "gap")))
+        if kind == "gap":
+            del labels[draw(st.integers(1, max(len(labels) - 2, 1)))]
+        elif kind == "shuffled":
+            labels = draw(st.permutations(labels))
+            if draw(st.booleans()):
+                labels.insert(draw(st.integers(0, len(labels))),
+                              labels[0])
+        canonical &= labels == sorted(set(labels)) and labels[-1] < n_b
+        a_text = "0" * (zeros and draw(st.integers(1, zeros)) == 1) + str(a)
+        for b in labels:
+            zero = "0" * (zeros and draw(st.integers(1, zeros)) == 1)
+            lines.append(f"e {a_text} {zero}{b}\n")
+            canonical &= not zero and a_text == str(a)
+    if draw(st.integers(0, 4)) == 0:
+        moved = lines[:]
+        moved.insert(draw(st.integers(0, len(lines) - 1)),
+                     moved.pop(draw(st.integers(0, len(lines) - 1))))
+        canonical &= moved == lines
+        lines = moved
+    off = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    text = f"p bip {n_a} {n_b} {len(lines) + off}\n" + "".join(lines)
+    if draw(st.integers(0, 9)) == 0:
+        text, canonical = text[:-1], False
+    return text, canonical and not off
+
+
+@settings(max_examples=800, deadline=None)
+@given(long_row_texts(), st.sampled_from([7, 50, 1 << 18]))
+def test_bulk_reader_reads_long_rows_as_the_line_reader(case, size):
+    # either way of reading returns the line reader's graph or defers to
+    # it, and each reads every text in the writer's form itself
+    text, canonical = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core_module, "_CHUNK", size)
+        bulk = _assert_readers_agree(text)
+    assert bulk is not None or not canonical
+
+
+def test_row_way_defers_a_row_holding_another_a_vertex():
+    # a line of A2 sits in A0's row, before A1's first line: the span that
+    # ends there is not one A-vertex's lines, though its B-labels rise, so
+    # the bulk read defers and the line reader gives A2 both its parts
+    lines = ([f"e 0 {b}\n" for b in range(4)] + ["e 2 4\n"]
+             + [f"e 1 {b}\n" for b in range(5, 10)]
+             + [f"e 2 {b}\n" for b in range(10, 15)])
+    text = "p bip 3 15 15\n" + "".join(lines)
+    assert 15 >= core_module._RUN_ROWS * 3
+    assert _assert_readers_agree(text) is None
+    assert read_bipartite_text(text).adj == (
+        (0, 1, 2, 3), (5, 6, 7, 8, 9), (4, 10, 11, 12, 13, 14))
+
+
+class _Scanned(str):
+    """A text that adds up the characters its searches examine."""
+
+    scanned = 0
+
+    def _window(self, start, stop):
+        return (len(self) if stop is None else min(stop, len(self))) - start
+
+    def find(self, sub, start=0, stop=None):
+        found = str.find(self, sub, start, stop)
+        _Scanned.scanned += (found + len(sub) - start if found >= 0
+                             else self._window(start, stop))
+        return found
+
+    def rfind(self, sub, start=0, stop=None):
+        found = str.rfind(self, sub, start, stop)
+        _Scanned.scanned += self._window(max(found, start), stop)
+        return found
+
+    def count(self, sub, start=0, stop=None):
+        _Scanned.scanned += self._window(start, stop)
+        return str.count(self, sub, start, stop)
+
+
+def test_row_end_search_stays_within_the_row():
+    # every other A-vertex has no edge, so the next A-vertex's first line
+    # is never found: the search for a row's end must stop near the row,
+    # not run on to the end of the text
+    rows = [range(a, a + 10) if a % 2 == 0 else () for a in range(2000)]
+    g = BipartiteGraph(2000, 2010, tuple(map(tuple, rows)))
+    text = write_bipartite_text(g)
+    assert g.m >= core_module._RUN_ROWS * g.n_a
+    _Scanned.scanned = 0
+    assert _read_canonical_bipartite(_Scanned(text)) == g
+    assert _Scanned.scanned <= (3 * core_module._WINDOW + 6) * len(text)
 
 
 def test_bulk_reader_peak_is_a_small_multiple_of_the_graph():
