@@ -25,12 +25,13 @@ window leaves no color free; only they count how often each color
 occurs on N(b_j), afresh in every round.  A pivot round recolors
 A-vertices, never B-vertices, so after one ``on_a`` is rebuilt from A_j
 and ``on_b`` stands.
-One pass over the A-rows checks that the layout describes G, each row
-filling its interval, O(n + m), and one pass over ``a_order`` that it is
-<_A, O(n_a), so a caller's layout of another graph or out-of-order <_A
-raises LayoutMismatch before any color is assigned.  The clique claims
-are then interval arithmetic, and only their size bounds are checked per
-position.  The same pass counts |A_j| for step 1.  The final check
+A ``ConvexLayout`` has checked every row of its graph against its
+B-order when it was made, and derives <_A from the intervals, so Phase
+II checks only that the layout is G's: a caller's layout of another
+graph raises LayoutMismatch before any color is assigned.  The clique
+claims are then interval arithmetic, and only their size bounds are
+checked per position, on the |A_j| that one pass over the intervals
+counts for step 1.  The final check
 reads each A-row that is a run of its labels as one slice of the color
 list, and the closed neighborhoods of B through the color classes of A:
 the A-vertices of one color must have disjoint rows, O(n + m).
@@ -89,14 +90,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import lt
 from typing import Sequence
 
 from .convexity import ConvexLayout
 # ``square`` is not called here.  bench/spans.py wraps ``coloring.square``
 # by name when it traces a run, so the name stays importable.
 from .core import BipartiteGraph, SimpleGraph, bitmask, square  # noqa: F401
-from .errors import AlgorithmInvariantViolation, LayoutMismatch
+from .errors import AlgorithmInvariantViolation
 
 TraceEvent = tuple
 
@@ -229,11 +229,11 @@ class ExtensionState:
     ``colors`` is a proper coloring of H_{j+1} (all of A plus B-positions
     above j) within ``palette`` = floor(3*omega/2) colors.  Neighborhoods
     in the square are read off arrays by B-position, each built on first
-    read, so that ``_assert_bj_cliques`` checks the layout before any of
-    them indexes it.  maxright, with the A-rows of G, is all that step 1
-    and the clique claims read.  The A-neighbors of each position, the rows of
-    ``g.b_adj`` and so the transpose of G, and minleft are read only in
-    a pivot round.
+    read, so that ``_assert_bj_cliques`` checks that the layout is
+    ``graph``'s before any of them indexes it.  maxright, with the
+    intervals, is all that step 1 and the clique claims read.  The
+    A-neighbors of each position, the rows of ``g.b_adj`` and so the
+    transpose of G, and minleft are read only in a pivot round.
     """
 
     graph: BipartiteGraph
@@ -264,7 +264,7 @@ class ExtensionState:
     @cached_property
     def _a_at(self) -> list[tuple[int, ...]]:
         """The A-neighbors of each position, A_p: the intervals through it
-        in a valid layout.  Read only in pivot rounds, so G's transpose is
+        in a layout of G.  Read only in pivot rounds, so G's transpose is
         built only then."""
         return list(map(self.graph.b_adj.__getitem__, self.layout.b_seq))
 
@@ -443,58 +443,22 @@ def _assert_bj_cliques(state: ExtensionState, omega: int) -> list[int]:
     bounds, at every position j from ``state.j`` down to 0: A_j, the
     A-vertices whose rows hold b_j, and B_j, the positions j+1 ..
     maxright(j).  Returns |A_p| for every position p (and 0 past the
-    last).
+    last), counted off the intervals.
 
-    One pass over the A-rows first checks that the layout describes G:
-    one interval per A-vertex, ``b_pos`` a permutation of the B side, a
-    row empty exactly when its interval is None, and every other row
-    filling its interval exactly, shown by one slice and one comparison
-    when the row is its interval's B-labels in position order, else by
-    the min, max and count of its positions.  The first A-vertex that
-    fails raises LayoutMismatch, and so does an ``a_order`` that is not
-    <_A of those intervals (isolated A-vertices first, then by right end,
-    left end and index), checked in O(n_a) on its consecutive keys.  On
-    such a layout A_j is the intervals through j,
-    which meet at j, and the one reaching maxright(j) covers b_j and
-    B_j, so both clique claims hold and only the size bounds, which
-    depend on omega, are checked, from the highest position down.
+    A layout of another graph raises LayoutMismatch.  A layout of G has
+    checked every row of G against its B-order when it was made, so each
+    row fills its interval: A_j is the intervals through j, which meet at
+    j, and the one reaching maxright(j) covers b_j and B_j.  Both clique
+    claims hold, and only the size bounds, which depend on omega, are
+    checked, from the highest position down.
     """
     g, layout = state.graph, state.layout
-    b_pos = layout.b_pos
-    if len(layout.intervals) != g.n_a:
-        raise LayoutMismatch("layout sizes disagree with the graph")
-    if sorted(b_pos) != list(range(g.n_b)):
-        raise LayoutMismatch("b_pos is not a permutation of the B side")
-    b_seq = layout.b_seq
+    layout.check_graph(g)
     starts = [0] * (g.n_b + 1)  # differences of |A_p|
-    for a, (row, iv) in enumerate(zip(g.adj, layout.intervals)):
-        if not row and iv is None:
-            continue
-        if not row or iv is None:
-            raise LayoutMismatch(
-                f"neighborhood of A{a} does not fill its interval")
-        left, right = iv
-        k = len(row)
-        if not (0 <= left and right - left + 1 == k
-                and b_seq[left:right + 1] == row):
-            if row[-1] - row[0] == k - 1:
-                ps = b_pos[row[0]:row[-1] + 1]
-            else:
-                ps = [b_pos[b] for b in row]
-            if not (min(ps) == left and max(ps) == right == left + k - 1):
-                raise LayoutMismatch(
-                    f"neighborhood of A{a} does not fill its interval")
-        starts[left] += 1
-        starts[right + 1] -= 1
-    # <_A: isolated A-vertices first, then by right end, left end and
-    # index; keys that rise and end in the index make a_order a
-    # permutation of the A side
-    ivs, n_a = layout.intervals, g.n_a
-    keys = [(-1, -1, a) if ivs[a] is None else (ivs[a][1], ivs[a][0], a)
-            for a in layout.a_order if 0 <= a < n_a]
-    if not (len(keys) == len(layout.a_order) == n_a
-            and all(map(lt, keys, keys[1:]))):
-        raise LayoutMismatch("a_order is not the <_A order of the intervals")
+    for iv in layout.intervals:
+        if iv is not None:
+            starts[iv[0]] += 1
+            starts[iv[1] + 1] -= 1
     size = list(accumulate(starts))
     maxright = state._maxright
     for j in range(state.j, -1, -1):
@@ -554,10 +518,12 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
                         trace: list[TraceEvent] | None = None) -> Coloring:
     """Proper coloring of square(g) with at most floor(3*omega/2) colors.
 
-    omega is ``layout.omega``.  The layout is checked against ``g`` before
-    any color is assigned, and the claims of Phase II are asserted as it
-    runs: the clique claims on N(b_j) once for the layout, before the
-    first position, and the pivot claims in every pivot round.  ``trace``,
+    omega is ``layout.omega``.  A layout of another graph than ``g``
+    raises LayoutMismatch before any color is assigned (the layout
+    checked itself against its graph when it was made), and the claims
+    of Phase II are asserted as it runs: the clique claims on N(b_j)
+    once for the layout, before the first position, and the pivot claims
+    in every pivot round.  ``trace``,
     when given, collects (event, position, ...) tuples for the pivot /
     partner / swap steps.  Steps 1 and 2 take the lowest free color.
 
@@ -572,17 +538,17 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
     end (two pointers over the A-vertices by right and by left end), and
     the B-part gains j+1 and loses positions from its top only, because
     maxright is a prefix maximum.  Each vertex enters and leaves the
-    window once: O(n_a + n_b) updates, against O(n + m) for the clique
-    claims and for the final check, which both read G through its
-    A-rows.  The window must hold the |A_j| A-vertices the clique claims
-    count; the layout check has checked ``layout.a_order``, so that count
-    is an internal check.  |A_j| also bounds the pivot rounds.  The pivot
-    rounds (``_pivot_rounds``) start only where ``_free_color`` finds no
-    color free.  They alone count colors on N(b_j), in ``find_pivot``,
-    and read ``layout.a_rank`` and A_j as a list, so an input without a
-    pivot round builds none of these nor ``g.b_adj``.
-    A round recolors A-vertices only, so ``on_a`` is rebuilt from A_j
-    after the rounds and ``on_b`` stands.
+    window once: O(n_a + n_b) updates, and O(n_a + n_b) for the clique
+    claims, against O(n + m) for the final check, which reads G through
+    its A-rows.  The window must hold the |A_j| A-vertices the clique
+    claims count; ``layout.a_order`` is derived from the intervals, so
+    that count is an internal check.  |A_j| also bounds the pivot
+    rounds.  The pivot rounds (``_pivot_rounds``) start only where
+    ``_free_color`` finds no color free.  They alone count colors on
+    N(b_j), in ``find_pivot``, and read ``layout.a_rank`` and A_j as a
+    list, so an input without a pivot round builds none of these nor
+    ``g.b_adj``.  A round recolors A-vertices only, so ``on_a`` is
+    rebuilt from A_j after the rounds and ``on_b`` stands.
     """
     omega = layout.omega
     palette = (3 * omega) // 2
@@ -625,7 +591,7 @@ def color_square_convex(g: BipartiteGraph, layout: ConvexLayout,
         if hi > j:
             on_b ^= 1 << color_of(b_glob[j + 1])
         top = hi
-        # with the layout check, this makes the window's A-part A_j
+        # the intervals are G's, so the window's A-part is A_j
         if entered - left != a_size[j]:
             raise AlgorithmInvariantViolation(
                 f"window holds {entered - left} A-vertices, |A_j| = "

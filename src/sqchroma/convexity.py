@@ -41,11 +41,8 @@ row that strictly overlaps it.  With step 3 on top, the engine's whole
 order is the labels' order, except that each class it reverses lists
 its cells from the last to the first, each cell in the same order
 inside; one walk over the nested spans of the reversed classes writes
-it.  The final check is shared, so both paths give the same order.  On
-runs the order written is the labels' own unless some class is
-reversed, and then the check reads each row's interval off its ends:
-the run test has shown every row to be a run of labels, hence of
-positions.
+it.  Either path's order becomes a ``ConvexLayout``, whose construction
+is the one check of every row against an order, fail closed.
 
 Cost, for m rows, k <= m distinct rows of size >= 2 and N = the sum of
 row sizes.  Rows arrive as the sorted tuples ``BipartiteGraph.adj``
@@ -55,7 +52,7 @@ left end) and their 2k endpoints sorted, O(k log k); the sweep and its
 union-find, and collecting the endpoints of the reversed classes, are
 O(k log k) too, and the walk writes the order in O(n_cols + k log k)
 without a set or dict per column.  When that order is the identity, one
-list comparison shows it, and each row's interval is its first and last
+comparison shows it, and each row's interval is its first and last
 label: O(m), with no slice of positions.  Under any other order checking
 the result costs O(N).  On any other rows the engine deduplicates and
 sorts the rows as tuples, and placing rows, assembling and checking cost
@@ -67,9 +64,9 @@ takes time about N*m and memory about n_cols*m bits.  Placing a row
 collects the cells its columns lie in as one set and walks its run,
 testing each cell at the ends and inside the run for fullness as a
 subset of the row; a subset test stops at the smaller size, so this
-costs O(|row|) without counting columns per cell.  One pass reads the
-first and last position of every row under the final order: it checks
-the row against the order (fail closed) and gives the row's interval.
+costs O(|row|) without counting columns per cell.  Making the layout,
+one pass reads the first and last position of every row under the final
+order: it checks the row against the order and gives its interval.
 
 A verdict of no order stops at the first row that cannot be placed: the
 classes are generated one at a time, so it pays for the sort, the column
@@ -86,10 +83,14 @@ A-vertex whose neighborhood could not be placed, the order attempted,
 and the gap triple itself.  Only ``recognize`` prints it; ``color``,
 ``structure`` and ``experiment`` read the verdict alone.
 
-Derived orderings: positions under <_B induce an interval (left, right)
-per non-isolated A-vertex, and <_A sorts A by right endpoint with ties
-broken by left endpoint then index.  Isolated A-vertices carry no
-interval and precede everything in <_A.
+Derived orderings: a ``ConvexLayout`` is a graph and the positions of
+its B-vertices under <_B.  They induce an interval (left, right) per
+non-isolated A-vertex, computed and checked when the layout is made, and
+<_A sorts A by right endpoint with ties broken by left endpoint then
+index.  Isolated A-vertices carry no interval and precede everything in
+<_A.  A layout is the only way to pair an order with a graph, so code
+that takes a graph and a layout checks only that the layout is the
+graph's (``ConvexLayout.check_graph``).
 """
 
 from __future__ import annotations
@@ -108,18 +109,40 @@ from .errors import AlgorithmInvariantViolation, LayoutMismatch
 
 @dataclass(frozen=True)
 class ConvexLayout:
-    """Ordering data for a convex bipartite graph.
+    """The B-order <_B of a convex bipartite graph, and what it derives.
 
-    ``b_pos[b]`` is the position of B-vertex ``b`` under <_B;
-    ``intervals[a]`` is the (left, right) position pair of N(a) or None
-    for an isolated A-vertex; ``a_order`` lists A-vertices in <_A order.
-    Derived on first read: their inverses ``b_seq`` and ``a_rank``, and
-    ``by_left``, the one order of A by left end, for omega and Phase II.
+    ``b_pos[b]`` is the position of B-vertex ``b`` under <_B.  Making a
+    layout checks that ``b_pos`` is a permutation of B and computes
+    ``intervals``, which checks every row of ``graph`` against the order;
+    either failure raises LayoutMismatch, so every layout describes its
+    graph.  Derived on first read: ``a_order``, <_A of the intervals;
+    the inverses ``b_seq`` and ``a_rank``; and ``by_left``, the one order
+    of A by left end, for omega and Phase II.
     """
 
+    graph: BipartiteGraph
     b_pos: tuple[int, ...]
-    intervals: tuple[tuple[int, int] | None, ...]
-    a_order: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if sorted(self.b_pos) != list(range(self.graph.n_b)):
+            raise LayoutMismatch("b_pos is not a permutation of the B side")
+        self.intervals  # computed, and so checked, once, here
+
+    def check_graph(self, g: BipartiteGraph) -> None:
+        """Raise LayoutMismatch unless this is a layout of ``g``."""
+        if self.graph is not g and self.graph != g:
+            raise LayoutMismatch("the layout is of another graph")
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[int, int] | None, ...]:
+        """The (left, right) position pair of each N(a), None for an
+        isolated A-vertex (``_intervals``)."""
+        return _intervals(self.graph.adj, self.b_pos)
+
+    @cached_property
+    def a_order(self) -> tuple[int, ...]:
+        """The A-vertices in <_A order (``_compute_a_order``)."""
+        return _compute_a_order(self.intervals, self.graph.n_b)
 
     @cached_property
     def b_seq(self) -> tuple[int, ...]:
@@ -631,33 +654,20 @@ def _assemble(n_cols: int, sets: Sequence[Collection[int]],
     return order
 
 
-def _arrange(n_cols: int, rows: Sequence[tuple[int, ...]]
-             ) -> tuple[list[int], list[int], tuple] | NonConvexWitness:
-    """Column order, the position of each column under it, and the
-    ``_intervals`` of ``rows`` under it; or, when no order makes every row
-    consecutive, a NonConvexWitness over ``rows``.  ``rows`` are sorted,
+def _arrange(n_cols: int,
+             rows: Sequence[tuple[int, ...]]) -> list[int] | NonConvexWitness:
+    """Column order making every row consecutive or, when there is none,
+    a NonConvexWitness over ``rows``.  ``rows`` are sorted,
     duplicate-free tuples, as the rows of ``BipartiteGraph.adj`` are.
 
     When every row is a run of consecutive columns, the order is written
     off the rows' endpoints (``_reversed_classes``, ``_run_order``);
     otherwise the engine arranges them (``_arrange_engine``).  Both give
-    the same result.
-
-    On runs the written order is usually the identity, and then each
-    row's interval is (first label, last label) with no pass over
-    positions.  That is still the check ``_checked`` makes, fail closed:
-    the run test above has shown every row to be consecutive under the
-    labels, and the comparison with ``range(n_cols)`` shows that the
-    order is the labels'.  Any other order, a reversed class's included,
-    goes through ``_checked``.
+    the same result.  The order is not checked here: ``recognize_convex``
+    makes a ConvexLayout of it, which checks every row.
     """
     if all(len(row) < 2 or row[-1] - row[0] + 1 == len(row) for row in rows):
-        order = _run_order(n_cols, _reversed_classes(n_cols, rows))
-        identity = list(range(n_cols))
-        if order == identity:  # every row is a run of positions
-            return order, identity, tuple([(row[0], row[-1]) if row else None
-                                           for row in rows])
-        return _checked(rows, order)
+        return _run_order(n_cols, _reversed_classes(n_cols, rows))
     return _arrange_engine(n_cols, rows, _ranked(n_cols, rows))
 
 
@@ -676,7 +686,7 @@ def _ranked(n_cols: int,
 
 def _arrange_engine(n_cols: int, rows: Sequence[tuple[int, ...]],
                     ranked: list[tuple[int, ...]]
-                    ) -> tuple[list[int], list[int], tuple] | NonConvexWitness:
+                    ) -> list[int] | NonConvexWitness:
     """``_arrange`` by placing the ``_ranked`` rows one at a time, for any
     rows.
 
@@ -698,24 +708,7 @@ def _arrange_engine(n_cols: int, rows: Sequence[tuple[int, ...]],
                 return _assemble(n_cols, sets, classes)
 
             return NonConvexWitness(rows, attempt)
-    return _checked(rows, _assemble(n_cols, sets, classes))
-
-
-def _checked(rows: Sequence[tuple[int, ...]],
-             order: list[int]) -> tuple[list[int], list[int], tuple]:
-    """``order``, the position of each column under it, and the
-    ``_intervals`` of ``rows``.  The same pass that finds a row's interval
-    checks the row against the order (fail closed), so callers need not
-    check it again.  Every order the engine assembles, and every order of
-    runs but the identity, comes through here; ``_arrange`` reads the
-    identity's intervals off the rows' ends, having shown each row to be
-    a run of labels and so of positions."""
-    pos = inverse(order)
-    try:
-        return order, pos, _intervals(rows, pos)
-    except LayoutMismatch as exc:
-        raise AlgorithmInvariantViolation(
-            "assembled order violates a row") from exc
+    return _assemble(n_cols, sets, classes)
 
 
 def _normalized(rows: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -730,9 +723,11 @@ def consecutive_order(n_cols: int,
 
     Deterministic for a fixed input.  Rows of size < 2 impose nothing;
     a longer row naming a column outside 0..n_cols-1 raises ValueError.
+    This is ``recognize_convex`` on the graph whose A-rows are ``rows``.
     """
-    result = _arrange(n_cols, _normalized(rows))
-    return None if isinstance(result, NonConvexWitness) else result[0]
+    rows = _normalized(rows)
+    result = recognize_convex(BipartiteGraph(len(rows), n_cols, tuple(rows)))
+    return None if isinstance(result, NonConvexWitness) else list(result.b_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -748,16 +743,24 @@ def _compute_a_order(intervals: Sequence[tuple[int, int] | None],
 
 
 def _intervals(rows: Sequence[Sequence[int]],
-               pos: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
-    """(first, last) position of every row, None if empty.  The rows are
-    sorted, duplicate-free and in range, as the rows of
-    ``BipartiteGraph.adj`` are.
+               pos: tuple[int, ...]) -> tuple[tuple[int, int] | None, ...]:
+    """(first, last) position of every row, None if empty: the one
+    definition of every row being consecutive under the order.  The rows
+    are sorted, duplicate-free and in range, as the rows of
+    ``BipartiteGraph.adj`` are, and ``pos`` is a permutation.
 
-    A row that is a run of its labels has the positions of the slice
-    ``pos[row[0]:row[-1] + 1]``; any other row maps through ``pos`` label
-    by label.  The same pass checks every row on the min, max and number
-    of its positions: the first that is not a run of positions raises
-    LayoutMismatch, naming it as the A-vertex of that index."""
+    Under the identity order a position is its label, so when every row
+    is a run of its labels, each row's interval is its (first, last)
+    label, with no pass over positions: O(m).  Otherwise a row that is a
+    run of its labels has the positions of the slice
+    ``pos[row[0]:row[-1] + 1]``, and any other row maps through ``pos``
+    label by label, O(N).  That pass checks every row on the min, max
+    and number of its positions: the first that is not a run of
+    positions raises LayoutMismatch, naming it as the A-vertex of that
+    index."""
+    if pos == tuple(range(len(pos))) and all(
+            len(row) < 2 or row[-1] - row[0] + 1 == len(row) for row in rows):
+        return tuple([(row[0], row[-1]) if row else None for row in rows])
     intervals: list[tuple[int, int] | None] = []
     for a, row in enumerate(rows):
         if not row:
@@ -778,21 +781,27 @@ def _intervals(rows: Sequence[Sequence[int]],
 
 def layout_from_order(g: BipartiteGraph, b_seq: Sequence[int]) -> ConvexLayout:
     """Layout induced by an explicit B-order; raises LayoutMismatch when
-    some neighborhood is not consecutive under it."""
+    ``b_seq`` is not a permutation of B or some neighborhood is not
+    consecutive under it."""
     if sorted(b_seq) != list(range(g.n_b)):
         raise LayoutMismatch("b_seq is not a permutation of the B side")
-    b_pos = inverse(b_seq)
-    ivs = _intervals(g.adj, b_pos)
-    return ConvexLayout(tuple(b_pos), ivs, _compute_a_order(ivs, g.n_b))
+    return ConvexLayout(g, tuple(inverse(b_seq)))
 
 
 def recognize_convex(g: BipartiteGraph) -> ConvexLayout | NonConvexWitness:
-    """Convex layout of ``g``, or a witness that no B-order works."""
-    result = _arrange(g.n_b, g.adj)
-    if isinstance(result, NonConvexWitness):
-        return result
-    _, pos, ivs = result  # _arrange has checked every neighborhood
-    return ConvexLayout(tuple(pos), ivs, _compute_a_order(ivs, g.n_b))
+    """Convex layout of ``g``, or a witness that no B-order works.
+
+    Making the layout checks the recognizer's order against every row,
+    fail closed: an order that breaks one is the recognizer's fault and
+    raises AlgorithmInvariantViolation."""
+    order = _arrange(g.n_b, g.adj)
+    if isinstance(order, NonConvexWitness):
+        return order
+    try:
+        return ConvexLayout(g, tuple(inverse(order)))
+    except LayoutMismatch as exc:
+        raise AlgorithmInvariantViolation(
+            "assembled order violates a row") from exc
 
 
 def recognize_biconvex(g: BipartiteGraph) -> BiconvexLayout | None:

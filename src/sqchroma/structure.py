@@ -22,7 +22,10 @@ neighbors on it and come last, and P2's rising path fixes the direction.
 ``verify_cycle_structure`` checks the cycle is induced, builds that
 labeling and checks P1, P2 and P3 on it once; on a valid convex input a
 failure is impossible, so it raises AlgorithmInvariantViolation rather
-than returning a falsified report.  The checks that read a
+than returning a falsified report.  Every check that takes ``(g,
+layout)`` first checks that the layout is ``g``'s
+(``ConvexLayout.check_graph``), so a layout of another graph raises
+LayoutMismatch, never AlgorithmInvariantViolation.  The checks that read a
 ``StructureReport`` rely on that validation instead of repeating it.
 
 Every check reads ``square(g)``, which is built once per graph and then
@@ -90,6 +93,7 @@ def is_AB_path(g: BipartiteGraph, layout: ConvexLayout,
     <_A-smaller endpoint is <_B-smaller, and that endpoint is <_A-minimal
     on the path); for convex inputs these follow from the definition.
     """
+    layout.check_graph(g)
     k = len(path)
     n_a = g.n_a
     if k < 2 or b == b_prime:
@@ -132,10 +136,12 @@ def _owns_ends(g: BipartiteGraph, layout: ConvexLayout,
 def verify_cycle_structure(g: BipartiteGraph, layout: ConvexLayout,
                            cycle: Sequence[int]) -> StructureReport:
     """Build the one candidate P1 labeling of an induced cycle in
-    square(g) and verify P1, P2 and P3 against it.  Raises
-    NotInducedCycle on a bad input cycle and AlgorithmInvariantViolation
-    if the labeling does not exist or fails the theorem (impossible for
-    convex inputs unless the implementation is wrong)."""
+    square(g) and verify P1, P2 and P3 against it.  Raises LayoutMismatch
+    for a layout of another graph, NotInducedCycle on a bad input cycle
+    and AlgorithmInvariantViolation if the labeling does not exist or
+    fails the theorem (impossible for convex inputs unless the
+    implementation is wrong)."""
+    layout.check_graph(g)
     _check_induced_cycle(square(g), cycle)
     k = len(cycle)
     n_a = g.n_a
@@ -216,6 +222,7 @@ def check_partite_count(g: BipartiteGraph, layout: ConvexLayout,
     """Exactly two vertices of the report's cycle, which
     ``verify_cycle_structure`` has checked is induced, on the
     consecutively-ordered side B."""
+    layout.check_graph(g)
     return sum(1 for v in report.cycle if v >= g.n_a) == 2
 
 
@@ -223,6 +230,7 @@ def interior_emptiness(g: BipartiteGraph, layout: ConvexLayout,
                        report: StructureReport) -> bool:
     """No cycle vertex lies strictly between the two B-endpoints of the
     cycle in the B-order."""
+    layout.check_graph(g)
     pos = layout.b_pos
     n_a = g.n_a
     lo = pos[report.b_end_low - n_a]
@@ -242,6 +250,7 @@ def spectrum_contiguous(cycles: Iterable[Sequence[int]]) -> bool:
 def cycle_spectrum_check(g: BipartiteGraph, layout: ConvexLayout) -> bool:
     """Induced-cycle lengths >= 4 of square(g) form a contiguous range
     starting at four (or no such cycles exist at all)."""
+    layout.check_graph(g)
     sq = square(g)
     return spectrum_contiguous(find_induced_cycles(sq, 4, sq.n))
 
@@ -299,6 +308,7 @@ def cycle_meets_both_sides(g: BipartiteGraph, layout: ConvexLayout,
                            cycle: Sequence[int]) -> bool:
     """The cycle meets A and B, and of the two cycle-neighbors of its
     <_A-least A-vertex exactly one lies in A."""
+    layout.check_graph(g)
     n_a = g.n_a
     a_members = [v for v in cycle if v < n_a]
     b_members = [v for v in cycle if v >= n_a]

@@ -75,7 +75,9 @@ def test_recognize_runs_the_b_side_recognition_once(tmp_path, capsys,
     path.write_text(write_bipartite_text(gen_named("biconvex")))
     assert run(["recognize", str(path)]) == 0
     assert capsys.readouterr().out.startswith("BICONVEX")
-    assert len(calls) == 1
+    # once per side: the input's B side, and its A side as the B side of
+    # the graph whose rows are the input's B-rows (``consecutive_order``)
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_recognize_nonconvex_output(nonconvex_file, capsys):
@@ -153,13 +155,13 @@ def test_color_failed_final_check_is_one_line(np_file, capsys, monkeypatch):
 
 def test_package_error_is_one_line(np_file, capsys, monkeypatch):
     def fail(g):
-        raise LayoutMismatch("layout sizes disagree with the graph")
+        raise LayoutMismatch("the layout is of another graph")
 
     monkeypatch.setattr(cli, "recognize_convex", fail)
     assert run(["color", np_file]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: layout sizes disagree with the graph\n"
+    assert captured.err == "error: the layout is of another graph\n"
 
 
 # a cached property that each command computes: color no longer reads the

@@ -25,6 +25,7 @@ from sqchroma.core import (
     SimpleGraph,
     build_bipartite,
     half_square,
+    inverse,
     max_degree,
     square,
     write_bipartite_text,
@@ -114,7 +115,11 @@ def test_greedy_buckets_match_the_heap_reference(intervals):
 def test_omega_skip_matches_the_unpruned_sweep(intervals):
     # the intervals, shifted up by 3, are positions 0 .. 12 of the layout
     intervals = [iv and (iv[0] + 3, iv[1] + 3) for iv in intervals]
-    layout = ConvexLayout(tuple(range(13)), tuple(intervals), ())
+    g = build_bipartite(len(intervals), 13, [
+        (a, b) for a, iv in enumerate(intervals) if iv
+        for b in range(iv[0], iv[1] + 1)])
+    layout = ConvexLayout(g, tuple(range(13)))
+    assert layout.intervals == tuple(intervals)
     assert layout.omega == unpruned_omega(layout) == sweep_omega(layout)
 
 
@@ -802,56 +807,48 @@ def _mismatch(state):
     return str(err.value)
 
 
-def _a1_at_zero_layout():
-    # a layout that puts a1 at [0, 0], although b_1 is its neighbor
-    good = recognize_convex(_GADGET)
-    ivs = list(good.intervals)
-    ivs[1] = (0, 0)
-    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+_OTHER_GRAPH = "the layout is of another graph"
+
+
+def _gadget_toggled(*edges):
+    # the gadget with each of ``edges`` removed if present, added if not
+    return build_bipartite(5, 5, sorted(set(_GADGET.edges()) ^ set(edges)))
 
 
 def test_clique_claim_interval_misses_j():
-    assert _mismatch(_claims_state(_a1_at_zero_layout())) == (
-        "neighborhood of A1 does not fill its interval")
-
-
-def _dropped_a1_layout(g):
-    # a layout that gives a1 no interval, although it has B-neighbors
-    good = recognize_convex(g)
-    ivs = list(good.intervals)
-    ivs[1] = None
-    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
+    # the B-order b_1, b_2, b_0, b_3, b_4 puts b_2, no neighbor of a1,
+    # between a1's neighbors b_1 and b_0: the layout is refused when it is
+    # made, naming a1 (a0 sees all of B)
+    with pytest.raises(LayoutMismatch) as err:
+        ConvexLayout(_GADGET, tuple(inverse((1, 2, 0, 3, 4))))
+    assert str(err.value) == (
+        "neighborhood of A1 is not consecutive under the order")
 
 
 def test_clique_claim_no_interval_misses_j():
-    assert _mismatch(_claims_state(_dropped_a1_layout(_GADGET))) == (
-        "neighborhood of A1 does not fill its interval")
+    # a layout of the graph in which a1 lost its neighbors: a1 has no
+    # interval there, and the layout is of another graph
+    assert _mismatch(_claims_state(recognize_convex(
+        _gadget_toggled((1, 0), (1, 1))))) == _OTHER_GRAPH
     g = build_bipartite(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
-    with pytest.raises(LayoutMismatch) as err:
-        color_square_convex(g, _dropped_a1_layout(g))
-    assert str(err.value) == "neighborhood of A1 does not fill its interval"
-
-
-def _gadget_without(*edges):
-    # the gadget with edges removed, read against the gadget's own layout
-    return build_bipartite(5, 5, sorted(set(_GADGET.edges()) - set(edges)))
+    dropped = build_bipartite(3, 3, [(0, 0), (0, 1), (2, 2)])
+    assert _color_mismatch(g, recognize_convex(dropped)) == _OTHER_GRAPH
 
 
 def test_clique_claim_no_interval_covers_b_j():
-    # b_1 loses a0, the only A-neighbor of b_1 reaching position 4: a0's
-    # row lies inside its interval but no longer fills it
+    # b_1 loses a0, the only A-neighbor of b_1 reaching position 4: the
+    # gadget's layout no longer describes the graph
     state = _claims_state()
-    state.graph = _gadget_without((0, 1))
-    assert _mismatch(state) == "neighborhood of A0 does not fill its interval"
+    state.graph = _gadget_toggled((0, 1))
+    assert _mismatch(state) == _OTHER_GRAPH
 
 
 def test_clique_claim_cover_short_by_one():
-    # b_2 loses a0, the only A-neighbor of b_2 reaching position 4: a0's
-    # row no longer fills [0, 4]
+    # b_2 loses a0, the only A-neighbor of b_2 reaching position 4
     state = _claims_state()
     state.j = 2
-    state.graph = _gadget_without((0, 2))
-    assert _mismatch(state) == "neighborhood of A0 does not fill its interval"
+    state.graph = _gadget_toggled((0, 2))
+    assert _mismatch(state) == _OTHER_GRAPH
 
 
 def _claims_outcome(claims, state, omega):
@@ -863,52 +860,36 @@ def _claims_outcome(claims, state, omega):
 
 @st.composite
 def corrupted_claim_states(draw):
-    """States whose graph and layout may disagree: edges toggled in the
-    graph, intervals redrawn or dropped in its layout, any first position,
-    and an omega up to the layout's plus one or one above every side."""
+    """States whose graph may not be their layout's: a layout of a convex
+    graph under any B-order that keeps its rows consecutive, edges
+    toggled in the state's graph, any first position, and an omega up to
+    the layout's plus one or one above every side."""
     g = draw(convex_graphs().filter(lambda g: g.n_b > 0))
-    good = recognize_convex(g)
+    try:
+        layout = layout_from_order(g, draw(st.permutations(range(g.n_b))))
+    except LayoutMismatch:
+        layout = recognize_convex(g)
     pairs = [(a, b) for a in range(g.n_a) for b in range(g.n_b)]
     flips = set(draw(st.lists(st.sampled_from(pairs), max_size=3))
                 if pairs else [])
     graph = build_bipartite(g.n_a, g.n_b, sorted(set(g.edges()) ^ flips))
-    ivs = list(good.intervals)
-    span = st.tuples(st.integers(0, g.n_b - 1), st.integers(0, g.n_b - 1))
-    for a in draw(st.lists(st.integers(0, g.n_a - 1), max_size=2)
-                  if g.n_a else st.just([])):
-        iv = draw(st.none() | span)
-        ivs[a] = iv and (min(iv), max(iv))
-    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
     state = ExtensionState(graph=graph, layout=layout, palette=0, colors={},
                            j=draw(st.integers(0, g.n_b - 1)))
     # an omega no side outgrows half the time, so the later claims run
-    return state, draw(st.integers(1, good.omega + 1)
+    return state, draw(st.integers(1, layout.omega + 1)
                        | st.just(g.n_a + g.n_b + 2))
-
-
-def _describes(graph, layout):
-    """Whether the layout's intervals and <_A are those its B-order gives
-    the graph, by ``layout_from_order``."""
-    try:
-        want = layout_from_order(graph, layout.b_seq)
-    except LayoutMismatch:
-        return False
-    return (want.intervals, want.a_order) == (layout.intervals,
-                                              layout.a_order)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(corrupted_claim_states())
 def test_clique_claims_match_the_per_position_reference(case):
-    # a layout whose intervals or <_A are not the ones its B-order gives
-    # the graph raises LayoutMismatch; on any other, one pass over the A-rows
-    # names the same first failing bound and position as reading A_j off
-    # the transpose at every position, and when every claim holds it
-    # counts |A_p| as the transpose does
+    # a layout of another graph raises LayoutMismatch; on its own graph,
+    # counting |A_p| off the intervals names the same first failing bound
+    # and position as reading A_j off the transpose at every position, and
+    # when every claim holds it counts |A_p| as the transpose does
     state, omega = case
-    if not _describes(state.graph, state.layout):
-        with pytest.raises(LayoutMismatch):
-            coloring_module._assert_bj_cliques(state, omega)
+    if state.graph != state.layout.graph:
+        assert _mismatch(state) == _OTHER_GRAPH
         return
     assert (_claims_outcome(coloring_module._assert_bj_cliques, state, omega)
             == _claims_outcome(per_position_bj_cliques, state, omega))
@@ -941,27 +922,19 @@ _SPOKES = build_bipartite(4, 8, [(0, 0), (1, 1), (2, 2)]
                           + [(3, b) for b in range(3, 8)])
 
 
-def _a0_reaching_2_layout():
-    # a layout that widens a0 to [0, 2]: maxright(1) becomes 2, which no
-    # A-neighbor of b_1 reaches
-    good = layout_from_order(_SPOKES, range(_SPOKES.n_b))
-    ivs = list(good.intervals)
-    ivs[0] = (0, 2)
-    return ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
-
-
 def test_clique_claims_fail_closed_on_a_corrupted_layout():
-    # the two bounds, raised through color_square_convex; an interval that
-    # misses a neighbor or one that outgrows its row is the caller's
-    # mismatched layout, named by its A-vertex
+    # the two bounds, raised through color_square_convex; a layout of the
+    # gadget without a1's edge to b_1, or of the spokes with a0 widened to
+    # b_0 .. b_2, is the caller's layout of another graph
     assert _color_violation(_cached_omega_layout(3)) == (
         "|A_j| = 3 exceeds omega-1 at position 3")
     assert _color_violation(_cached_omega_layout(4)) == (
         "|B_j| = 3 exceeds omega-2 at position 1")
-    assert _color_mismatch(_GADGET, _a1_at_zero_layout()) == (
-        "neighborhood of A1 does not fill its interval")
-    assert _color_mismatch(_SPOKES, _a0_reaching_2_layout()) == (
-        "neighborhood of A0 does not fill its interval")
+    assert _color_mismatch(_GADGET, recognize_convex(
+        _gadget_toggled((1, 1)))) == _OTHER_GRAPH
+    widened = build_bipartite(4, 8, _SPOKES.edges() + [(0, 1), (0, 2)])
+    assert _color_mismatch(_SPOKES, recognize_convex(widened)) == (
+        _OTHER_GRAPH)
 
 
 @pytest.mark.parametrize("omega, message", [
@@ -975,99 +948,79 @@ def test_clique_claims_fail_closed_on_a_small_cached_omega(omega, message):
 
 
 def test_window_fails_closed_on_an_interval_b_j_does_not_see():
-    # a1 widened to [0, 2], although b_2 is not its neighbor: the layout
-    # check refuses it before the window could count a0..a3 at j = 2
-    good = layout_from_order(_GADGET, range(_GADGET.n_b))
-    ivs = list(good.intervals)
-    ivs[1] = (0, 2)
-    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
-    assert _color_mismatch(_GADGET, layout) == (
-        "neighborhood of A1 does not fill its interval")
+    # a layout of the gadget with a1 widened to b_0 .. b_2, although b_2 is
+    # not a1's neighbor: refused before the window could count a0..a3 at
+    # j = 2
+    assert _color_mismatch(_GADGET, recognize_convex(
+        _gadget_toggled((1, 2)))) == _OTHER_GRAPH
 
 
 def test_layout_check_refuses_a_missing_interval():
-    # one interval too few, whether or not <_A lists the last A-vertex
-    good = recognize_convex(_GADGET)
-    for a_order in (good.a_order, good.a_order[:-1]):
-        layout = ConvexLayout(good.b_pos, good.intervals[:-1], a_order)
-        assert _color_mismatch(_GADGET, layout) == (
-            "layout sizes disagree with the graph")
+    # a layout of the gadget without its last A-vertex
+    fewer = build_bipartite(4, 5, [e for e in _GADGET.edges() if e[0] < 4])
+    assert _color_mismatch(_GADGET, recognize_convex(fewer)) == _OTHER_GRAPH
 
 
-@pytest.mark.parametrize("a, iv", [(1, (-5, -4)), (0, (0, 5)), (4, (5, 6))])
-def test_layout_check_refuses_an_interval_off_the_positions(a, iv):
-    # b_seq[-5:-3] holds a1's labels 0, 1, and b_seq[0:6] a0's: a slice
-    # that equals the row is not enough.  A left end past the last
-    # position is refused before maxright is built
-    good = recognize_convex(_GADGET)
-    ivs = list(good.intervals)
-    ivs[a] = iv
-    layout = ConvexLayout(good.b_pos, tuple(ivs), good.a_order)
-    assert _color_mismatch(_GADGET, layout) == (
-        f"neighborhood of A{a} does not fill its interval")
-
-
-@pytest.mark.parametrize("b_pos", [(0, 1, 0), (0, 1, 5), (0, 1, -1)])
+@pytest.mark.parametrize("b_pos", [(0, 1, 0), (0, 1, 5), (0, 1, -1),
+                                   (0, 1), (0, 1, 2, 3)])
 def test_layout_check_refuses_a_b_pos_that_is_no_permutation(b_pos):
-    # B0 and B2 both at position 0 pass every row's check, since B2 is
-    # isolated; a position out of range would index past the arrays
+    # B0 and B2 both at position 0 would pass every row's check, since B2
+    # is isolated; a position out of range would index past the arrays,
+    # and so would one position too few or too many
     g = build_bipartite(3, 3, [(0, 0), (1, 0), (2, 1)])
-    good = recognize_convex(g)
-    layout = ConvexLayout(b_pos, good.intervals, good.a_order)
-    assert _color_mismatch(g, layout) == (
-        "b_pos is not a permutation of the B side")
+    with pytest.raises(LayoutMismatch) as err:
+        ConvexLayout(g, b_pos)
+    assert str(err.value) == "b_pos is not a permutation of the B side"
+
+
+def test_color_refuses_a_layout_of_a_relabelled_graph():
+    # g2 is g1 with B relabelled, still convex: g1's layout is no layout
+    # of g2.  A layout of a graph equal to g2, built apart, is g2's
+    g1 = gen_random_convex(6, 6, 4, 0)
+    perm = [4, 2, 1, 0, 5, 3]
+    g2, twin = (build_bipartite(6, 6, [(a, perm[b]) for a, b in g1.edges()])
+                for _ in range(2))
+    assert _color_mismatch(g2, recognize_convex(g1)) == _OTHER_GRAPH
+    assert color_square_convex(g2, recognize_convex(twin)) == (
+        color_square_convex(g2, recognize_convex(g2)))
 
 
 def test_layout_check_refuses_a_row_that_lost_an_edge():
-    # the gadget without (0, 2) under the gadget's layout: a0's row no
-    # longer fills [0, 4]
-    assert _color_mismatch(_gadget_without((0, 2)),
-                           recognize_convex(_GADGET)) == (
-        "neighborhood of A0 does not fill its interval")
+    # the gadget without (0, 2) under the gadget's layout
+    assert _color_mismatch(_gadget_toggled((0, 2)),
+                           recognize_convex(_GADGET)) == _OTHER_GRAPH
+
+
+def _cached_a_order_layout(g, a_order):
+    # a layout of g whose cached <_A is ``a_order``, not the one its
+    # intervals give: a fault inside the library, not a caller's layout
+    layout = recognize_convex(g)
+    layout.__dict__["a_order"] = tuple(a_order)
+    return layout
 
 
 def test_window_fails_closed_on_a_reversed_a_order():
-    # the intervals describe G, but <_A reversed lists a4 first: the layout
-    # check refuses it before the window could count no A-vertex at j = 4
-    good = recognize_convex(_GADGET)
-    layout = ConvexLayout(good.b_pos, good.intervals, good.a_order[::-1])
-    assert _color_mismatch(_GADGET, layout) == (
-        "a_order is not the <_A order of the intervals")
-
-
-@pytest.mark.parametrize("a_order", [
-    (1, 2, 3, 0),           # a4 left out
-    (1, 2, 3, 0, 4, 4),     # a4 twice
-    (1, 2, 3, 0, 5),        # out of range
-    (1, 2, 3, 0, 4, 5),
-    (1, 2, 3, 0, -1),       # a4's interval by index -1, listed in order
-])
-def test_layout_check_refuses_an_a_order_that_is_no_permutation(a_order):
-    # the gadget's <_A with an A-vertex left out, listed twice or out of
-    # range: <_A must list every A-vertex once
-    good = recognize_convex(_GADGET)
-    assert good.a_order == (1, 2, 3, 0, 4)
-    layout = ConvexLayout(good.b_pos, good.intervals, a_order)
-    assert _color_mismatch(_GADGET, layout) == (
-        "a_order is not the <_A order of the intervals")
+    # with <_A reversed the window enters a1 first, at its right end 1, so
+    # at j = 4 it holds no A-vertex where A_4 = {a0, a4}
+    layout = _cached_a_order_layout(_GADGET, (4, 0, 3, 2, 1))
+    assert _color_violation(layout) == (
+        "window holds 0 A-vertices, |A_j| = 2 at position 4")
 
 
 def test_layout_check_refuses_every_adjacent_swap_in_a_order():
-    # the 306 staircase layouts of k = 4..15 rows and width 3..5, each
-    # with two adjacent A-vertices of <_A swapped; without the check all
-    # raised AlgorithmInvariantViolation in the window or a Kempe step
+    # a layout derives <_A from its intervals, so no caller can give it out
+    # of order; should the cached <_A be wrong, the window's count of A_j,
+    # or a Kempe step, fails closed on each of the 306 staircase layouts
+    # of k = 4..15 rows and width 3..5 with two adjacent entries swapped
     swapped = 0
     for k in range(4, 16):
         for width in (3, 4, 5):
             g = _staircase(k, width)
-            good = recognize_convex(g)
-            order = list(good.a_order)
+            order = list(recognize_convex(g).a_order)
             for i in range(k - 1):
                 a_order = order[:i] + [order[i + 1], order[i]] + order[i + 2:]
-                layout = ConvexLayout(good.b_pos, good.intervals,
-                                      tuple(a_order))
-                assert _color_mismatch(g, layout) == (
-                    "a_order is not the <_A order of the intervals")
+                with pytest.raises(AlgorithmInvariantViolation):
+                    color_square_convex(g, _cached_a_order_layout(g, a_order))
                 swapped += 1
     assert swapped == 306
 

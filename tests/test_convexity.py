@@ -61,7 +61,7 @@ def _attempted(n_cols, rows):
     result = _arrange(n_cols, _normalized(rows))
     if isinstance(result, NonConvexWitness):
         return list(result.b_order_attempted)
-    return result[0]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +156,9 @@ def test_deep_nesting_and_large_inputs_need_no_recursion():
             with _engine_skipped():
                 assert _arrange(n_cols, rows) == results[-1]
             seconds.append(time.perf_counter() - t0)
-        assert results[0][0] == list(range(2000))
-        assert results[2][0] == list(range(1200))
-        assert results[3][0] != list(range(1200))
+        assert results[0] == list(range(2000))
+        assert results[2] == list(range(1200))
+        assert results[3] != list(range(1200))
         assert isinstance(recognize_convex(g), ConvexLayout)
     finally:
         sys.setrecursionlimit(limit)
@@ -224,6 +224,23 @@ def test_interval_path_matches_the_engine(family):
     _assert_paths_agree(*family)
 
 
+def _graph_of_rows(rows, n_b):
+    return build_bipartite(len(rows), n_b,
+                           [(a, b) for a, row in enumerate(rows) for b in row])
+
+
+def _scanned_intervals(g, b_seq):
+    """Each row's (first, last) position, found by scanning the positions,
+    or the first A-vertex whose row has a gap under ``b_seq``."""
+    intervals = []
+    for a, row in enumerate(g.adj):
+        ps = [p for p, b in enumerate(b_seq) if b in row]
+        if ps and ps != list(range(ps[0], ps[-1] + 1)):
+            return a
+        intervals.append((ps[0], ps[-1]) if ps else None)
+    return tuple(intervals)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_interval_families())
 def test_run_path_intervals_are_those_of_its_order(family):
@@ -231,33 +248,94 @@ def test_run_path_intervals_are_those_of_its_order(family):
     # other order has them read position by position: either way they
     # are the rows' first and last positions under the order
     n_cols, rows = family
-    order, pos, intervals = _arrange(n_cols, rows)
-    assert pos == inverse(order)
-    assert intervals == _intervals(rows, pos)
+    g = _graph_of_rows(rows, n_cols)
+    layout = recognize_convex(g)
+    assert list(layout.b_seq) == _arrange(n_cols, g.adj)
+    assert layout.intervals == _scanned_intervals(g, layout.b_seq)
+
+
+class _Unread(tuple):
+    """Positions that fail when one is read by index or slice."""
+
+    def __getitem__(self, i):
+        raise AssertionError("positions read")
 
 
 def test_identity_order_reads_the_row_ends_and_no_positions():
-    # rows of size 0 and 1 among runs of their labels: the order is the
-    # identity, so the per-row pass over positions is skipped
+    # rows of size 0 and 1 among runs of their labels: under the identity
+    # order the per-row pass over positions is skipped
     rows = [(), (3,), (0, 1, 2), (1, 2, 3), (5, 6), (), (4,)]
-    with mock.patch.object(convexity, "_intervals",
-                           side_effect=AssertionError("positions read")):
-        order, pos, intervals = _arrange(8, rows)
-    assert order == pos == list(range(8))
-    assert intervals == (None, (3, 3), (0, 2), (1, 3), (5, 6), None, (4, 4))
+    g = _graph_of_rows(rows, 8)
+    layout = ConvexLayout(g, _Unread(range(8)))
+    assert layout.intervals == (None, (3, 3), (0, 2), (1, 3), (5, 6), None,
+                                (4, 4))
+    assert recognize_convex(g).b_pos == tuple(range(8))
+
+
+def test_identity_order_checks_a_row_that_is_no_run_of_labels():
+    # under the identity order A1's row {0, 2} has a gap: the row ends
+    # alone would read it as the interval (0, 2)
+    g = _graph_of_rows([(0, 1), (0, 2)], 3)
+    with pytest.raises(LayoutMismatch, match="^neighborhood of A1 is not "
+                                             "consecutive under the order$"):
+        ConvexLayout(g, (0, 1, 2))
 
 
 def test_reversed_class_order_is_read_position_by_position():
     # the class of (2, 3, 4) and (0, 1, 2, 3) is reversed: its smallest
     # row lies right of the next, so its cells [0, 1], [2, 3], [4] are
-    # listed backwards, and every row is checked against that order
-    rows = [(2, 3, 4), (0, 1, 2, 3), (5,), ()]
+    # listed backwards, and every row is checked against that order, once
+    g = _graph_of_rows([(2, 3, 4), (0, 1, 2, 3), (5,), ()], 6)
     with mock.patch.object(convexity, "_intervals",
                            wraps=_intervals) as read:
-        order, pos, intervals = _arrange(6, rows)
+        layout = recognize_convex(g)
     assert read.call_count == 1
-    assert order == [4, 2, 3, 0, 1, 5]
-    assert intervals == ((0, 2), (1, 4), (5, 5), None)
+    assert layout.b_seq == (4, 2, 3, 0, 1, 5)
+    assert layout.intervals == ((0, 2), (1, 4), (5, 5), None)
+    with pytest.raises(AssertionError, match="positions read"):
+        ConvexLayout(g, _Unread(layout.b_pos))
+
+
+@st.composite
+def _laid_out_orders(draw):
+    """A random convex graph with B relabelled by ``perm``, some of its
+    A-vertices made isolated, and a B-order: ``perm``, under which every
+    row is consecutive, the identity, labels 2i and 2i+1 swapped, the
+    reverse, or any permutation."""
+    n_a, n_b = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    g = gen_random_convex(n_a, n_b, draw(st.integers(1, 6)),
+                          draw(st.integers(0, 2 ** 32)))
+    isolated = draw(st.sets(st.integers(0, 11)))
+    perm = draw(st.permutations(range(n_b)))
+    g = build_bipartite(n_a, n_b, [(a, perm[b]) for a, b in g.edges()
+                                   if a not in isolated])
+    identity = list(range(n_b))
+    swapped = [b ^ 1 if b ^ 1 < n_b else b for b in identity]
+    b_seq = draw(st.sampled_from([perm, identity, swapped, identity[::-1]])
+                 | st.permutations(identity))
+    return g, b_seq
+
+
+@settings(max_examples=500, deadline=None)
+@given(_laid_out_orders())
+def test_layout_intervals_and_a_order_match_a_scan_of_positions(case):
+    # a layout refuses, naming it, the first A-vertex whose row has a gap
+    # under its B-order; otherwise its intervals are each row's first and
+    # last positions, and <_A is isolated A-vertices first, then by right
+    # end, left end and index
+    g, b_seq = case
+    want = _scanned_intervals(g, b_seq)
+    if isinstance(want, int):
+        with pytest.raises(LayoutMismatch) as err:
+            ConvexLayout(g, tuple(inverse(b_seq)))
+        assert str(err.value) == (
+            f"neighborhood of A{want} is not consecutive under the order")
+        return
+    layout = ConvexLayout(g, tuple(inverse(b_seq)))
+    assert layout.intervals == want
+    assert layout.a_order == tuple(sorted(
+        range(g.n_a), key=lambda a: (-1, -1, a) if want[a] is None
+        else (want[a][1], want[a][0], a)))
 
 
 def test_interval_path_matches_the_engine_on_towers_and_staircases():
@@ -573,11 +651,6 @@ def test_accepted_order_is_checked_against_every_row():
         assert engine.called == (writer == "_assemble")
 
 
-def _graph_of_rows(rows, n_b):
-    return build_bipartite(len(rows), n_b,
-                           [(a, b) for a, row in enumerate(rows) for b in row])
-
-
 def test_a_refused_placeable_row_fails_closed():
     # the staircase on labels 0, 2, 1, 3, that is {0,2}, {1,2}, {1,3}, has
     # a consecutive order, so a placement that refuses its second row is
@@ -680,8 +753,9 @@ def test_proper_ordering_violation():
     g = build_bipartite(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
     h = half_square(g, "B")
     assert sorted(h.edges()) == [(0, 1), (1, 2)]
-    # place the middle vertex of the path first: 1, 0, 2 as positions
-    bad = ConvexLayout((1, 0, 2), ((0, 0),) * 3, (0, 1, 2))
+    # place the middle vertex of the path first: 1, 0, 2 as positions, in
+    # a layout of an edgeless graph, under which any order is convex
+    bad = ConvexLayout(build_bipartite(0, 3, []), (1, 0, 2))
     assert not check_proper_ordering(h, bad)
 
 

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqchroma import cli, structure
-from sqchroma.convexity import ConvexLayout, recognize_convex
+from sqchroma.convexity import recognize_convex
 from sqchroma.core import (
+    build_bipartite,
     girth,
     half_square,
     max_degree,
@@ -12,7 +13,11 @@ from sqchroma.core import (
     square_simple,
     write_bipartite_text,
 )
-from sqchroma.errors import AlgorithmInvariantViolation, NotInducedCycle
+from sqchroma.errors import (
+    AlgorithmInvariantViolation,
+    LayoutMismatch,
+    NotInducedCycle,
+)
 from sqchroma.generators import (
     gen_girth7,
     gen_lower_bound_H,
@@ -102,15 +107,48 @@ def test_structure_rejects_triangle_and_chords():
 
 def test_structure_no_labeling_raises():
     # with <_A reversed, the C5's A-path rises as (3, 2, 1), but then its
-    # first vertex owns the <_B-later B-end, so no labeling passes P1
-    reversed_a = ConvexLayout(NP_LAYOUT.b_pos, NP_LAYOUT.intervals,
-                              NP_LAYOUT.a_order[::-1])
+    # first vertex owns the <_B-later B-end, so no labeling passes P1.
+    # A layout derives <_A from its graph, so the reversed ranks are set
+    # on the instance, as a cached value
+    reversed_a = recognize_convex(NP)
+    rank = reversed_a.a_rank
+    reversed_a.__dict__["a_rank"] = tuple(len(rank) - 1 - r for r in rank)
     with pytest.raises(AlgorithmInvariantViolation,
                        match="no labeling of cycle"):
         verify_cycle_structure(NP, reversed_a, (1, 2, 3, 7, 4))
     with pytest.raises(AlgorithmInvariantViolation,
                        match="no labeling of cycle"):
         rotation_verify_cycle_structure(NP, reversed_a, (1, 2, 3, 7, 4))
+
+
+def _relabelled_b(g, perm):
+    """``g`` with B-vertex b renamed perm[b]."""
+    return build_bipartite(g.n_a, g.n_b,
+                           [(a, perm[b]) for a, b in g.edges()])
+
+
+def test_structure_checks_refuse_a_layout_of_another_graph():
+    # g2 is g1 with B relabelled, still convex; g1's layout paired with g2
+    # is the caller's mistake, not a failed theorem
+    g1 = gen_random_convex(6, 6, 4, 0)
+    g2 = _relabelled_b(g1, [4, 2, 1, 0, 5, 3])
+    layout1, layout2 = recognize_convex(g1), recognize_convex(g2)
+    cycle = (0, 4, 11, 8)
+    report = verify_cycle_structure(g2, layout2, cycle)
+    assert report.ok
+    message = "^the layout is of another graph$"
+    for check in (lambda: verify_cycle_structure(g2, layout1, cycle),
+                  lambda: is_AB_path(g2, layout1, [0, 4], 6, 11),
+                  lambda: check_partite_count(g2, layout1, report),
+                  lambda: interior_emptiness(g2, layout1, report),
+                  lambda: cycle_spectrum_check(g2, layout1),
+                  lambda: cycle_meets_both_sides(g2, layout1, cycle)):
+        with pytest.raises(LayoutMismatch, match=message):
+            check()
+    # a layout of an equal graph, built apart, is a layout of g2
+    twin = _relabelled_b(g1, [4, 2, 1, 0, 5, 3])
+    assert twin is not g2
+    assert verify_cycle_structure(twin, layout2, cycle) == report
 
 
 @pytest.mark.parametrize("q", [2, 4])
